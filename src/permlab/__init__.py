@@ -5,7 +5,7 @@ numeric analysis toolkit behind them."""
 __version__ = "0.1.0"
 
 from .gen import GenParams, default_params, gen_general, gen_simple, vertex_count
-from .graphs import LayeredGraph, basic, concat, concat_all, extract_permutation
+from .graphs import LayeredGraph, basic, concat_all, extract_permutation
 from .perms import compose, identity, inverse, join, lex_partition, vec
 from .rs import RSGraph, trivial_rs, validate_rs
 
@@ -16,7 +16,6 @@ __all__ = [
     "__version__",
     "basic",
     "compose",
-    "concat",
     "concat_all",
     "default_params",
     "extract_permutation",

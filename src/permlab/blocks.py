@@ -1,13 +1,16 @@
 """The RS-product gadgets: encoded graphs, edge picking, blocks, multi-blocks.
 
-A block sandwiches an encoded RS graph between two group-routing gadgets
-chosen by the picked edges, giving a 6-layer permutation graph whose action on
-the first (r/2)*b positions is determined by one row of the hidden permutation
-matrix. A multi-block chains k of them. The p-pass variants replace the two
-routing gadgets (and nothing else) with recursively sampled hiding graphs.
+A block sandwiches an encoded RS graph between two routing gadgets chosen by
+the picked edges, giving a permutation graph whose action on the first
+(r/2)*b positions is determined by one row of the hidden permutation matrix.
+A multi-block chains k of them. Each routing gadget is built by a
+route(sigma) callable: the default basic_route is the plain two-layer graph
+of sigma (a 6-layer block), and the p-pass generator passes one that samples
+a (p-1)-pass hiding graph instead. Within a block the left gadget is routed
+before the right, so a route that draws randomness sees a fixed order.
 
-Provenance: encoded layers carry the owning player's tag, routing gadgets and
-anything sampled recursively carry "referee", junctions stay "fixed".
+Provenance: encoded layers carry the owning player's tag, routing gadgets
+carry "referee", junctions stay "fixed".
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .graphs import GroupLayeredGraph, LayeredGraph, concat_all, permute_groups
-from .perms import Perm, PermVector, compose, match_aligned
+from .graphs import GroupLayeredGraph, LayeredGraph, basic, concat_all
+from .perms import Perm, compose, extend, match_aligned
 from .rs import RSGraph
 
 PermMatrix = tuple[tuple[Perm, ...], ...]  # t rows, r columns, entries in S_b
@@ -80,18 +83,27 @@ def block_rho(grs: RSGraph, sig: PermMatrix, e: EdgeTuple, b: int) -> Perm:
     return tuple(out)
 
 
+Route = Callable[[Perm], LayeredGraph]  # routing gadget realizing sigma
+
+
+def basic_route(sigma: Perm) -> LayeredGraph:
+    return basic(sigma, "referee")
+
+
 def block(
     grs: RSGraph,
     sig: PermMatrix,
     e: EdgeTuple,
     b: int,
     player_tag: str = "player:1",
+    route: Route = basic_route,
 ) -> LayeredGraph:
-    """Six layers of n_rs*b vertices realizing block_rho on the first (r/2)*b."""
+    """Encoded RS layers between two routed gadgets, realizing block_rho on the
+    first (r/2)*b positions (six layers of n_rs*b vertices with basic_route)."""
     sl, sr = edge_pick(grs, e)
     enc = encoded_rs(grs, sig, b).expand(tag=player_tag)
-    left = permute_groups(sl, b).expand(tag="referee")
-    right = permute_groups(sr, b).expand(tag="referee")
+    left = route(extend(sl, b))
+    right = route(extend(sr, b))
     return concat_all([right, enc, left])
 
 
@@ -114,13 +126,15 @@ def multi_block(
     L: Sequence[int],
     M: Hypermatching,
     b: int,
+    route: Route = basic_route,
 ) -> LayeredGraph:
     """Chain of k blocks, the k-th traversed first; realizes the fold of the
-    per-block permutations (= join of the hidden gamma-star vector)."""
+    per-block permutations (= join of the hidden gamma-star vector). Blocks
+    are built, and routed, in order a = 1..k."""
     k = len(sigs)
     check_hypermatching(M, k, grs.r)
     blocks = [
-        block(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b, player_tag=f"player:{a + 1}")
+        block(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b, f"player:{a + 1}", route)
         for a in range(k)
     ]
     return concat_all(blocks)
@@ -134,65 +148,3 @@ def multi_block_rho(
         rho = block_rho(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b)
         out = rho if out is None else compose(out, rho)
     return out
-
-
-# ---------------------------------------------------------------------------
-# p-pass variants. hide(sigma, rng) must return a sampled permutation graph
-# for sigma (the recursion is injected by the caller to keep this module free
-# of generator parameters).
-
-HideFn = Callable[[Perm, random.Random], LayeredGraph]
-
-
-def p_block_sample(
-    grs: RSGraph,
-    sig: PermMatrix,
-    e: EdgeTuple,
-    b: int,
-    p: int,
-    rng: random.Random,
-    hide: HideFn | None = None,
-    player_tag: str = "player:1",
-) -> LayeredGraph:
-    """Block whose two routing gadgets are hidden recursively when p >= 2."""
-    from .perms import extend
-
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    if p == 1:
-        return block(grs, sig, e, b, player_tag=player_tag)
-    if hide is None:
-        raise ValueError("p >= 2 needs a hide sampler")
-    sl, sr = edge_pick(grs, e)
-    enc = encoded_rs(grs, sig, b).expand(tag=player_tag)
-    left = hide(extend(sl, b), rng)
-    right = hide(extend(sr, b), rng)
-    return concat_all([right, enc, left])
-
-
-def p_multi_block_sample(
-    grs: RSGraph,
-    sigs: Sequence[PermMatrix],
-    L: Sequence[int],
-    M: Hypermatching,
-    b: int,
-    p: int,
-    rng: random.Random,
-    hide: HideFn | None = None,
-) -> LayeredGraph:
-    k = len(sigs)
-    check_hypermatching(M, k, grs.r)
-    parts = [
-        p_block_sample(
-            grs,
-            sigs[a],
-            EdgeTuple(L[a], tuple(M[a])),
-            b,
-            p,
-            rng,
-            hide,
-            player_tag=f"player:{a + 1}",
-        )
-        for a in range(k)
-    ]
-    return concat_all(parts)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, dists
-from .gen import GenParams, default_params, gen_general, validate_params, vertex_count
+from .gen import default_params, gen_general, vertex_count
 from .graphs import LayeredGraph, extract_permutation
 from .hph import parse_instance, referee_answer
 from .matching import bipartite_of, max_matching, sigma_cross, sigma_eq
@@ -67,14 +67,13 @@ def _sigma_from_spec(spec: str, m: int, seed: int):
         return random_perm(m, rng_for(seed, "sigma"))
     sigma = parse_perm(spec.replace(",", " "))
     if len(sigma) != m:
-        raise SystemExit(f"error: sigma acts on [{len(sigma)}] but m={m}")
+        raise ValueError(f"sigma acts on [{len(sigma)}] but m={m}")
     return sigma
 
 
 def cmd_gen(args) -> int:
-    params = default_params(args.m, args.b, k=args.k, p=args.p)
     try:
-        validate_params(params)
+        params = default_params(args.m, args.b, k=args.k, p=args.p)
         sigma = _sigma_from_spec(args.sigma, args.m, args.seed)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -193,7 +192,7 @@ def _kv_args(tokens: list[str]) -> dict[str, str]:
     out = {}
     for tok in tokens:
         if "=" not in tok:
-            raise SystemExit(f"error: expected key=value, got {tok!r}")
+            raise ValueError(f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
         out[key] = val
     return out
@@ -266,7 +265,7 @@ def _analyze_pinsker(kv, seed):
 
 
 def _analyze_advantage(kv, seed):
-    from .streams import advantage_estimate, run_passes
+    from .streams import FullMemory, advantage_estimate
 
     m = int(kv.get("m", 4))
     b = int(kv.get("b", 2))
@@ -284,26 +283,6 @@ def _analyze_advantage(kv, seed):
             return instance_to_stream(bipartite_of(g, m))
 
         return sample
-
-    from .streams import StreamAlgorithm
-
-    class FullMemory(StreamAlgorithm):
-        def init(self):
-            return []
-
-        def update(self, state, edge, rand):
-            state.append(edge)
-            return state
-
-        def finalize(self, state, rand):
-            side = max(max(u, v) for u, v in state) // 2 if state else 0
-            adj = [[] for _ in range(side)]
-            for u, v in state:
-                adj[u - 1].append(v - side - 1)
-            from .matching import BipartiteInstance
-
-            inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
-            return max_matching(inst, seed_canonical=False).size
 
     n = vertex_count(params, general=True)
     rep = advantage_estimate(
@@ -338,8 +317,11 @@ ANALYZES = {
 
 
 def cmd_analyze(args) -> int:
-    kv = _kv_args(args.params)
-    rows = ANALYZES[args.kind](kv, args.seed)
+    try:
+        rows = ANALYZES[args.kind](_kv_args(args.params), args.seed)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if args.format == "csv":
         buf = io.StringIO()
         keys = sorted({k for row in rows for k in row})

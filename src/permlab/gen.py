@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blocks import multi_block, p_multi_block_sample
+from .blocks import basic_route, multi_block
 from .graphs import LayeredGraph, basic, concat_all
 from .hph import force_gamma, recompute_gamma_star, sample_core
 from .perms import (
@@ -44,6 +44,9 @@ from .perms import (
 )
 from .rs import RSGraph, trivial_rs
 from .sortnet import SorterNetwork, build_sort_network, decompose
+
+# an alias kept because perfbench/tracing.py looks this name up on this module
+p_multi_block_sample = multi_block
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ def validate_params(params: GenParams) -> None:
     m, b, k, p = params.m, params.b, params.k, params.p
     if b < 2:
         raise ValueError("b must be at least 2")
-    if (2 * m) % b:
-        raise ValueError(f"b={b} must divide 2m={2 * m}")
+    if m % b:
+        raise ValueError(f"hiding needs b | m, got m={m}, b={b}")
     if k < 1 or p < 1:
         raise ValueError("k and p must be at least 1")
     rs = params.resolved_rs()
@@ -207,8 +210,6 @@ def sample_simple(
     m, b, k, p = params.m, params.b, params.k, params.p
     if len(rho) != m:
         raise ValueError(f"rho acts on [{len(rho)}], params say m={m}")
-    if m % b:
-        raise ValueError(f"hiding needs b | m, got m={m}, b={b}")
     canon = tuple(sorted((tuple(sorted(g)) for g in P), key=lambda g: g[0]))
     if not is_simple(rho, canon):
         raise ValueError("rho is not simple on the given partition")
@@ -229,16 +230,13 @@ def sample_simple(
     gamma = force_gamma(recompute_gamma_star(sigmas, L, M), target)
     core = {"sigmas": sigmas, "L": L, "M": M, "gamma": gamma}
     if p == 1:
-        mb = multi_block(grs, sigmas, L, M, b)
-        shift = basic(join(gamma), "referee")
+        route = basic_route
     else:
-        def hide(sigma_in: Perm, rng_in: random.Random) -> LayeredGraph:
-            sub = _inner_params(params, len(sigma_in))
-            return _retag_referee(gen_general(sigma_in, sub, rng_in))
+        def route(s: Perm) -> LayeredGraph:
+            return _retag_referee(gen_general(s, _inner_params(params, len(s)), rng))
 
-        mb = p_multi_block_sample(grs, sigmas, L, M, b, p, rng, hide)
-        shift = _retag_referee(gen_general(join(gamma), _inner_params(params, m), rng))
-    return concat_all([mb, shift]), core
+    # rng draw order: blocks a = 1..k (left gadget before right), shift last
+    return concat_all([multi_block(grs, sigmas, L, M, b, route), route(join(gamma))]), core
 
 
 def gen_simple(rho: Perm, P: Partition, params: GenParams, rng: random.Random) -> LayeredGraph:
@@ -252,8 +250,6 @@ def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGr
     m, b = params.m, params.b
     if len(sigma) != m:
         raise ValueError(f"sigma acts on [{len(sigma)}], params say m={m}")
-    if m % b:
-        raise ValueError(f"hiding needs b | m, got m={m}, b={b}")
     budget = vertex_count(params, general=True)
     if budget > params.max_vertices:
         raise RuntimeError(f"sample would need {budget} vertices, cap is {params.max_vertices}")
@@ -277,6 +273,4 @@ def fake_simple_from_core(sigmas, params: GenParams) -> LayeredGraph:
     grs = params.resolved_rs()
     L = tuple(1 for _ in range(k))
     M = tuple(tuple(range(1, grs.r // 2 + 1)) for _ in range(k))
-    mb = multi_block(grs, sigmas, L, M, b)
-    shift = basic(identity(params.m), "referee")
-    return concat_all([mb, shift])
+    return concat_all([multi_block(grs, sigmas, L, M, b), basic_route(identity(params.m))])

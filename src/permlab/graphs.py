@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .perms import Perm, identity
+from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
 
@@ -73,15 +73,10 @@ def basic(sigma: Perm, tag: str = "fixed") -> LayeredGraph:
     return LayeredGraph([m, m], edges, [tag] * m)
 
 
-def concat(g1: LayeredGraph, g2: LayeredGraph) -> LayeredGraph:
-    """Chain g2 before g1: paths traverse g2, cross an identity matching from
-    the last layer of g2 to the first layer of g1 (truncated to the smaller of
-    the two), then traverse g1."""
-    return concat_all([g1, g2])
-
-
 def concat_all(graphs: Sequence[LayeredGraph]) -> LayeredGraph:
-    """Fold of concat over a list, in one pass. graphs[-1] is traversed first."""
+    """Chain graphs, graphs[-1] traversed first: paths traverse each graph in
+    turn, crossing an identity matching from the last layer of one to the
+    first layer of the next (truncated to the smaller of the two)."""
     if not graphs:
         raise ValueError("nothing to concatenate")
     ordered = list(reversed(graphs))  # traversal order
@@ -166,29 +161,13 @@ class GroupLayeredGraph:
     b: int
     tuples: list[GroupEdge]
 
-    def expand(self, tag: str = "fixed", tag_of=None) -> LayeredGraph:
-        """Materialize tuple edges as concrete edges.
-
-        tag_of, when given, maps a tuple to its provenance tag.
-        """
+    def expand(self, tag: str = "fixed") -> LayeredGraph:
+        """Materialize tuple edges as concrete edges, all tagged tag."""
         layers = [self.w * self.b] * self.d
         edges: list[Edge] = []
-        tags: list[str] = []
-        for tup in self.tuples:
-            i, a1, a2, sigma = tup
-            t = tag_of(tup) if tag_of else tag
+        for i, a1, a2, sigma in self.tuples:
             base1 = (a1 - 1) * self.b
             base2 = (a2 - 1) * self.b
             for j in range(1, self.b + 1):
                 edges.append((i, base1 + j, base2 + sigma[j - 1]))
-                tags.append(t)
-        return LayeredGraph(layers, edges, tags)
-
-
-def permute_groups(sigma: Perm, b: int) -> GroupLayeredGraph:
-    """Two group layers; group i routes identically onto group sigma(i)."""
-    ident = identity(b)
-    w = len(sigma)
-    return GroupLayeredGraph(
-        w, 2, b, [(1, i, sigma[i - 1], ident) for i in range(1, w + 1)]
-    )
+        return LayeredGraph(layers, edges, [tag] * len(edges))

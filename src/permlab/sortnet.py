@@ -44,8 +44,8 @@ class SorterNetwork:
             if any(len(grp) > self.b for grp in layer):
                 raise ValueError(f"layer {li} has a group wider than b={self.b}")
 
-    def apply(self, values):
-        """Run the network over a value list (one value per wire, 1-indexed)."""
+    def steps(self, values):
+        """Yield the values on the wires (1-indexed) after each layer, as tuples."""
         vals = list(values)
         for layer in self.layers:
             for grp in layer:
@@ -53,7 +53,14 @@ class SorterNetwork:
                     ordered = sorted(vals[w - 1] for w in grp)
                     for w, v in zip(grp, ordered):
                         vals[w - 1] = v
-        return vals
+            yield tuple(vals)
+
+    def apply(self, values):
+        """Run the network over a value list (one value per wire, 1-indexed)."""
+        vals = tuple(values)
+        for vals in self.steps(vals):
+            pass
+        return list(vals)
 
 
 @dataclass(frozen=True)
@@ -253,22 +260,14 @@ def decompose(sigma: Perm, b: int, net: SorterNetwork | None = None) -> Decompos
         net = build_sort_network(m, b)
     if net.m != m:
         raise ValueError(f"network width {net.m} does not match m={m}")
-    w = list(sigma)
-    parts: list[Partition] = []
+    w = tuple(sigma)
     moves: list[Perm] = []
-    for layer in net.layers:
-        new = w[:]
-        for grp in layer:
-            if len(grp) > 1:
-                ordered = sorted(new[x - 1] for x in grp)
-                for x, v in zip(grp, ordered):
-                    new[x - 1] = v
-        moves.append(compose(inverse(tuple(new)), tuple(w)))
-        parts.append(layer)
+    for new in net.steps(w):
+        moves.append(compose(inverse(new), w))
         w = new
-    if w != list(range(1, m + 1)):
+    if w != tuple(range(1, m + 1)):
         raise RuntimeError("network failed to sort the input permutation")
-    return Decomposition(tuple(reversed(parts)), tuple(reversed(moves)))
+    return Decomposition(tuple(reversed(net.layers)), tuple(reversed(moves)))
 
 
 # ---------------------------------------------------------------------------

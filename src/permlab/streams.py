@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .graphs import LayeredGraph
+from .matching import BipartiteInstance, max_matching
 
 MAGIC = "PHSTREAM v1"
 
@@ -263,6 +264,26 @@ def greedy_matching_baseline() -> StreamAlgorithm:
 
 def augmenting_baseline(p: int) -> StreamAlgorithm:
     return GreedyMatching() if p == 1 else AugmentingMatching()
+
+
+class FullMemory(StreamAlgorithm):
+    """Unbounded baseline: stores every edge of an instance_to_stream stream
+    and outputs the exact maximum matching size."""
+
+    def init(self):
+        return []
+
+    def update(self, state, edge, rand):
+        state.append(edge)
+        return state
+
+    def finalize(self, state, rand):
+        side = max(max(u, v) for u, v in state) // 2 if state else 0
+        adj = [[] for _ in range(side)]
+        for u, v in state:
+            adj[u - 1].append(v - side - 1)
+        inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
+        return max_matching(inst, seed_canonical=False).size
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from permlab.perms import (
 from permlab.seeds import rng_for
 from permlab.sortnet import build_sort_network, decompose, depth_bound
 from permlab.streams import (
-    StreamAlgorithm,
+    FullMemory,
     advantage_estimate,
     greedy_matching_baseline,
     run_passes,
@@ -251,23 +251,6 @@ def test_c10_hph_roundtrip():
     ok(10, "referee exact on 10^4 + exhaustive family; blind referee at chance")
 
 
-class _FullMemory(StreamAlgorithm):
-    def init(self):
-        return []
-
-    def update(self, state, edge, rand):
-        state.append(edge)
-        return state
-
-    def finalize(self, state, rand):
-        side = max(max(u, v) for u, v in state) // 2
-        adj = [[] for _ in range(side)]
-        for u, v in state:
-            adj[u - 1].append(v - side - 1)
-        inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
-        return max_matching(inst, seed_canonical=False).size
-
-
 def test_c11_harness_sanity():
     m, b = 4, 2
     params = default_params(m, b, k=2, p=1)
@@ -281,12 +264,12 @@ def test_c11_harness_sanity():
         return sample
 
     rep = advantage_estimate(
-        sampler(sigma_eq(m)), sampler(sigma_cross(m)), _FullMemory,
+        sampler(sigma_eq(m)), sampler(sigma_cross(m)), FullMemory,
         lambda size: 0 if size == n + m // 2 else 1, 60, 1, rng,
     )
     assert rep.accuracy == 1.0
     null = advantage_estimate(
-        sampler(sigma_eq(m)), sampler(sigma_eq(m)), _FullMemory,
+        sampler(sigma_eq(m)), sampler(sigma_eq(m)), FullMemory,
         lambda size: 0 if size == n + m // 2 else 1, 60, 1, rng,
     )
     assert abs(null.accuracy - 0.5) <= 3 * 0.5 / math.sqrt(60)

@@ -4,19 +4,18 @@ import pytest
 
 from permlab.blocks import (
     EdgeTuple,
+    basic_route,
     block,
     block_rho,
     edge_pick,
     encoded_rs,
     multi_block,
     multi_block_rho,
-    p_block_sample,
-    p_multi_block_sample,
     random_perm_matrix,
 )
-from permlab.graphs import basic, extract_permutation
+from permlab.graphs import GroupLayeredGraph, basic, concat_all, extract_permutation
 from permlab.hph import recompute_gamma_star, sample_core
-from permlab.perms import compose, identity, join, match_aligned, random_perm
+from permlab.perms import compose, extend, identity, join, match_aligned, random_perm
 from permlab.rs import RSGraph, trivial_rs
 
 
@@ -182,17 +181,16 @@ def test_p_block_hide_required_and_used():
     rng = random.Random(7)
     sig = random_perm_matrix(grs.t, grs.r, 2, rng)
     e = EdgeTuple(1, (1,))
-    with pytest.raises(ValueError):
-        p_block_sample(grs, sig, e, 2, 2, rng, hide=None)
-    # plugging a transparent hide keeps the realized permutation
+    # plugging a transparent route keeps the realized permutation
     hide_calls = []
 
-    def hide(sigma, rng_):
+    def hide(sigma):
         hide_calls.append(sigma)
         return basic(sigma, tag="referee")
 
-    g = p_block_sample(grs, sig, e, 2, 2, rng, hide=hide)
-    assert len(hide_calls) == 2
+    g = block(grs, sig, e, 2, route=hide)
+    sl, sr = edge_pick(grs, e)
+    assert hide_calls == [extend(sl, 2), extend(sr, 2)]  # left routed first
     m = (grs.r // 2) * 2
     assert extract_permutation(g, m) == block_rho(grs, sig, e, 2)
 
@@ -203,10 +201,10 @@ def test_p_multi_block_matches_plain_rho():
     rng = random.Random(8)
     sigs, L, M = sample_core(grs.r, grs.t, b, k, rng)
 
-    def hide(sigma, rng_):
+    def hide(sigma):
         return basic(sigma, tag="referee")
 
-    g = p_multi_block_sample(grs, sigs, L, M, b, 2, rng, hide=hide)
+    g = multi_block(grs, sigs, L, M, b, route=hide)
     m = (grs.r // 2) * b
     assert extract_permutation(g, m) == multi_block_rho(grs, sigs, L, M, b)
 
@@ -224,6 +222,15 @@ def test_p1_sample_is_plain_block():
     rng = random.Random(9)
     sig = random_perm_matrix(grs.t, grs.r, 2, rng)
     e = EdgeTuple(2, (2,))
-    g1 = p_block_sample(grs, sig, e, 2, 1, rng)
-    g2 = block(grs, sig, e, 2)
+
+    # reference: each routing gadget moves whole groups of b, group i onto
+    # group sigma(i), as a two-layer group graph
+    def routed(sigma):
+        tuples = [(1, i, sigma[i - 1], identity(2)) for i in range(1, len(sigma) + 1)]
+        return GroupLayeredGraph(len(sigma), 2, 2, tuples).expand(tag="referee")
+
+    g1 = block(grs, sig, e, 2, route=basic_route)
+    sl, sr = edge_pick(grs, e)
+    enc = encoded_rs(grs, sig, 2).expand(tag="player:1")
+    g2 = concat_all([routed(sr), enc, routed(sl)])
     assert g1.edges == g2.edges and g1.tags == g2.tags

@@ -70,8 +70,7 @@ def test_gen_explicit_sigma_and_validation(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "graph.json").read_text())
     assert doc["sigma"] == [2, 1, 4, 3]
-    with pytest.raises(SystemExit):
-        main(["gen", "2,1,3", "--m", "4", "--out", str(tmp_path)])
+    assert main(["gen", "2,1,3", "--m", "4", "--out", str(tmp_path / "bad")]) == 2
 
 
 def test_verify_clean_and_corrupt(tmp_path, capsys):
@@ -191,6 +190,27 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["nope"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "id", "--m", "7", "--b", "2"],
+        ["gen", "id", "--m", "4", "--b", "2", "--p", "0"],
+        ["gen", "1,2,3", "--m", "4", "--b", "2"],
+        ["analyze", "depth", "m"],
+        ["analyze", "depth", "m=5", "b=1"],
+    ],
+    ids=["gen-b-not-dividing-m", "gen-p-zero", "gen-sigma-wrong-length",
+         "analyze-not-key-value", "analyze-b-one"],
+)
+def test_bad_values_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_env_var_default_out(tmp_path, capsys, monkeypatch):

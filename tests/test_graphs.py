@@ -7,10 +7,8 @@ from permlab.graphs import (
     ExtractionError,
     LayeredGraph,
     basic,
-    concat,
     concat_all,
     extract_permutation,
-    permute_groups,
 )
 from permlab.perms import compose, identity, random_perm
 
@@ -55,7 +53,7 @@ def test_basic_realizes_sigma():
 def test_concat_order_and_compose():
     # g2 is traversed first, so the result realizes sigma1 o sigma2
     s1, s2 = (2, 3, 1), (3, 1, 2)
-    g = concat(basic(s1), basic(s2))
+    g = concat_all([basic(s1), basic(s2)])
     assert g.layers == [3, 3, 3, 3]
     assert oracle_extract(g, 3) == compose(s1, s2)
     assert extract_permutation(g, 3) == compose(s1, s2)
@@ -64,10 +62,10 @@ def test_concat_order_and_compose():
 def test_concat_junction_truncates():
     wide = LayeredGraph([3, 3], [(1, i, i) for i in (1, 2, 3)])
     narrow = LayeredGraph([2, 2], [(1, 1, 2), (1, 2, 1)])
-    g = concat(narrow, wide)  # wide first, then junction into narrow
+    g = concat_all([narrow, wide])  # wide first, then junction into narrow
     junction = [(li, u, v) for (li, u, v) in g.edges if li == 2]
     assert junction == [(2, 1, 1), (2, 2, 2)]
-    g2 = concat(wide, narrow)
+    g2 = concat_all([wide, narrow])
     junction2 = [(li, u, v) for (li, u, v) in g2.edges if li == 2]
     assert junction2 == [(2, 1, 1), (2, 2, 2)]
 
@@ -88,7 +86,7 @@ def test_concat_all_matches_pairwise():
     gs = [basic(random_perm(5, rng)) for _ in range(4)]
     folded = gs[0]
     for h in gs[1:]:
-        folded = concat(folded, h)
+        folded = concat_all([folded, h])
     linear = concat_all(gs)
     assert linear.layers == folded.layers
     assert linear.edges == folded.edges
@@ -118,34 +116,15 @@ def test_extract_ignores_filler_sinks():
     assert extract_permutation(g, 2) == (2, 1)
 
 
-def test_permute_groups_expand():
-    gg = permute_groups((2, 1, 3), 3)
-    assert (gg.w, gg.d, gg.b) == (3, 2, 3)
-    g = gg.expand()
-    assert g.layers == [9, 9]
-    want = {(1, j, 3 + j) for j in (1, 2, 3)}
-    want |= {(1, 3 + j, j) for j in (1, 2, 3)}
-    want |= {(1, 6 + j, 6 + j) for j in (1, 2, 3)}
-    assert set(g.edges) == want
-
-
-@given(perm_of(4))
-def test_permute_groups_realizes_extend(sigma):
-    from permlab.perms import extend
-
-    g = permute_groups(sigma, 2).expand()
-    assert extract_permutation(g, 8) == extend(sigma, 2)
-
-
 def test_tags_flow_through_concat():
     a = basic((2, 1), tag="left")
     b = basic((1, 2), tag="right")
-    g = concat(a, b)
+    g = concat_all([a, b])
     assert g.tags == ["right", "right", "fixed", "fixed", "left", "left"]
 
 
 def test_json_roundtrip():
-    g = concat(basic((2, 1), tag="x"), basic((1, 2)))
+    g = concat_all([basic((2, 1), tag="x"), basic((1, 2))])
     h = LayeredGraph.from_json(g.to_json())
     assert h.layers == g.layers and h.edges == g.edges and h.tags == g.tags
     plain = basic((2, 1))
