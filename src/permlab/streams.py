@@ -3,14 +3,17 @@
 A stream is an ordered edge list; order is part of its identity. Algorithms
 follow an init/update/finalize contract with a read-only randomness tape
 fixed before the stream starts and a state budget in bits that the harness
-enforces by serializing the state after every update. Between-element
-computation is unbounded in the underlying model; run_passes accepts an
+enforces after every update through the algorithm's state_bits. It
+cross-checks state_bits against the serialized state after the 1st, 2nd,
+4th, 8th, ... and last element of each pass. Between-element computation
+is unbounded in the underlying model; run_passes accepts an
 optional wall-clock cap that is strictly more restrictive and exists only
 to keep desk experiments bounded.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
@@ -111,8 +114,11 @@ def parse_stream(text: str) -> EdgeStream:
 
 class StreamAlgorithm:
     """init() -> state; update(state, edge, rand) -> state;
-    finalize(state, rand) -> output. serialize(state) measures the state;
-    s_bits None means unbounded."""
+    finalize(state, rand) -> output. serialize(state) defines the state's
+    size; state_bits(state) must equal 8 * len(serialize(state)) and is what
+    the harness reads after every update, so an algorithm whose serialize is
+    not O(1) should override it with a running count. s_bits None means
+    unbounded."""
 
     s_bits: int | None = None
 
@@ -132,9 +138,25 @@ class StreamAlgorithm:
     def serialize(self, state) -> bytes:
         return json.dumps(state, sort_keys=True, default=sorted).encode()
 
+    def state_bits(self, state) -> int:
+        return 8 * len(self.serialize(state))
+
 
 class StreamBudgetError(RuntimeError):
     pass
+
+
+class StateBitsMismatch(StreamBudgetError):
+    """state_bits disagreed with the serialized state it stands for."""
+
+
+def _check_state_bits(alg: StreamAlgorithm, state, bits: int, where: str) -> None:
+    actual = 8 * len(alg.serialize(state))
+    if bits != actual:
+        raise StateBitsMismatch(
+            f"state_bits reports {bits} bits after {where}, "
+            f"serialize gives {actual}"
+        )
 
 
 @dataclass
@@ -152,20 +174,25 @@ def run_passes(
     tape_seed: int = 0,
     wall_clock_cap: float | None = None,
 ) -> RunResult:
-    """Replay the stream p times; snapshot the state at each pass boundary.
-    Exceeding the state budget fails hard, naming the offending element."""
+    """Replay the stream p times; snapshot (a deep copy of) the state at each
+    pass boundary. Exceeding the state budget fails hard, naming the offending
+    element; so does a state_bits that disagrees with serialize at a checked
+    element (each pass's last, and those where idx + 1 is a power of two)."""
     if p < 1:
         raise ValueError("p must be at least 1")
     rand = random.Random(tape_seed)  # the read-only tape, fixed up front
     state = alg.init()
     snapshots = []
     max_bits = 0
+    last = len(stream.edges) - 1
     start = time.monotonic()
     for pass_index in range(1, p + 1):
         state = alg.start_pass(state, pass_index)
         for idx, edge in enumerate(stream.edges):
             state = alg.update(state, edge, rand)
-            bits = 8 * len(alg.serialize(state))
+            bits = alg.state_bits(state)
+            if idx == last or not (idx + 1) & idx:
+                _check_state_bits(alg, state, bits, f"element {idx} of pass {pass_index}")
             max_bits = max(max_bits, bits)
             if alg.s_bits is not None and bits > alg.s_bits:
                 raise StreamBudgetError(
@@ -177,7 +204,7 @@ def run_passes(
                     f"wall clock cap {wall_clock_cap}s hit at element {idx} "
                     f"of pass {pass_index}"
                 )
-        snapshots.append(state)
+        snapshots.append(copy.deepcopy(state))
     output = alg.finalize(state, rand)
     return RunResult(output, snapshots, max_bits, p * len(stream.edges))
 
@@ -200,11 +227,18 @@ class CountingAlgorithm(StreamAlgorithm):
         return int(state).to_bytes(8, "big")
 
 
+def _pair_chars(u, v) -> int:
+    """Characters the pair adds to a JSON list of int pairs: "[u, v]" plus
+    its ", " separator. A list whose pairs sum to c has length max(2, c)
+    whatever their order, so sorting before dumping does not change it."""
+    return len(str(u)) + len(str(v)) + 6
+
+
 class GreedyMatching(StreamAlgorithm):
     """Maximal matching: take every edge whose endpoints are both free."""
 
     def init(self):
-        return {"matched": {}, "pairs": []}
+        return {"matched": {}, "pairs": [], "pairs_chars": 0}
 
     def update(self, state, edge, rand):
         u, v = edge
@@ -212,6 +246,7 @@ class GreedyMatching(StreamAlgorithm):
             state["matched"][u] = v
             state["matched"][v] = u
             state["pairs"].append((u, v))
+            state["pairs_chars"] += _pair_chars(u, v)
         return state
 
     def finalize(self, state, rand):
@@ -220,14 +255,19 @@ class GreedyMatching(StreamAlgorithm):
     def serialize(self, state) -> bytes:
         return json.dumps(sorted(state["pairs"])).encode()
 
+    def state_bits(self, state) -> int:
+        return 8 * max(2, state["pairs_chars"])
+
 
 class AugmentingMatching(GreedyMatching):
     """Greedy first pass, then one sweep per extra pass growing length-3
-    augmenting paths found in stream order."""
+    augmenting paths found in stream order. The state counts the matching
+    and the half map of attacks the current pass has seen."""
 
     def start_pass(self, state, pass_index: int):
         state["pass"] = pass_index
         state["half"] = {}   # matched vertex -> free vertex attacking it
+        state["half_chars"] = 0
         return state
 
     def update(self, state, edge, rand):
@@ -248,14 +288,33 @@ class AugmentingMatching(GreedyMatching):
                     (bnode, partner) if (bnode, partner) in state["pairs"] else (partner, bnode)
                 )
                 state["pairs"].extend([(a, bnode), (partner, other)])
+                state["pairs_chars"] += (
+                    _pair_chars(a, bnode) + _pair_chars(partner, other)
+                    - _pair_chars(bnode, partner)
+                )
                 for x, y in ((a, bnode), (partner, other)):
                     matched[x] = y
                     matched[y] = x
-                state["half"].pop(partner, None)
-                state["half"].pop(bnode, None)
+                self._pop_half(state, partner)
+                self._pop_half(state, bnode)
             else:
+                self._pop_half(state, bnode)
                 state["half"][bnode] = a
+                state["half_chars"] += _pair_chars(bnode, a)
         return state
+
+    @staticmethod
+    def _pop_half(state, key) -> None:
+        old = state["half"].pop(key, None)
+        if old is not None:
+            state["half_chars"] -= _pair_chars(key, old)
+
+    def serialize(self, state) -> bytes:
+        return json.dumps([sorted(state["pairs"]), sorted(state["half"].items())]).encode()
+
+    def state_bits(self, state) -> int:
+        # "[" + pairs + ", " + half + "]"
+        return 8 * (4 + max(2, state["pairs_chars"]) + max(2, state["half_chars"]))
 
 
 def greedy_matching_baseline() -> StreamAlgorithm:
@@ -271,19 +330,27 @@ class FullMemory(StreamAlgorithm):
     and outputs the exact maximum matching size."""
 
     def init(self):
-        return []
+        return {"edges": [], "edges_chars": 0}
 
     def update(self, state, edge, rand):
-        state.append(edge)
+        state["edges"].append(edge)
+        state["edges_chars"] += _pair_chars(*edge)
         return state
 
     def finalize(self, state, rand):
-        side = max(max(u, v) for u, v in state) // 2 if state else 0
+        edges = state["edges"]
+        side = max(max(u, v) for u, v in edges) // 2 if edges else 0
         adj = [[] for _ in range(side)]
-        for u, v in state:
+        for u, v in edges:
             adj[u - 1].append(v - side - 1)
         inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
         return max_matching(inst, seed_canonical=False).size
+
+    def serialize(self, state) -> bytes:
+        return json.dumps(state["edges"]).encode()
+
+    def state_bits(self, state) -> int:
+        return 8 * max(2, state["edges_chars"])
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +412,9 @@ def partitioned_replay(
     fake_stream: EdgeStream | None = None,
 ) -> ReplayReport:
     """Replay the stream as a communication protocol: whenever provenance
-    changes, the current party hands the serialized state to the next, and
-    the handoff is charged to the sender. With fake_stream set, passes
+    changes, the current party hands the state to the next, and the handoff
+    is charged to the sender at state_bits // 8 bytes (checked against
+    serialize at each pass end). With fake_stream set, passes
     1..p-1 replay it instead of the real stream (the real referee input is
     only consumed on the final pass)."""
     if stream.tags is None:
@@ -365,11 +433,13 @@ def partitioned_replay(
             now = _party_of(tag)
             if now != party:
                 if party is not None:
-                    bytes_per[party] = bytes_per.get(party, 0) + len(alg.serialize(state))
+                    bytes_per[party] = bytes_per.get(party, 0) + alg.state_bits(state) // 8
                 if now.startswith("player:"):
                     handoffs += 1
                 party = now
             state = alg.update(state, edge, rand)
         if party is not None:
-            bytes_per[party] = bytes_per.get(party, 0) + len(alg.serialize(state))
+            bits = alg.state_bits(state)
+            _check_state_bits(alg, state, bits, f"pass {pass_index} of the replay")
+            bytes_per[party] = bytes_per.get(party, 0) + bits // 8
     return ReplayReport(bytes_per, handoffs, p, alg.finalize(state, rand))

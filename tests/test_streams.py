@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlab.gen import default_params, gen_general, gen_simple, sample_simple, fake_simple_from_core
 from permlab.graphs import basic
@@ -8,9 +10,12 @@ from permlab.matching import bipartite_of, instance_to_stream, max_matching, sig
 from permlab.perms import identity, lex_partition, random_simple
 from permlab.streams import (
     AdvantageReport,
+    AugmentingMatching,
     CountingAlgorithm,
     EdgeStream,
+    FullMemory,
     GreedyMatching,
+    StateBitsMismatch,
     StreamAlgorithm,
     StreamBudgetError,
     advantage_estimate,
@@ -99,6 +104,76 @@ def test_budget_violation_names_element():
     s = EdgeStream(2, False, [(1, 2)])
     with pytest.raises(StreamBudgetError, match=r"element 0 of pass 1"):
         run_passes(Hog(), s, 1)
+
+
+def test_augmenting_counts_half_map():
+    # pass 2 sees 3 attack 1-2 through vertex 2; that attack is state
+    res = run_passes(AugmentingMatching(), EdgeStream(3, False, [(1, 2), (3, 2)]), 2)
+    assert res.max_state_bits > 8 * len(b"[[1, 2]]")
+    assert res.max_state_bits == 8 * len(b"[[[1, 2]], [[2, 3]]]")
+
+
+def test_snapshots_are_copies():
+    trap = EdgeStream(6, False, [(2, 5), (1, 5), (2, 6)])
+    two = run_passes(AugmentingMatching(), trap, 2).snapshots
+    one = run_passes(AugmentingMatching(), trap, 1).snapshots
+    assert two[0] != two[1]
+    assert two[0] == one[0]
+    assert two[0]["pairs"] == [(2, 5)]
+
+
+vertex_id = st.integers(1, 5).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1))
+# few distinct vertices, so edges share endpoints and augmenting paths occur
+edge_lists = st.lists(vertex_id, min_size=2, max_size=8, unique=True).flatmap(
+    lambda pool: st.lists(
+        st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(lambda e: e[0] != e[1]),
+        max_size=40,
+    )
+)
+ACCOUNTED = (GreedyMatching, AugmentingMatching, FullMemory, CountingAlgorithm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists, st.sampled_from(ACCOUNTED), st.integers(1, 2))
+def test_state_bits_equals_serialized_size(edges, cls, p):
+    alg = cls()
+    rand = random.Random(0)
+    state = alg.init()
+    for pass_index in range(1, p + 1):
+        state = alg.start_pass(state, pass_index)
+        for edge in edges:
+            state = alg.update(state, edge, rand)
+            assert alg.state_bits(state) == 8 * len(alg.serialize(state))
+    if cls is FullMemory:
+        assert alg.serialize(state) == json.dumps(edges * p).encode()
+
+
+def test_state_bits_under_report_is_caught():
+    class Liar(GreedyMatching):
+        def state_bits(self, state):
+            return 16   # claims the empty matching
+
+    s = EdgeStream(2, False, [(1, 2)], tags=["player:1"])
+    with pytest.raises(StateBitsMismatch, match=r"16 bits after element 0 of pass 1.* 64"):
+        run_passes(Liar(), s, 1)
+    with pytest.raises(StateBitsMismatch, match=r"16 bits after pass 1 of the replay.* 64"):
+        partitioned_replay(s, Liar())
+
+
+def test_state_bits_drift_is_caught_at_pass_end():
+    class Drifter(GreedyMatching):
+        # under-reports from element 4 on; of the checked elements 0, 1, 3
+        # and 5, only the last one of the pass sees it
+        def update(self, state, edge, rand):
+            state["seen"] = state.get("seen", 0) + 1
+            return super().update(state, edge, rand)
+
+        def state_bits(self, state):
+            return super().state_bits(state) - 8 * (state["seen"] >= 5)
+
+    s = EdgeStream(12, False, [(2 * i + 1, 2 * i + 2) for i in range(6)])
+    with pytest.raises(StateBitsMismatch, match=r"element 5 of pass 1"):
+        run_passes(Drifter(), s, 1)
 
 
 def test_wall_clock_cap():
