@@ -87,7 +87,7 @@ def cmd_gen(args) -> int:
         "k": args.k,
         "p": args.p,
         "sigma": list(sigma),
-        "graph": json.loads(g.to_json()),
+        "graph": g.to_dict(),
     }
     graph_bytes = (json.dumps(doc, sort_keys=True) + "\n").encode()
     stream_bytes = dump_stream(stream).encode()
@@ -115,9 +115,13 @@ def cmd_gen(args) -> int:
 
 def _verify_permgraph(doc: dict) -> list[str]:
     problems = []
-    g = LayeredGraph.from_json(json.dumps(doc["graph"]))
+    g = LayeredGraph.from_dict(doc["graph"])
     m = doc["m"]
     sigma = tuple(doc["sigma"])
+    try:
+        g.validate()
+    except (TypeError, ValueError) as err:
+        return [f"invalid graph: {err}"]
     try:
         got = extract_permutation(g, m)
         if got != sigma:

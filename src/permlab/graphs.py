@@ -53,17 +53,25 @@ class LayeredGraph:
             if not (1 <= u <= self.layers[li - 1] and 1 <= v <= self.layers[li]):
                 raise ValueError(f"edge ({li},{u},{v}) leaves its layers")
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON payload: layers, edges as lists, and tags unless all are
+        "fixed"."""
         payload: dict = {"layers": self.layers, "edges": [list(e) for e in self.edges]}
         if any(t != "fixed" for t in self.tags):
             payload["tags"] = self.tags
-        return json.dumps(payload)
+        return payload
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "LayeredGraph":
+        edges = [tuple(e) for e in d["edges"]]
+        return cls(list(d["layers"]), edges, list(d.get("tags", [])))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "LayeredGraph":
-        d = json.loads(text)
-        edges = [tuple(e) for e in d["edges"]]
-        return cls(list(d["layers"]), edges, list(d.get("tags", [])))
+        return cls.from_dict(json.loads(text))
 
 
 def basic(sigma: Perm, tag: str = "fixed") -> LayeredGraph:

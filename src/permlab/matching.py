@@ -5,14 +5,16 @@ the first half of the sources and sinks. A canonical matching pairs every
 vertex with its own copy; augmenting paths of that matching correspond to
 source-to-sink paths among the first m/2 positions. Hiding the identity gives
 a perfect matching of n + m/2; hiding the cross permutation pins the maximum
-at exactly n.
+at exactly n. The oracle is an iterative Hopcroft-Karp search from that
+canonical matching, certified by a Koenig vertex cover.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from collections import deque
+from dataclasses import dataclass
+from typing import Sequence
 
 from .gen import GenParams, gen_general, vertex_count
 from .graphs import LayeredGraph
@@ -36,7 +38,7 @@ class BipartiteInstance:
     n: int                      # graph vertices copied to each side
     half: int                   # extra terminals per side (m/2)
     adj: list[list[int]]        # left index -> right indices, 0-based
-    canonical: list[tuple[int, int]]  # the n (v_left, v_right) copy pairs
+    canonical: Sequence[int]    # vertices v whose copy edge (v, v) seeds the matching
 
     @property
     def side(self) -> int:
@@ -66,7 +68,7 @@ def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
     for i in range(half):
         adj[n + i].append(i)                 # terminal to source copy
         adj[last_off + i].append(n + i)      # sink copy to terminal
-    return BipartiteInstance(n, half, adj, [(v, v) for v in range(n)])
+    return BipartiteInstance(n, half, adj, range(n))
 
 
 @dataclass
@@ -78,17 +80,18 @@ class MatchingResult:
     certified: bool
 
 
-def max_matching(inst: BipartiteInstance, seed_canonical: bool = True) -> MatchingResult:
-    """Exact maximum matching by shortest augmenting phases, certified by a
-    minimum vertex cover of equal size read off the last search."""
+def max_matching(inst: BipartiteInstance) -> MatchingResult:
+    """Exact maximum matching by Hopcroft-Karp phases from the canonical seed,
+    certified by a minimum vertex cover of equal size read off the last
+    phase's search. Augmenting paths are walked with an explicit stack, so
+    their length is bounded by memory, not by the recursion limit."""
     side = inst.side
     adj = inst.adj
     match_l = [-1] * side
     match_r = [-1] * side
-    if seed_canonical:
-        for l, r in inst.canonical:
-            match_l[l] = r
-            match_r[r] = l
+    for v in inst.canonical:
+        match_l[v] = v
+        match_r[v] = v
     INF = side + 1
     dist = [INF] * side
 
@@ -112,52 +115,46 @@ def max_matching(inst: BipartiteInstance, seed_canonical: bool = True) -> Matchi
                     q.append(nxt)
         return found
 
-    def dfs(l: int) -> bool:
-        for r in adj[l]:
-            nxt = match_r[r]
-            if nxt == -1 or (dist[nxt] == dist[l] + 1 and dfs(nxt)):
-                match_l[l] = r
-                match_r[r] = l
-                return True
-        dist[l] = INF
-        return False
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * side + 100))
-    try:
-        while bfs():
-            for l in range(side):
-                if match_l[l] == -1:
-                    dfs(l)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    size = sum(1 for l in range(side) if match_l[l] != -1)
-
-    # Koenig cover from the final (augmenting-path-free) search: left vertices
-    # unreached stay in the cover, reached right vertices join it.
-    reach_l = [False] * side
-    reach_r = [False] * side
-    q = deque()
-    for l in range(side):
-        if match_l[l] == -1:
-            reach_l[l] = True
-            q.append(l)
-    while q:
-        l = q.popleft()
-        for r in adj[l]:
-            if not reach_r[r]:
-                reach_r[r] = True
+    def augment(root: int) -> None:
+        # explicit DFS stack: the path's left vertices, an iterator over the
+        # untried edges of each, and the right vertex each path step uses
+        path, untried, via = [root], [iter(adj[root])], []
+        while path:
+            l = path[-1]
+            for r in untried[-1]:
                 nxt = match_r[r]
-                if nxt != -1 and not reach_l[nxt]:
-                    reach_l[nxt] = True
-                    q.append(nxt)
-    cover_left = [l for l in range(side) if not reach_l[l]]
-    cover_right = [r for r in range(side) if reach_r[r]]
+                if nxt == -1:
+                    via.append(r)
+                    for l, r in zip(path, via):
+                        match_l[l] = r
+                        match_r[r] = l
+                    return
+                if dist[nxt] == dist[l] + 1:
+                    path.append(nxt)
+                    untried.append(iter(adj[nxt]))
+                    via.append(r)
+                    break
+            else:
+                dist[l] = INF   # dead end: drop l from this phase's layering
+                path.pop()
+                untried.pop()
+                if via:
+                    via.pop()
+
+    while bfs():
+        for l in range(side):
+            if match_l[l] == -1:
+                augment(l)
+
+    size = side - match_l.count(-1)
+
+    # Koenig cover from the final search, which found no augmenting path:
+    # left vertices it did not reach stay in the cover, right neighbours of
+    # those it reached join it.
+    cover_left = [l for l in range(side) if dist[l] == INF]
     in_cl = set(cover_left)
-    in_cr = set(cover_right)
+    in_cr = {r for l in range(side) if dist[l] != INF for r in adj[l]}
+    cover_right = sorted(in_cr)
     certified = len(cover_left) + len(cover_right) == size and all(
         l in in_cl or r in in_cr for l in range(side) for r in adj[l]
     )

@@ -13,7 +13,6 @@ to keep desk experiments bounded.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import random
@@ -81,7 +80,7 @@ def parse_stream(text: str) -> EdgeStream:
     lines = text.splitlines()
     if not lines or lines[0] != MAGIC:
         raise ValueError(f"missing header {MAGIC!r}")
-    head = lines[1].split()
+    head = lines[1].split() if len(lines) > 1 else []
     if len(head) != 3:
         raise ValueError("second line must be '<n> <edges> <directed>'")
     n, count, directed = int(head[0]), int(head[1]), int(head[2])
@@ -150,19 +149,21 @@ class StateBitsMismatch(StreamBudgetError):
     """state_bits disagreed with the serialized state it stands for."""
 
 
-def _check_state_bits(alg: StreamAlgorithm, state, bits: int, where: str) -> None:
-    actual = 8 * len(alg.serialize(state))
-    if bits != actual:
+def _check_state_bits(alg: StreamAlgorithm, state, bits: int, where: str) -> bytes:
+    """Serialize the state, check that it is bits / 8 bytes long, and return it."""
+    data = alg.serialize(state)
+    if bits != 8 * len(data):
         raise StateBitsMismatch(
             f"state_bits reports {bits} bits after {where}, "
-            f"serialize gives {actual}"
+            f"serialize gives {8 * len(data)}"
         )
+    return data
 
 
 @dataclass
 class RunResult:
     output: object
-    snapshots: list            # state after each pass
+    snapshots: list[bytes]     # serialized state after each pass
     max_state_bits: int
     elements_seen: int
 
@@ -174,8 +175,8 @@ def run_passes(
     tape_seed: int = 0,
     wall_clock_cap: float | None = None,
 ) -> RunResult:
-    """Replay the stream p times; snapshot (a deep copy of) the state at each
-    pass boundary. Exceeding the state budget fails hard, naming the offending
+    """Replay the stream p times; snapshot the serialized state at each pass
+    boundary. Exceeding the state budget fails hard, naming the offending
     element; so does a state_bits that disagrees with serialize at a checked
     element (each pass's last, and those where idx + 1 is a power of two)."""
     if p < 1:
@@ -191,7 +192,7 @@ def run_passes(
         for idx, edge in enumerate(stream.edges):
             state = alg.update(state, edge, rand)
             bits = alg.state_bits(state)
-            if idx == last or not (idx + 1) & idx:
+            if not (idx + 1) & idx:
                 _check_state_bits(alg, state, bits, f"element {idx} of pass {pass_index}")
             max_bits = max(max_bits, bits)
             if alg.s_bits is not None and bits > alg.s_bits:
@@ -204,7 +205,8 @@ def run_passes(
                     f"wall clock cap {wall_clock_cap}s hit at element {idx} "
                     f"of pass {pass_index}"
                 )
-        snapshots.append(copy.deepcopy(state))
+        where = f"element {last} of pass {pass_index}"
+        snapshots.append(_check_state_bits(alg, state, alg.state_bits(state), where))
     output = alg.finalize(state, rand)
     return RunResult(output, snapshots, max_bits, p * len(stream.edges))
 
@@ -344,7 +346,7 @@ class FullMemory(StreamAlgorithm):
         for u, v in edges:
             adj[u - 1].append(v - side - 1)
         inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
-        return max_matching(inst, seed_canonical=False).size
+        return max_matching(inst).size
 
     def serialize(self, state) -> bytes:
         return json.dumps(state["edges"]).encode()

@@ -281,7 +281,7 @@ def test_c11_harness_sanity():
             for _ in range(side)
         ]
         inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
-        opt = max_matching(inst, seed_canonical=False).size
+        opt = max_matching(inst).size
         got = len(run_passes(greedy_matching_baseline(), instance_to_stream(inst), 1).output)
         assert 2 * got >= opt
     ok(11, "full-memory separates the pair at 1.0, null at chance, greedy 2-approx")

@@ -219,3 +219,28 @@ def test_env_var_default_out(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["out"] == str(tmp_path)
     assert (tmp_path / "graph.json").exists()
+
+
+def test_verify_rejects_edge_outside_its_layers(tmp_path, capsys):
+    # endpoint 0 would wrap to the layer's last vertex during extraction, so
+    # this graph still yields the identity; only validation sees the bad edge
+    doc = {
+        "kind": "permgraph", "m": 2, "b": 2, "k": 2, "p": 1, "sigma": [1, 2],
+        "graph": {"layers": [2, 2], "edges": [[1, 1, 1], [1, 0, 2]]},
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {
+        str(path): ["invalid graph: edge (1,0,2) leaves its layers"]
+    }
+
+
+def test_verify_stream_without_count_line(tmp_path, capsys):
+    path = tmp_path / "stream.txt"
+    path.write_text("PHSTREAM v1\n")
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    (problem,) = json.loads(out)["violations"][str(path)]
+    assert problem.startswith("unreadable:")

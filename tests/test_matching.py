@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_k33_direct():
     inst = BipartiteInstance(
         n=3, half=0, adj=[[0, 1, 2], [0, 1, 2], [0, 1, 2]], canonical=[]
     )
-    res = max_matching(inst, seed_canonical=False)
+    res = max_matching(inst)
     assert res.certified and res.size == 3
 
 
@@ -84,7 +85,7 @@ def test_augmenting_needed():
         adj=[[0, 1], [0], [1, 2], [2, 3]],
         canonical=[],
     )
-    res = max_matching(inst, seed_canonical=False)
+    res = max_matching(inst)
     assert res.certified and res.size == 4
     assert res.size == brute_max_matching(inst)
 
@@ -98,7 +99,7 @@ def test_cover_certifies_random_instances():
             for _ in range(side)
         ]
         inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
-        res = max_matching(inst, seed_canonical=False)
+        res = max_matching(inst)
         assert res.certified
         assert res.size == brute_max_matching(inst)
 
@@ -135,3 +136,23 @@ def test_matching_is_valid_matching():
     for u, v in enumerate(res.match_left):
         if v != -1:
             assert v in inst.adj[u]
+
+
+def test_long_augmenting_path():
+    # the only augmenting path runs through 100,000 seeded copy pairs: free
+    # left vertex n sees right 0, left i sees rights i and i + 1, right n is free
+    n = 100_000
+    adj = [[i, i + 1] for i in range(n)] + [[0]]
+    res = max_matching(BipartiteInstance(n=n, half=1, adj=adj, canonical=range(n)))
+    assert res.certified and res.size == n + 1
+    assert res.match_left == [*range(1, n + 1), 0]
+
+
+def test_max_matching_leaves_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = gen_general(sigma_eq(4), default_params(4, 2, k=1, p=1), random.Random(1))
+    res = max_matching(bipartite_of(g, 4))
+    assert res.certified and res.size == g.vertex_count + 2
