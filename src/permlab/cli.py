@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
     for path in args.files:
         try:
             problems = _verify_file(path)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as err:
             problems = [f"unreadable: {err}"]
         results[path] = problems
         if not problems:

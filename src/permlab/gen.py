@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .blocks import basic_route, multi_block
 from .graphs import LayeredGraph, basic, concat_all
 from .hph import force_gamma, recompute_gamma_star, sample_core
@@ -195,11 +197,8 @@ def _inner_params(params: GenParams, size: int) -> GenParams:
 def _retag_referee(g: LayeredGraph) -> LayeredGraph:
     # recursively sampled gadgets hide referee inputs; their player tags are
     # an artifact of reusing the same builder and must not leak upward
-    return LayeredGraph(
-        list(g.layers),
-        list(g.edges),
-        ["fixed" if t == "fixed" else "referee" for t in g.tags],
-    )
+    retag = np.array([t != "fixed" for t in g.tag_names], dtype=np.uint16)
+    return LayeredGraph.from_columns(g.layers, g.edges, retag[g.tag_ids], ("fixed", "referee"))
 
 
 def sample_simple(

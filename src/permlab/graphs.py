@@ -7,30 +7,65 @@ layer, j <= m) exactly when sigma(i) = j.
 
 Every edge carries a provenance tag naming which input produced it; junction
 matchings added by concatenation are tagged "fixed".
+
+Edges are stored as columns: an (E, 3) int32 array of (layer, u, v) rows and
+a uint16 tag id per edge indexing a small table of tag names. Every builder
+and reader here works on whole columns.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+import operator
+from array import array
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
 
 
-@dataclass
 class LayeredGraph:
-    layers: list[int]
-    edges: list[Edge]
-    tags: list[str] = field(default_factory=list)
+    """layers[i] is the size of layer i+1; edges is an (E, 3) int32 array of
+    (layer, u, v) rows; tag_ids[e] indexes tag_names for edge e."""
 
-    def __post_init__(self):
-        if not self.tags:
-            self.tags = ["fixed"] * len(self.edges)
-        if len(self.tags) != len(self.edges):
+    def __init__(self, layers: Sequence[int], edges: Iterable[Edge] = (),
+                 tags: Iterable[str] = ()):
+        rows = list(edges)
+        if set(map(len, rows)) - {3}:
+            raise ValueError("every edge must be a (layer, u, v) triple")
+        # array("i") rejects non-integers and values outside int32, where
+        # numpy's converters would truncate floats and parse strings
+        cols = np.frombuffer(array("i", chain.from_iterable(rows)), dtype=np.int32)
+        tags = list(tags) or ["fixed"] * len(rows)
+        if len(tags) != len(rows):
             raise ValueError("one tag per edge required")
+        index = {t: i for i, t in enumerate(dict.fromkeys(tags))}
+        if not all(isinstance(t, str) for t in index):
+            raise TypeError("tags must be strings")
+        if len(index) > 1 << 16:
+            raise ValueError("at most 65536 distinct tags")
+        self.layers = list(map(operator.index, layers))
+        self.edges = cols.reshape(-1, 3)
+        self.tag_ids = np.fromiter(map(index.__getitem__, tags), dtype=np.uint16, count=len(tags))
+        self.tag_names = tuple(index)
+
+    @classmethod
+    def from_columns(cls, layers: Sequence[int], edges: np.ndarray, tag_ids: np.ndarray,
+                     tag_names: tuple[str, ...]) -> "LayeredGraph":
+        """Adopt ready-made columns: int32 (E, 3) edges and uint16 tag ids."""
+        g = cls.__new__(cls)
+        g.layers, g.edges, g.tag_ids, g.tag_names = list(layers), edges, tag_ids, tag_names
+        return g
+
+    @property
+    def tags(self) -> list[str]:
+        """One tag name per edge, in edge order (derived from the tag columns)."""
+        return list(map(self.tag_names.__getitem__, self.tag_ids.tolist()))
 
     @property
     def depth(self) -> int:
@@ -46,25 +81,40 @@ class LayeredGraph:
     def last_size(self) -> int:
         return self.layers[-1]
 
+    def global_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each edge's endpoints as int64 global ids, vertices numbered from 1
+        layer by layer."""
+        start = np.cumsum([0, *self.layers], dtype=np.int64)  # vertices before layer i+1
+        li = self.edges[:, 0]
+        return start[li - 1] + self.edges[:, 1], start[li] + self.edges[:, 2]
+
     def validate(self) -> None:
-        for li, u, v in self.edges:
-            if not 1 <= li <= self.depth - 1:
-                raise ValueError(f"edge layer {li} out of range")
-            if not (1 <= u <= self.layers[li - 1] and 1 <= v <= self.layers[li]):
-                raise ValueError(f"edge ({li},{u},{v}) leaves its layers")
+        """Raise ValueError naming the first edge, in edge order, that has a
+        layer outside [1, depth-1] or an endpoint outside its layer."""
+        li, u, v = self.edges.T
+        bad_layer = (li < 1) | (li > self.depth - 1)
+        sizes = np.array([0, *self.layers, 0], dtype=np.int64)
+        at = np.where(bad_layer, 0, li)  # sizes[at] is u's layer, sizes[at + 1] is v's
+        bad = bad_layer | (u < 1) | (u > sizes[at]) | (v < 1) | (v > sizes[at + 1])
+        if bad.any():
+            first = int(bad.argmax())
+            el, eu, ev = self.edges[first].tolist()
+            if bad_layer[first]:
+                raise ValueError(f"edge layer {el} out of range")
+            raise ValueError(f"edge ({el},{eu},{ev}) leaves its layers")
 
     def to_dict(self) -> dict:
-        """The JSON payload: layers, edges as lists, and tags unless all are
-        "fixed"."""
-        payload: dict = {"layers": self.layers, "edges": [list(e) for e in self.edges]}
-        if any(t != "fixed" for t in self.tags):
+        """The JSON payload: layers, edges as lists, and tags unless every
+        edge is tagged "fixed"."""
+        payload: dict = {"layers": self.layers, "edges": self.edges.tolist()}
+        used = np.flatnonzero(np.bincount(self.tag_ids)).tolist()
+        if any(self.tag_names[i] != "fixed" for i in used):
             payload["tags"] = self.tags
         return payload
 
     @classmethod
     def from_dict(cls, d: dict) -> "LayeredGraph":
-        edges = [tuple(e) for e in d["edges"]]
-        return cls(list(d["layers"]), edges, list(d.get("tags", [])))
+        return cls(d["layers"], d["edges"], d.get("tags", ()))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -77,8 +127,11 @@ class LayeredGraph:
 def basic(sigma: Perm, tag: str = "fixed") -> LayeredGraph:
     """Two layers of size m joined by the matching i -> sigma(i)."""
     m = len(sigma)
-    edges = [(1, i, sigma[i - 1]) for i in range(1, m + 1)]
-    return LayeredGraph([m, m], edges, [tag] * m)
+    edges = np.empty((m, 3), dtype=np.int32)
+    edges[:, 0] = 1
+    edges[:, 1] = np.arange(1, m + 1)
+    edges[:, 2] = sigma
+    return LayeredGraph.from_columns([m, m], edges, np.zeros(m, dtype=np.uint16), (tag,))
 
 
 def concat_all(graphs: Sequence[LayeredGraph]) -> LayeredGraph:
@@ -88,20 +141,28 @@ def concat_all(graphs: Sequence[LayeredGraph]) -> LayeredGraph:
     if not graphs:
         raise ValueError("nothing to concatenate")
     ordered = list(reversed(graphs))  # traversal order
+    junctions = [0] + [min(a.last_size(), b.first_size()) for a, b in zip(ordered, ordered[1:])]
+    total = sum(junctions) + sum(len(g.edges) for g in ordered)
+    edges = np.empty((total, 3), dtype=np.int32)
+    tag_ids = np.empty(total, dtype=np.uint16)
+    names: dict[str, int] = {}  # merged tag table
     layers: list[int] = []
-    edges: list[Edge] = []
-    tags: list[str] = []
-    for g in ordered:
+    at = 0
+    for g, junction in zip(ordered, junctions):
         if layers:
-            junction = min(layers[-1], g.layers[0])
-            li = len(layers)
-            edges.extend((li, i, i) for i in range(1, junction + 1))
-            tags.extend("fixed" for _ in range(junction))
-        off = len(layers)
+            span = slice(at, at + junction)
+            edges[span, 0] = len(layers)
+            edges[span, 1] = edges[span, 2] = np.arange(1, junction + 1)
+            tag_ids[span] = names.setdefault("fixed", len(names))
+            at += junction
+        span = slice(at, at + len(g.edges))
+        edges[span] = g.edges
+        edges[span, 0] += len(layers)
+        remap = np.array([names.setdefault(t, len(names)) for t in g.tag_names], dtype=np.uint16)
+        tag_ids[span] = remap[g.tag_ids]
+        at += len(g.edges)
         layers.extend(g.layers)
-        edges.extend((li + off, u, v) for (li, u, v) in g.edges)
-        tags.extend(g.tags)
-    return LayeredGraph(layers, edges, tags)
+    return LayeredGraph.from_columns(layers, edges, tag_ids, tuple(names))
 
 
 class ExtractionError(Exception):
@@ -116,35 +177,38 @@ class ExtractionError(Exception):
         )
 
 
-def _adjacency(g: LayeredGraph) -> list[list[list[int]]]:
-    adj: list[list[list[int]]] = [
-        [[] for _ in range(g.layers[i])] for i in range(g.depth - 1)
-    ]
-    for li, u, v in g.edges:
-        adj[li - 1][u - 1].append(v)
-    return adj
-
-
 def extract_permutation(g: LayeredGraph, m: int) -> Perm:
     """Recover sigma from reachability, or raise ExtractionError.
 
     Source i must reach exactly one of the first m sinks, and the map must be
-    a bijection on [m].
+    a bijection on [m]. One sweep over the layers carries, for every vertex,
+    the set of sources reaching it as a Python int with bit i-1 for source i.
     """
     if g.first_size() < m or g.last_size() < m:
         raise ValueError(f"boundary layers smaller than m={m}")
-    adj = _adjacency(g)
-    out = []
-    for i in range(1, m + 1):
-        frontier = {i}
-        for layer_adj in adj:
-            frontier = {v for u in frontier for v in layer_adj[u - 1]}
-            if not frontier:
-                break
-        hits = sorted(v for v in frontier if v <= m)
-        if len(hits) != 1:
-            raise ExtractionError(i, hits)
-        out.append(hits[0])
+    order = np.argsort(g.edges[:, 0], kind="stable")  # bucket by layer, keeping edge order
+    li, us, vs = g.edges[order].T
+    bounds = np.searchsorted(li, np.arange(1, g.depth + 1)).tolist()
+    reach = [0] + [1 << i for i in range(m)] + [0] * (g.first_size() - m)  # index 0 unused
+    for layer in range(1, g.depth):
+        lo, hi = bounds[layer - 1], bounds[layer]
+        nxt = [0] * (g.layers[layer] + 1)
+        for u, v in zip(us[lo:hi].tolist(), vs[lo:hi].tolist()):
+            bits = reach[u]
+            if bits:
+                nxt[v] |= bits
+        reach = nxt
+    hits: list[list[int]] = [[] for _ in range(m)]
+    for sink in range(1, m + 1):
+        bits = reach[sink]
+        while bits:
+            low = bits & -bits
+            hits[low.bit_length() - 1].append(sink)
+            bits ^= low
+    for i, sinks in enumerate(hits, start=1):
+        if len(sinks) != 1:
+            raise ExtractionError(i, sinks)
+    out = [sinks[0] for sinks in hits]
     if sorted(out) != list(range(1, m + 1)):
         dup = next(v for v in out if out.count(v) > 1)
         err = ExtractionError(out.index(dup) + 1, [dup])
@@ -171,11 +235,13 @@ class GroupLayeredGraph:
 
     def expand(self, tag: str = "fixed") -> LayeredGraph:
         """Materialize tuple edges as concrete edges, all tagged tag."""
-        layers = [self.w * self.b] * self.d
-        edges: list[Edge] = []
-        for i, a1, a2, sigma in self.tuples:
-            base1 = (a1 - 1) * self.b
-            base2 = (a2 - 1) * self.b
-            for j in range(1, self.b + 1):
-                edges.append((i, base1 + j, base2 + sigma[j - 1]))
-        return LayeredGraph(layers, edges, [tag] * len(edges))
+        b = self.b
+        heads = np.array([t[:3] for t in self.tuples], dtype=np.int32).reshape(-1, 3)
+        perms = np.array([t[3] for t in self.tuples], dtype=np.int32).reshape(-1, b)
+        edges = np.empty((len(heads), b, 3), dtype=np.int32)
+        edges[..., 0] = heads[:, :1]
+        edges[..., 1] = (heads[:, 1:2] - 1) * b + np.arange(1, b + 1)
+        edges[..., 2] = (heads[:, 2:3] - 1) * b + perms
+        edges = edges.reshape(-1, 3)
+        tag_ids = np.zeros(len(edges), dtype=np.uint16)
+        return LayeredGraph.from_columns([self.w * b] * self.d, edges, tag_ids, (tag,))

@@ -55,16 +55,14 @@ def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
     half = m // 2
     if g.first_size() < half or g.last_size() < half:
         raise ValueError("boundary layers smaller than m/2")
-    offsets = [0]
-    for size in g.layers[:-1]:
-        offsets.append(offsets[-1] + size)
-    n = sum(g.layers)
+    gu, gv = g.global_ids()
+    n = g.vertex_count
     adj: list[list[int]] = [[] for _ in range(n + half)]
-    for li, u, v in g.edges:
-        adj[offsets[li - 1] + u - 1].append(offsets[li] + v - 1)
+    for left, right in zip((gu - 1).tolist(), (gv - 1).tolist()):
+        adj[left].append(right)
     for v in range(n):
         adj[v].append(v)  # canonical copy edge
-    last_off = offsets[-1]
+    last_off = n - g.last_size()
     for i in range(half):
         adj[n + i].append(i)                 # terminal to source copy
         adj[last_off + i].append(n + i)      # sink copy to terminal

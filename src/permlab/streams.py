@@ -19,6 +19,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graphs import LayeredGraph
 from .matching import BipartiteInstance, max_matching
 
@@ -48,22 +50,18 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
     """Serialize a layered graph: vertices numbered globally layer by layer,
     canonical order layer-major then provenance-major. A seed applies a
     uniform shuffle on top (stream order is an experiment parameter)."""
-    offsets = [0]
-    for size in g.layers[:-1]:
-        offsets.append(offsets[-1] + size)
-    rows = [
-        (li, tag, offsets[li - 1] + u, offsets[li] + v)
-        for (li, u, v), tag in zip(g.edges, g.tags)
-    ]
-    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-    edges = [(u, v) for _, _, u, v in rows]
-    tags = [tag for _, tag, _, _ in rows]
+    gu, gv = g.global_ids()
+    names = g.tag_names
+    rank = np.empty(len(names), dtype=np.int64)  # position of each name in string order
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    order = np.lexsort((gv, gu, rank[g.tag_ids], g.edges[:, 0]))
     if shuffle_seed is not None:
-        order = list(range(len(edges)))
-        random.Random(shuffle_seed).shuffle(order)
-        edges = [edges[i] for i in order]
-        tags = [tags[i] for i in order]
-    return EdgeStream(sum(g.layers), True, edges, tags, shuffle_seed)
+        shuffled = list(range(len(order)))
+        random.Random(shuffle_seed).shuffle(shuffled)
+        order = order[np.fromiter(shuffled, dtype=np.intp, count=len(shuffled))]
+    edges = list(zip(gu[order].tolist(), gv[order].tolist()))
+    tags = list(map(names.__getitem__, g.tag_ids[order].tolist()))
+    return EdgeStream(g.vertex_count, True, edges, tags, shuffle_seed)
 
 
 def dump_stream(stream: EdgeStream) -> str:

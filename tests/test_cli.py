@@ -244,3 +244,18 @@ def test_verify_stream_without_count_line(tmp_path, capsys):
     assert code == 1
     (problem,) = json.loads(out)["violations"][str(path)]
     assert problem.startswith("unreadable:")
+
+
+@pytest.mark.parametrize("field, value", [("b", "2"), ("sigma", 5), ("graph", [])],
+                         ids=["b", "sigma", "graph"])
+def test_verify_reports_wrongly_typed_field(tmp_path, capsys, field, value):
+    code, _ = run(["gen", "cross", "--m", "4", "--b", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "graph.json").read_text())
+    doc[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    (problem,) = json.loads(out)["violations"][str(path)]
+    assert problem.startswith("unreadable:")

@@ -1,0 +1,307 @@
+"""The columnar graph paths against list-based reference implementations.
+
+Each reference below is the tuple-and-list version of the same routine: edges
+as (layer, u, v) tuples, one tag string per edge. The columnar code must give
+identical edges, tags, orders, adjacency lists and errors, including on
+edges out of layer order, empty edge sets, tag tables with unused names and
+more than ten players (string order puts "player:10" before "player:2").
+"""
+
+import json
+import random
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from permlab.graphs import (
+    ExtractionError,
+    GroupLayeredGraph,
+    LayeredGraph,
+    basic,
+    concat_all,
+    extract_permutation,
+)
+from permlab.matching import BipartiteInstance, bipartite_of, max_matching
+from permlab.streams import graph_to_stream
+
+TAGS = ("fixed", "referee", *(f"player:{i}" for i in range(1, 13)))
+
+
+def listed(g):
+    return list(g.layers), [tuple(e) for e in g.edges.tolist()], g.tags
+
+
+# ---------------------------------------------------------------------------
+# list-based references
+
+
+def ref_concat_all(parts):
+    layers, edges, tags = [], [], []
+    for p_layers, p_edges, p_tags in reversed(parts):
+        if layers:
+            junction = min(layers[-1], p_layers[0])
+            li = len(layers)
+            edges.extend((li, i, i) for i in range(1, junction + 1))
+            tags.extend("fixed" for _ in range(junction))
+        off = len(layers)
+        layers.extend(p_layers)
+        edges.extend((li + off, u, v) for (li, u, v) in p_edges)
+        tags.extend(p_tags)
+    return layers, edges, tags
+
+
+def ref_expand(gg, tag):
+    edges = []
+    for i, a1, a2, sigma in gg.tuples:
+        for j in range(1, gg.b + 1):
+            edges.append((i, (a1 - 1) * gg.b + j, (a2 - 1) * gg.b + sigma[j - 1]))
+    return [gg.w * gg.b] * gg.d, edges, [tag] * len(edges)
+
+
+def ref_stream(layers, edges, tags, shuffle_seed):
+    offsets = [0]
+    for size in layers[:-1]:
+        offsets.append(offsets[-1] + size)
+    rows = [(li, tag, offsets[li - 1] + u, offsets[li] + v) for (li, u, v), tag in zip(edges, tags)]
+    rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
+    out_edges = [(u, v) for _, _, u, v in rows]
+    out_tags = [tag for _, tag, _, _ in rows]
+    if shuffle_seed is not None:
+        order = list(range(len(out_edges)))
+        random.Random(shuffle_seed).shuffle(order)
+        out_edges = [out_edges[i] for i in order]
+        out_tags = [out_tags[i] for i in order]
+    return out_edges, out_tags
+
+
+def ref_bipartite_adj(layers, edges, m):
+    half = m // 2
+    offsets = [0]
+    for size in layers[:-1]:
+        offsets.append(offsets[-1] + size)
+    n = sum(layers)
+    adj = [[] for _ in range(n + half)]
+    for li, u, v in edges:
+        adj[offsets[li - 1] + u - 1].append(offsets[li] + v - 1)
+    for v in range(n):
+        adj[v].append(v)
+    for i in range(half):
+        adj[n + i].append(i)
+        adj[offsets[-1] + i].append(n + i)
+    return adj
+
+
+def ref_extract(layers, edges, m):
+    """(permutation, None) or (None, (source, sinks, message))."""
+    adj = [[[] for _ in range(layers[i])] for i in range(len(layers) - 1)]
+    for li, u, v in edges:
+        adj[li - 1][u - 1].append(v)
+    out = []
+    for i in range(1, m + 1):
+        frontier = {i}
+        for layer_adj in adj:
+            frontier = {v for u in frontier for v in layer_adj[u - 1]}
+            if not frontier:
+                break
+        hits = sorted(v for v in frontier if v <= m)
+        if len(hits) != 1:
+            return None, (i, hits, str(ExtractionError(i, hits)))
+        out.append(hits[0])
+    if sorted(out) != list(range(1, m + 1)):
+        dup = next(v for v in out if out.count(v) > 1)
+        message = (f"sources {[i + 1 for i, v in enumerate(out) if v == dup]} "
+                   f"all reach sink {dup} (the map is not a bijection)")
+        return None, (out.index(dup) + 1, [dup], message)
+    return tuple(out), None
+
+
+def ref_validate(layers, edges):
+    for li, u, v in edges:
+        if not 1 <= li <= len(layers) - 1:
+            return f"edge layer {li} out of range"
+        if not (1 <= u <= layers[li - 1] and 1 <= v <= layers[li]):
+            return f"edge ({li},{u},{v}) leaves its layers"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# generated graphs
+
+
+@st.composite
+def graphs(draw, min_size=1, valid=True):
+    """Edges in arbitrary layer order (possibly none), ids into a tag table
+    that may hold names no edge uses."""
+    depth = draw(st.integers(1, 5))
+    layers = draw(st.lists(st.integers(min_size, min_size + 3), min_size=depth, max_size=depth))
+    if not valid:
+        edge = st.tuples(st.integers(-1, depth + 1), st.integers(-1, 8), st.integers(-1, 8))
+    else:
+        edge = st.integers(1, depth - 1).flatmap(lambda li: st.tuples(
+            st.just(li), st.integers(1, layers[li - 1]), st.integers(1, layers[li])))
+    edges = [] if valid and depth == 1 else draw(st.lists(edge, max_size=16))
+    names = tuple(draw(st.lists(st.sampled_from(TAGS), min_size=1, unique=True)))
+    ids = draw(st.lists(st.integers(0, len(names) - 1), min_size=len(edges), max_size=len(edges)))
+    return LayeredGraph.from_columns(
+        layers,
+        np.array(edges, dtype=np.int32).reshape(-1, 3),
+        np.array(ids, dtype=np.uint16),
+        names,
+    )
+
+
+@st.composite
+def permutation_graphs(draw):
+    """Chains of permutation gadgets with their edge rows shuffled."""
+    m = draw(st.integers(2, 5))
+    perm = st.permutations(range(1, m + 1)).map(tuple)
+    perms = draw(st.lists(perm, min_size=1, max_size=4))
+    g = concat_all([basic(p, draw(st.sampled_from(TAGS))) for p in perms])
+    order = np.array(draw(st.permutations(range(len(g.edges)))), dtype=np.intp)
+    return m, LayeredGraph.from_columns(g.layers, g.edges[order], g.tag_ids[order], g.tag_names)
+
+
+# ---------------------------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(graphs(), min_size=1, max_size=4))
+def test_concat_all_matches_reference(parts):
+    g = concat_all(parts)
+    assert listed(g) == ref_concat_all([listed(p) for p in parts])
+    assert g.edges.dtype == np.int32 and g.tag_ids.dtype == np.uint16
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(1, 4), st.integers(2, 4), st.integers(1, 3),
+    st.data(), st.sampled_from(TAGS),
+)
+def test_expand_matches_reference(w, d, b, data, tag):
+    perm = st.permutations(range(1, b + 1)).map(tuple)
+    tup = st.tuples(st.integers(1, d - 1), st.integers(1, w), st.integers(1, w), perm)
+    gg = GroupLayeredGraph(w, d, b, data.draw(st.lists(tup, max_size=6)))
+    assert listed(gg.expand(tag=tag)) == ref_expand(gg, tag)
+
+
+@settings(deadline=None, max_examples=30)
+@given(graphs(), st.one_of(st.none(), st.integers(0, 2**32)))
+def test_stream_order_matches_reference(g, shuffle_seed):
+    stream = graph_to_stream(g, shuffle_seed=shuffle_seed)
+    layers, edges, tags = listed(g)
+    assert (stream.edges, stream.tags) == ref_stream(layers, edges, tags, shuffle_seed)
+    assert all(type(x) is int for e in stream.edges for x in e)
+
+
+def test_stream_orders_tags_as_strings():
+    # ten-plus players: "player:10" sorts before "player:2", as str does
+    g = LayeredGraph([2, 2], [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)],
+                     ["player:2", "player:10", "player:11", "player:1"])
+    stream = graph_to_stream(g)
+    assert stream.tags == ["player:1", "player:10", "player:11", "player:2"]
+    assert stream.edges == [(2, 4), (1, 4), (2, 3), (1, 3)]
+    assert (stream.edges, stream.tags) == ref_stream(*listed(g), None)
+
+
+@settings(deadline=None, max_examples=30)
+@given(graphs())
+def test_bipartite_of_matches_reference(g):
+    inst = bipartite_of(g, 2)
+    want = ref_bipartite_adj(g.layers, [tuple(e) for e in g.edges.tolist()], 2)
+    assert inst.adj == want
+    assert all(type(r) is int for row in inst.adj for r in row)
+
+
+@settings(deadline=None, max_examples=30)
+@given(permutation_graphs())
+def test_matching_identical_on_reordered_edges(mg):
+    m, g = mg
+    m -= m % 2
+    inst = bipartite_of(g, m)
+    ref_adj = ref_bipartite_adj(g.layers, [tuple(e) for e in g.edges.tolist()], m)
+    res = max_matching(inst)
+    ref = max_matching(BipartiteInstance(inst.n, inst.half, ref_adj, inst.canonical))
+    assert (res.size, res.match_left, res.cover_left, res.cover_right) == (
+        ref.size, ref.match_left, ref.cover_left, ref.cover_right)
+
+
+def check_extract(g, m):
+    want, err = ref_extract(g.layers, [tuple(e) for e in g.edges.tolist()], m)
+    if err is None:
+        assert extract_permutation(g, m) == want
+    else:
+        with pytest.raises(ExtractionError) as got:
+            extract_permutation(g, m)
+        assert (got.value.source, got.value.sinks, str(got.value)) == err
+
+
+@settings(deadline=None, max_examples=40)
+@given(graphs(min_size=2), st.integers(1, 2))
+def test_extract_matches_reference(g, m):
+    check_extract(g, m)
+
+
+@settings(deadline=None, max_examples=30)
+@given(permutation_graphs())
+def test_extract_ignores_edge_order(mg):
+    m, g = mg
+    check_extract(g, m)
+
+
+@pytest.mark.parametrize("edges, source, sinks", [
+    ([(2, 1, 1), (1, 1, 1), (1, 1, 2), (2, 2, 2)], 1, [1, 2]),      # branching
+    ([(2, 2, 2), (1, 2, 2), (2, 1, 1)], 1, []),                     # dead
+    ([(2, 1, 1), (1, 1, 1), (1, 2, 1)], 1, [1]),                    # not a bijection
+])
+def test_extract_errors(edges, source, sinks):
+    g = LayeredGraph([2, 2, 2], edges)
+    check_extract(g, 2)
+    with pytest.raises(ExtractionError) as got:
+        extract_permutation(g, 2)
+    assert (got.value.source, got.value.sinks) == (source, sinks)
+
+
+@settings(deadline=None, max_examples=40)
+@given(graphs(valid=False))
+def test_validate_reports_first_bad_edge(g):
+    want = ref_validate(g.layers, [tuple(e) for e in g.edges.tolist()])
+    if want is None:
+        g.validate()
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            g.validate()
+
+
+def test_validate_names_first_of_several_bad_edges():
+    g = LayeredGraph([2, 3], [(1, 1, 1), (1, 2, 4), (0, 1, 1), (1, 3, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(1,2,4\) leaves its layers$"):
+        g.validate()
+    g = LayeredGraph([2, 3], [(1, 1, 1), (3, 1, 1), (1, 2, 4)])
+    with pytest.raises(ValueError, match=r"^edge layer 3 out of range$"):
+        g.validate()
+
+
+def test_to_dict_ignores_unused_tag_names():
+    g = LayeredGraph.from_columns(
+        [2, 2], np.array([[1, 1, 2], [1, 2, 1]], dtype=np.int32),
+        np.zeros(2, dtype=np.uint16), ("fixed", "player:3"),
+    )
+    doc = g.to_dict()
+    assert doc == {"layers": [2, 2], "edges": [[1, 1, 2], [1, 2, 1]]}
+    json.dumps(doc)
+    tagged = LayeredGraph.from_dict({**doc, "tags": ["fixed", "referee"]})
+    assert tagged.to_dict()["tags"] == ["fixed", "referee"]
+
+
+@pytest.mark.parametrize("edges, error", [
+    ([[1, 1.5, 2]], TypeError),
+    ([[1, "1", 2]], TypeError),
+    ([[1, None, 2]], TypeError),
+    ([[1, 1], [1, 1, 1, 1]], ValueError),
+    ([[1, 1, 2**40]], OverflowError),
+])
+def test_from_dict_rejects_malformed_edges(edges, error):
+    with pytest.raises(error):
+        LayeredGraph.from_dict({"layers": [2, 2], "edges": edges})

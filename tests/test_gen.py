@@ -124,7 +124,7 @@ def test_matched_seeds_share_player_edges():
     g1 = gen_simple(rho1, P, params, rng1)
     g2 = gen_simple(rho2, P, params, rng2)
     assert player_edges(g1) == player_edges(g2)
-    assert g1.edges != g2.edges  # referee routing must differ
+    assert g1.edges.tolist() != g2.edges.tolist()  # referee routing must differ
 
 
 def test_matched_seeds_share_player_edges_general_p2():
