@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .graphs import GroupLayeredGraph, LayeredGraph, basic, concat_all
-from .perms import Perm, compose, extend, match_aligned
+from .perms import Perm, compose, extend, match_aligned, random_perm
 from .rs import RSGraph
 
 PermMatrix = tuple[tuple[Perm, ...], ...]  # t rows, r columns, entries in S_b
@@ -48,8 +48,6 @@ def check_perm_matrix(sig: PermMatrix, t: int, r: int, b: int) -> None:
 
 
 def random_perm_matrix(t: int, r: int, b: int, rng: random.Random) -> PermMatrix:
-    from .perms import random_perm
-
     return tuple(tuple(random_perm(b, rng) for _ in range(r)) for _ in range(t))
 
 

@@ -21,11 +21,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, dists
-from .gen import default_params, gen_general, vertex_count
+from .gen import check_budget, default_params, gen_general, vertex_count
 from .graphs import LayeredGraph, extract_permutation
 from .hph import parse_instance, referee_answer
 from .matching import bipartite_of, max_matching, sigma_cross, sigma_eq
-from .perms import format_perm, parse_perm, random_perm
+from .perms import parse_perm, random_perm
 from .rs import parse_rs, validate_rs
 from .seeds import rng_for
 from .sortnet import build_sort_network, depth_bound
@@ -75,6 +75,7 @@ def cmd_gen(args) -> int:
     try:
         params = default_params(args.m, args.b, k=args.k, p=args.p)
         sigma = _sigma_from_spec(args.sigma, args.m, args.seed)
+        check_budget(vertex_count(params, general=True))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

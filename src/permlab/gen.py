@@ -24,8 +24,9 @@ hidden permutations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -50,6 +51,8 @@ from .sortnet import SorterNetwork, build_sort_network, decompose
 # an alias kept because perfbench/tracing.py looks this name up on this module
 p_multi_block_sample = multi_block
 
+MAX_VERTICES = 20_000_000
+
 
 @dataclass(frozen=True)
 class GenParams:
@@ -58,7 +61,6 @@ class GenParams:
     k: int = 2
     p: int = 1
     rs: RSGraph | None = None
-    max_vertices: int = 20_000_000
 
     def resolved_rs(self) -> RSGraph:
         return self.rs if self.rs is not None else trivial_rs(2 * self.m // self.b, 2 * self.m // self.b)
@@ -83,6 +85,11 @@ def validate_params(params: GenParams) -> None:
         raise ValueError(f"rs.r={rs.r} must equal 2m/b={2 * m // b}")
 
 
+def check_budget(vertices: int) -> None:
+    if vertices > MAX_VERTICES:
+        raise ValueError(f"sample would need {vertices} vertices, cap is {MAX_VERTICES}")
+
+
 @lru_cache(maxsize=64)
 def _net(m: int, b: int) -> SorterNetwork:
     return build_sort_network(m, b)
@@ -102,24 +109,19 @@ def _regularize(P: Partition, gamma: Perm, b: int, m: int) -> list[tuple[Partiti
     if not pending:
         return [(lex_partition(m, b), identity(m))]
     while pending:
-        nbins = m // b
-        bins: list[list[int]] = [[] for _ in range(nbins)]
-        room = [b] * nbins
+        bins: list[list[int]] = [[] for _ in range(m // b)]
         deferred = []
         for g in pending:
-            for i in range(nbins):
-                if room[i] >= len(g):
-                    bins[i].extend(g)
-                    room[i] -= len(g)
+            for cell in bins:
+                if b - len(cell) >= len(g):
+                    cell.extend(g)
                     break
             else:
                 deferred.append(g)
         placed = {x for cell in bins for x in cell}
         idle = iter(x for x in range(1, m + 1) if x not in placed)
-        for i in range(nbins):
-            while room[i] > 0:
-                bins[i].append(next(idle))
-                room[i] -= 1
+        for cell in bins:
+            cell.extend(islice(idle, b - len(cell)))
         part = tuple(sorted((tuple(sorted(cell)) for cell in bins), key=lambda g: g[0]))
         sub = tuple(gamma[x - 1] if x in placed else x for x in range(1, m + 1))
         out.append((part, sub))
@@ -127,15 +129,18 @@ def _regularize(P: Partition, gamma: Perm, b: int, m: int) -> list[tuple[Partiti
     return out
 
 
+def _pieces(sigma: Perm, b: int) -> list[tuple[Partition, Perm]]:
+    """The simple factors gen_general hides, each with its exact-b partition:
+    decompose sigma along the sorting network, then regularize every layer."""
+    m = len(sigma)
+    d = decompose(sigma, b, _net(m, b))
+    return [piece for part, g in zip(d.partitions, d.gammas) for piece in _regularize(part, g, b, m)]
+
+
 @lru_cache(maxsize=64)
 def _layer_plan(m: int, b: int) -> tuple[Partition, ...]:
     """Exact-b partitions of the regularized decomposition, permutation-free."""
-    ident = identity(m)
-    plan: list[Partition] = []
-    for layer in reversed(_net(m, b).layers):
-        for part, _ in _regularize(layer, ident, b, m):
-            plan.append(part)
-    return tuple(plan)
+    return tuple(part for part, _ in _pieces(identity(m), b))
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +154,15 @@ def _count_simple(m: int, b: int, k: int, p: int, n_rs: int) -> int:
     if p == 1:
         return 6 * k * n_rs * b + 2 * m
     x = n_rs * b
-    return 2 * k * (x + _count_general_inner(x, b, k, p - 1)) + _count_general_inner(m, b, k, p - 1)
+    inner = _count_general(x, b, k, p - 1, 2 * x // b)
+    return 2 * k * (x + inner) + _count_general(m, b, k, p - 1, 2 * m // b)
 
 
 @lru_cache(maxsize=256)
-def _count_general_inner(m: int, b: int, k: int, p: int) -> int:
-    return _count_general(m, b, k, p, 2 * m // b)
-
-
 def _count_general(m: int, b: int, k: int, p: int, n_rs: int) -> int:
     lex = lex_partition(m, b)
-    total = 0
-    for part in _layer_plan(m, b):
-        total += _count_simple(m, b, k, p, n_rs)
-        if part != lex:
-            total += 4 * m
-    return total
+    plan = _layer_plan(m, b)
+    return len(plan) * _count_simple(m, b, k, p, n_rs) + 4 * m * sum(part != lex for part in plan)
 
 
 def vertex_count(params: GenParams, general: bool) -> int:
@@ -182,17 +180,6 @@ def vertex_count(params: GenParams, general: bool) -> int:
 
 # ---------------------------------------------------------------------------
 # samplers
-
-def _inner_params(params: GenParams, size: int) -> GenParams:
-    return GenParams(
-        m=size,
-        b=params.b,
-        k=params.k,
-        p=params.p - 1,
-        rs=trivial_rs(2 * size // params.b, 2 * size // params.b),
-        max_vertices=params.max_vertices,
-    )
-
 
 def _retag_referee(g: LayeredGraph) -> LayeredGraph:
     # recursively sampled gadgets hide referee inputs; their player tags are
@@ -219,11 +206,8 @@ def sample_simple(
         wrapped = concat_all([basic(inverse(s), "fixed"), inner, basic(s, "fixed")])
         return wrapped, core
 
-    budget = _count_simple(m, b, k, p, params.resolved_rs().n_rs)
-    if budget > params.max_vertices:
-        raise RuntimeError(f"sample would need {budget} vertices, cap is {params.max_vertices}")
-
     grs = params.resolved_rs()
+    check_budget(_count_simple(m, b, k, p, grs.n_rs))
     target = vec(rho, b)
     sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
     gamma = force_gamma(recompute_gamma_star(sigmas, L, M), target)
@@ -232,7 +216,7 @@ def sample_simple(
         route = basic_route
     else:
         def route(s: Perm) -> LayeredGraph:
-            return _retag_referee(gen_general(s, _inner_params(params, len(s)), rng))
+            return _retag_referee(gen_general(s, replace(params, m=len(s), p=p - 1, rs=None), rng))
 
     # rng draw order: blocks a = 1..k (left gadget before right), shift last
     return concat_all([multi_block(grs, sigmas, L, M, b, route), route(join(gamma))]), core
@@ -246,18 +230,10 @@ def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGr
     """Hide an arbitrary permutation: decompose along the sorting network,
     regularize each layer to exact-b groups, hide every factor, concatenate."""
     validate_params(params)
-    m, b = params.m, params.b
-    if len(sigma) != m:
-        raise ValueError(f"sigma acts on [{len(sigma)}], params say m={m}")
-    budget = vertex_count(params, general=True)
-    if budget > params.max_vertices:
-        raise RuntimeError(f"sample would need {budget} vertices, cap is {params.max_vertices}")
-    d = decompose(sigma, b, _net(m, b))
-    pieces: list[tuple[Partition, Perm]] = []
-    for part, g in zip(d.partitions, d.gammas):
-        pieces.extend(_regularize(part, g, b, m))
-    graphs = [gen_simple(g, part, params, rng) for part, g in pieces]
-    return concat_all(graphs)
+    if len(sigma) != params.m:
+        raise ValueError(f"sigma acts on [{len(sigma)}], params say m={params.m}")
+    check_budget(vertex_count(params, general=True))
+    return concat_all([gen_simple(g, part, params, rng) for part, g in _pieces(sigma, params.b)])
 
 
 # ---------------------------------------------------------------------------

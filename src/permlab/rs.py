@@ -13,6 +13,7 @@ exceptions, so generators can be probed with broken inputs.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -90,21 +91,20 @@ def validate_rs(g: RSGraph) -> str | None:
                         f"in matching {seen[(left, right)]}")
             seen[(left, right)] = i
     # inducedness: an edge lying between another matching's lefts and rights
-    # offends; scan edges in (matching, edge) order and report the first
-    endpoint_sets = [
-        ({left for left, _ in block}, {right for _, right in block})
-        for block in g.matchings
-    ]
+    # offends. Index the matchings at each endpoint, scan edges in (matching,
+    # edge) order and report the first against the smallest such matching
+    at_left: defaultdict[int, set[int]] = defaultdict(set)
+    at_right: defaultdict[int, set[int]] = defaultdict(set)
+    for i, left, right in g.all_edges():
+        at_left[left].add(i)
+        at_right[right].add(i)
     for i, block in enumerate(g.matchings, start=1):
         for j, (left, right) in enumerate(block, start=1):
-            for other in range(1, g.t + 1):
-                if other == i:
-                    continue
-                lefts, rights = endpoint_sets[other - 1]
-                if left in lefts and right in rights:
-                    return (f"matching {i} edge {j}: edge ({left},{right}) "
-                            f"joins the endpoints of matching {other}, which "
-                            f"is not induced")
+            others = (at_left[left] & at_right[right]) - {i}
+            if others:
+                return (f"matching {i} edge {j}: edge ({left},{right}) "
+                        f"joins the endpoints of matching {min(others)}, "
+                        f"which is not induced")
     return None
 
 

@@ -33,7 +33,6 @@ class EdgeStream:
     directed: bool
     edges: list[tuple[int, int]]       # one-indexed vertex ids
     tags: list[str] | None = None      # provenance, parallel to edges
-    shuffle_seed: int | None = None
 
     def __post_init__(self):
         if self.tags is not None and len(self.tags) != len(self.edges):
@@ -61,7 +60,7 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
         order = order[np.fromiter(shuffled, dtype=np.intp, count=len(shuffled))]
     edges = list(zip(gu[order].tolist(), gv[order].tolist()))
     tags = list(map(names.__getitem__, g.tag_ids[order].tolist()))
-    return EdgeStream(g.vertex_count, True, edges, tags, shuffle_seed)
+    return EdgeStream(g.vertex_count, True, edges, tags)
 
 
 def dump_stream(stream: EdgeStream) -> str:
@@ -338,12 +337,16 @@ class FullMemory(StreamAlgorithm):
         return state
 
     def finalize(self, state, rand):
+        # number each side's endpoints in order of first appearance: the
+        # matching size does not depend on the numbering, and isolated
+        # vertices, which no edge names, cannot change it
         edges = state["edges"]
-        side = max(max(u, v) for u, v in edges) // 2 if edges else 0
-        adj = [[] for _ in range(side)]
+        left = {u: i for i, u in enumerate(dict.fromkeys(u for u, _ in edges))}
+        right = {v: i for i, v in enumerate(dict.fromkeys(v for _, v in edges))}
+        adj = [[] for _ in range(max(len(left), len(right)))]
         for u, v in edges:
-            adj[u - 1].append(v - side - 1)
-        inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
+            adj[left[u]].append(right[v])
+        inst = BipartiteInstance(n=len(adj), half=0, adj=adj, canonical=[])
         return max_matching(inst).size
 
     def serialize(self, state) -> bytes:

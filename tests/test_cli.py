@@ -200,9 +200,12 @@ def test_usage_errors_exit_2():
         ["gen", "1,2,3", "--m", "4", "--b", "2"],
         ["analyze", "depth", "m"],
         ["analyze", "depth", "m=5", "b=1"],
+        ["gen", "cross", "--m", "64", "--b", "2", "--p", "3"],
+        ["analyze", "advantage", "m=64", "b=2", "p=3"],
     ],
     ids=["gen-b-not-dividing-m", "gen-p-zero", "gen-sigma-wrong-length",
-         "analyze-not-key-value", "analyze-b-one"],
+         "analyze-not-key-value", "analyze-b-one", "gen-over-vertex-cap",
+         "analyze-over-vertex-cap"],
 )
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     if argv[0] == "gen":

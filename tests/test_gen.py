@@ -1,9 +1,13 @@
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlab.gen import (
     GenParams,
+    _layer_plan,
+    _pieces,
     default_params,
     fake_simple_from_core,
     gen_general,
@@ -17,6 +21,7 @@ from permlab.perms import (
     compose,
     identity,
     inverse,
+    is_simple,
     join,
     lex_partition,
     random_perm,
@@ -170,9 +175,23 @@ def test_param_validation():
 
 
 def test_budget_enforced():
-    params = GenParams(m=8, b=2, k=2, p=2, max_vertices=1000)
-    with pytest.raises(RuntimeError, match="vertices"):
-        gen_general(random_perm(8, random.Random(0)), params, random.Random(0))
+    params = GenParams(m=64, b=2, k=2, p=3)  # 3,053,522,048 vertices
+    with pytest.raises(ValueError, match="vertices"):
+        gen_general(random_perm(64, random.Random(0)), params, random.Random(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(8, 2), (9, 3), (12, 4), (16, 4)]).flatmap(
+    lambda mb: st.tuples(st.just(mb), st.permutations(range(1, mb[0] + 1)))))
+def test_piece_split_does_not_depend_on_sigma(case):
+    # the draw-order promise: the partitions of the piece split are those of
+    # the identity's, so only the simple factors depend on sigma
+    (m, b), sigma = case
+    sigma = tuple(sigma)
+    pieces = _pieces(sigma, b)
+    assert [part for part, _ in pieces] == list(_layer_plan(m, b))
+    assert all(is_simple(g, part) for part, g in pieces)
+    assert reduce(compose, [g for _, g in pieces]) == sigma
 
 
 def test_target_vec_consistency():

@@ -1,6 +1,58 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from permlab.rs import RSGraph, dump_rs, parse_rs, trivial_rs, validate_rs
+
+
+def ref_validate_rs(g: RSGraph) -> str | None:
+    """The direct scan: every edge against every other matching's endpoint
+    sets, O(t^2 * r)."""
+    seen: dict[tuple[int, int], int] = {}
+    for i, block in enumerate(g.matchings, start=1):
+        lefts = set()
+        rights = set()
+        for j, (left, right) in enumerate(block, start=1):
+            if not (1 <= left <= g.n_rs and 1 <= right <= g.n_rs):
+                return (f"matching {i} edge {j}: endpoint ({left},{right}) "
+                        f"outside [1,{g.n_rs}]")
+            if left in lefts:
+                return f"matching {i} edge {j}: left vertex {left} repeated"
+            if right in rights:
+                return f"matching {i} edge {j}: right vertex {right} repeated"
+            lefts.add(left)
+            rights.add(right)
+            if (left, right) in seen:
+                return (f"matching {i} edge {j}: edge ({left},{right}) already "
+                        f"in matching {seen[(left, right)]}")
+            seen[(left, right)] = i
+    endpoint_sets = [
+        ({left for left, _ in block}, {right for _, right in block})
+        for block in g.matchings
+    ]
+    for i, block in enumerate(g.matchings, start=1):
+        for j, (left, right) in enumerate(block, start=1):
+            for other in range(1, g.t + 1):
+                if other == i:
+                    continue
+                lefts, rights = endpoint_sets[other - 1]
+                if left in lefts and right in rights:
+                    return (f"matching {i} edge {j}: edge ({left},{right}) "
+                            f"joins the endpoints of matching {other}, which "
+                            f"is not induced")
+    return None
+
+
+@st.composite
+def rs_families(draw):
+    # small vertex sets so matchings overlap; most matchings are proper, so
+    # the inducedness scan is reached, and some repeat or leave [1, n_rs]
+    n_rs = draw(st.integers(1, 4))
+    r = draw(st.integers(1, n_rs))
+    t = draw(st.integers(1, 6))
+    proper = draw(st.booleans())
+    ends = st.lists(st.integers(1, n_rs + (0 if proper else 1)), min_size=r, max_size=r, unique=proper)
+    matchings = tuple(tuple(zip(draw(ends), draw(ends))) for _ in range(t))
+    return RSGraph(n_rs, r, t, matchings)
 
 
 def test_trivial_4_2_enumerates_chunk_pairs():
@@ -76,6 +128,14 @@ def test_dump_parse_roundtrip():
     text = dump_rs(g)
     assert text.splitlines()[0] == "6 2 9"
     assert parse_rs(text) == g
+
+
+@settings(max_examples=400, deadline=None)
+@given(rs_families())
+# edge (1,1) of matching 1 lies between the endpoints of matchings 2 and 3
+@example(RSGraph(4, 2, 3, (((1, 1), (2, 2)), ((1, 2), (2, 1)), ((1, 3), (3, 1)))))
+def test_validate_matches_reference_scan(g):
+    assert validate_rs(g) == ref_validate_rs(g)
 
 
 def test_parse_rejects_invalid_family():

@@ -2,11 +2,11 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permlab.gen import default_params, gen_general, gen_simple, sample_simple, fake_simple_from_core
 from permlab.graphs import basic
-from permlab.matching import bipartite_of, instance_to_stream, max_matching, sigma_eq
+from permlab.matching import BipartiteInstance, bipartite_of, instance_to_stream, max_matching, sigma_eq
 from permlab.perms import identity, lex_partition, random_simple
 from permlab.streams import (
     AdvantageReport,
@@ -146,6 +146,24 @@ def test_state_bits_equals_serialized_size(edges, cls, p):
             assert alg.state_bits(state) == 8 * len(alg.serialize(state))
     if cls is FullMemory:
         assert alg.serialize(state) == json.dumps(edges * p).encode()
+
+
+@st.composite
+def bipartite_instances(draw):
+    side = draw(st.integers(1, 7))
+    # empty lists and unused right indices leave vertices isolated on both sides
+    adj = draw(st.lists(st.lists(st.integers(0, side - 1), unique=True, max_size=side),
+                        min_size=side, max_size=side))
+    return BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipartite_instances())
+# the highest-numbered right vertex has no edge, so the stream's largest id
+# does not reveal the side
+@example(BipartiteInstance(n=2, half=0, adj=[[0], []], canonical=[]))
+def test_full_memory_is_max_matching(inst):
+    assert run_passes(FullMemory(), instance_to_stream(inst), 1).output == max_matching(inst).size
 
 
 def test_state_bits_under_report_is_caught():
