@@ -133,7 +133,8 @@ def _verify_permgraph(doc: dict) -> list[str]:
     want = vertex_count(default_params(m, doc["b"], k=doc["k"], p=doc["p"]), general=True)
     if g.vertex_count != want:
         problems.append(f"vertex count {g.vertex_count}, expected {want}")
-    if sigma in (sigma_eq(m), sigma_cross(m)):
+    # the matching dichotomy is stated for even m only
+    if m % 2 == 0 and sigma in (sigma_eq(m), sigma_cross(m)):
         res = max_matching(bipartite_of(g, m))
         if not res.certified:
             problems.append("matching certificate failed")
@@ -203,10 +204,7 @@ def _kv_args(tokens: list[str]) -> dict[str, str]:
     return out
 
 
-def _analyze_decay(kv, seed):
-    b = int(kv.get("b", 3))
-    g = int(kv.get("g", 3))
-    trials = int(kv.get("trials", 100))
+def _analyze_decay(seed, b, g, trials):
     rng = rng_for(seed, "analyze/decay")
     rows = []
     for eps in (0.25, 1 / 9, 1 / 16):
@@ -225,9 +223,7 @@ def _analyze_decay(kv, seed):
     return rows
 
 
-def _analyze_fourier(kv, seed):
-    b = int(kv.get("b", 4))
-    trials = int(kv.get("trials", 20))
+def _analyze_fourier(seed, b, trials):
     rng = rng_for(seed, "analyze/fourier")
     irr = dists.build_irreps(b)
     dims = [ir.dim for ir in irr.irreps]
@@ -249,9 +245,7 @@ def _analyze_fourier(kv, seed):
     return rows
 
 
-def _analyze_pinsker(kv, seed):
-    b = int(kv.get("b", 3))
-    trials = int(kv.get("trials", 200))
+def _analyze_pinsker(seed, b, trials):
     rng = rng_for(seed, "analyze/pinsker")
     rows = []
     holds = 0
@@ -269,14 +263,9 @@ def _analyze_pinsker(kv, seed):
     return rows
 
 
-def _analyze_advantage(kv, seed):
+def _analyze_advantage(seed, m, b, k, p, trials):
     from .streams import FullMemory, advantage_estimate
 
-    m = int(kv.get("m", 4))
-    b = int(kv.get("b", 2))
-    k = int(kv.get("k", 2))
-    p = int(kv.get("p", 1))
-    trials = int(kv.get("trials", 30))
     params = default_params(m, b, k=k, p=p)
     rng = rng_for(seed, "analyze/advantage")
 
@@ -304,26 +293,32 @@ def _analyze_advantage(kv, seed):
              "ci_low": rep.ci_low, "ci_high": rep.ci_high}]
 
 
-def _analyze_depth(kv, seed):
-    m = int(kv.get("m", 64))
-    b = int(kv.get("b", 4))
+def _analyze_depth(seed, m, b):
     net = build_sort_network(m, b)
     return [{"m": m, "b": b, "depth": net.depth, "bound": depth_bound(m, b),
              "holds": net.depth <= depth_bound(m, b)}]
 
 
+# each analysis with the settings it takes and their defaults
 ANALYZES = {
-    "decay": _analyze_decay,
-    "fourier": _analyze_fourier,
-    "pinsker": _analyze_pinsker,
-    "advantage": _analyze_advantage,
-    "depth": _analyze_depth,
+    "decay": (_analyze_decay, {"b": 3, "g": 3, "trials": 100}),
+    "fourier": (_analyze_fourier, {"b": 4, "trials": 20}),
+    "pinsker": (_analyze_pinsker, {"b": 3, "trials": 200}),
+    "advantage": (_analyze_advantage, {"m": 4, "b": 2, "k": 2, "p": 1, "trials": 30}),
+    "depth": (_analyze_depth, {"m": 64, "b": 4}),
 }
 
 
 def cmd_analyze(args) -> int:
+    analysis, defaults = ANALYZES[args.kind]
+    settings = dict(defaults)
     try:
-        rows = ANALYZES[args.kind](_kv_args(args.params), args.seed)
+        for key, val in _kv_args(args.params).items():
+            if key not in defaults:
+                raise ValueError(f"analyze {args.kind} takes no setting {key!r}, "
+                                 f"only {', '.join(defaults)}")
+            settings[key] = int(val)
+        rows = analysis(args.seed, **settings)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

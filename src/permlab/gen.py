@@ -11,8 +11,9 @@ each factor.
 
 At p >= 2 the two routing gadgets of every block, and the shift gadget, are
 themselves samples of the (p-1)-pass generator at the smaller size; the base
-case replaces a routing gadget by its plain two-layer graph. Inner levels use
-the aligned-chunk RS family at r' = 2*size/b.
+case replaces a routing gadget by its plain two-layer graph. Every level, at
+every size m, uses the aligned-chunk RS family with r = n_rs = 2m/b, which
+has a single matching (t = 1).
 
 The sampling order inside one call is fixed: player matrices, row indices,
 hypermatching, then any recursive samples, with the shift computed (never
@@ -56,33 +57,31 @@ MAX_VERTICES = 20_000_000
 
 @dataclass(frozen=True)
 class GenParams:
+    """The four generator parameters, checked on construction."""
+
     m: int
     b: int
     k: int = 2
     p: int = 1
-    rs: RSGraph | None = None
 
-    def resolved_rs(self) -> RSGraph:
-        return self.rs if self.rs is not None else trivial_rs(2 * self.m // self.b, 2 * self.m // self.b)
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"m must be at least 1, got m={self.m}")
+        if self.b < 2:
+            raise ValueError("b must be at least 2")
+        if self.m % self.b:
+            raise ValueError(f"hiding needs b | m, got m={self.m}, b={self.b}")
+        if self.k < 1 or self.p < 1:
+            raise ValueError("k and p must be at least 1")
+
+    @property
+    def family(self) -> RSGraph:
+        """The aligned-chunk RS family at r = n_rs = 2m/b (t = 1)."""
+        return trivial_rs(2 * self.m // self.b, 2 * self.m // self.b)
 
 
 def default_params(m: int, b: int, k: int = 2, p: int = 1) -> GenParams:
-    params = GenParams(m, b, k, p)
-    validate_params(params)
-    return params
-
-
-def validate_params(params: GenParams) -> None:
-    m, b, k, p = params.m, params.b, params.k, params.p
-    if b < 2:
-        raise ValueError("b must be at least 2")
-    if m % b:
-        raise ValueError(f"hiding needs b | m, got m={m}, b={b}")
-    if k < 1 or p < 1:
-        raise ValueError("k and p must be at least 1")
-    rs = params.resolved_rs()
-    if rs.r != 2 * m // b:
-        raise ValueError(f"rs.r={rs.r} must equal 2m/b={2 * m // b}")
+    return GenParams(m, b, k, p)
 
 
 def check_budget(vertices: int) -> None:
@@ -144,25 +143,23 @@ def _layer_plan(m: int, b: int) -> tuple[Partition, ...]:
 
 
 # ---------------------------------------------------------------------------
-# vertex accounting. Counts depend only on parameters: a one-pass simple
-# sample has 6k*n_rs*b + 2m vertices (plus 4m when wrapped); at p >= 2 each
-# of the k blocks keeps its two encoded layers (2*n_rs*b) and gains two
-# recursive samples at size n_rs*b, and the shift gadget becomes a recursive
+# vertex accounting. Counts depend only on parameters. With n_rs*b = 2m a
+# one-pass simple sample has 2m(6k+1) vertices (plus 4m when wrapped); at
+# p >= 2 each of the k blocks keeps its two encoded layers (4m) and gains two
+# recursive samples at size 2m, and the shift gadget becomes a recursive
 # sample at size m.
 
-def _count_simple(m: int, b: int, k: int, p: int, n_rs: int) -> int:
+def _count_simple(m: int, b: int, k: int, p: int) -> int:
     if p == 1:
-        return 6 * k * n_rs * b + 2 * m
-    x = n_rs * b
-    inner = _count_general(x, b, k, p - 1, 2 * x // b)
-    return 2 * k * (x + inner) + _count_general(m, b, k, p - 1, 2 * m // b)
+        return 2 * m * (6 * k + 1)
+    return 2 * k * (2 * m + _count_general(2 * m, b, k, p - 1)) + _count_general(m, b, k, p - 1)
 
 
 @lru_cache(maxsize=256)
-def _count_general(m: int, b: int, k: int, p: int, n_rs: int) -> int:
+def _count_general(m: int, b: int, k: int, p: int) -> int:
     lex = lex_partition(m, b)
     plan = _layer_plan(m, b)
-    return len(plan) * _count_simple(m, b, k, p, n_rs) + 4 * m * sum(part != lex for part in plan)
+    return len(plan) * _count_simple(m, b, k, p) + 4 * m * sum(part != lex for part in plan)
 
 
 def vertex_count(params: GenParams, general: bool) -> int:
@@ -171,11 +168,8 @@ def vertex_count(params: GenParams, general: bool) -> int:
     For general=False this is the count for a Lex-simple input; hiding over a
     non-Lex partition adds 4m wrapper vertices on top.
     """
-    validate_params(params)
-    n_rs = params.resolved_rs().n_rs
-    if general:
-        return _count_general(params.m, params.b, params.k, params.p, n_rs)
-    return _count_simple(params.m, params.b, params.k, params.p, n_rs)
+    count = _count_general if general else _count_simple
+    return count(params.m, params.b, params.k, params.p)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +186,6 @@ def sample_simple(
     rho: Perm, P: Partition, params: GenParams, rng: random.Random
 ) -> tuple[LayeredGraph, dict]:
     """gen_simple plus the sampled communication core, for replay experiments."""
-    validate_params(params)
     m, b, k, p = params.m, params.b, params.k, params.p
     if len(rho) != m:
         raise ValueError(f"rho acts on [{len(rho)}], params say m={m}")
@@ -206,8 +199,8 @@ def sample_simple(
         wrapped = concat_all([basic(inverse(s), "fixed"), inner, basic(s, "fixed")])
         return wrapped, core
 
-    grs = params.resolved_rs()
-    check_budget(_count_simple(m, b, k, p, grs.n_rs))
+    grs = params.family
+    check_budget(_count_simple(m, b, k, p))
     target = vec(rho, b)
     sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
     gamma = force_gamma(recompute_gamma_star(sigmas, L, M), target)
@@ -216,7 +209,7 @@ def sample_simple(
         route = basic_route
     else:
         def route(s: Perm) -> LayeredGraph:
-            return _retag_referee(gen_general(s, replace(params, m=len(s), p=p - 1, rs=None), rng))
+            return _retag_referee(gen_general(s, replace(params, m=len(s), p=p - 1), rng))
 
     # rng draw order: blocks a = 1..k (left gadget before right), shift last
     return concat_all([multi_block(grs, sigmas, L, M, b, route), route(join(gamma))]), core
@@ -229,7 +222,6 @@ def gen_simple(rho: Perm, P: Partition, params: GenParams, rng: random.Random) -
 def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGraph:
     """Hide an arbitrary permutation: decompose along the sorting network,
     regularize each layer to exact-b groups, hide every factor, concatenate."""
-    validate_params(params)
     if len(sigma) != params.m:
         raise ValueError(f"sigma acts on [{len(sigma)}], params say m={params.m}")
     check_budget(vertex_count(params, general=True))
@@ -243,9 +235,8 @@ def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGr
 def fake_simple_from_core(sigmas, params: GenParams) -> LayeredGraph:
     if params.p != 1:
         raise ValueError("fake replay is built for one-pass instances")
-    validate_params(params)
     b, k = params.b, params.k
-    grs = params.resolved_rs()
+    grs = params.family
     L = tuple(1 for _ in range(k))
     M = tuple(tuple(range(1, grs.r // 2 + 1)) for _ in range(k))
     return concat_all([multi_block(grs, sigmas, L, M, b), basic_route(identity(params.m))])

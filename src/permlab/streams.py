@@ -81,6 +81,8 @@ def parse_stream(text: str) -> EdgeStream:
     if len(head) != 3:
         raise ValueError("second line must be '<n> <edges> <directed>'")
     n, count, directed = int(head[0]), int(head[1]), int(head[2])
+    if directed not in (0, 1):
+        raise ValueError(f"directed flag must be 0 or 1, got {directed}")
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != count:
         raise ValueError(f"expected {count} edges, found {len(body)}")

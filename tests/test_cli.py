@@ -97,6 +97,17 @@ def test_verify_clean_and_corrupt(tmp_path, capsys):
     assert report["clean"] == 0 and report["violations"]
 
 
+def test_verify_accepts_gen_output_at_odd_m(tmp_path, capsys):
+    code, _ = run(["gen", "random", "--m", "9", "--b", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    code, out = run(
+        ["verify", str(tmp_path / "graph.json"), str(tmp_path / "stream.txt")],
+        capsys,
+    )
+    assert code == 0, out
+    assert json.loads(out)["clean"] == 2
+
+
 def test_verify_rs_file(tmp_path, capsys):
     from permlab.rs import dump_rs, trivial_rs
 
@@ -202,10 +213,15 @@ def test_usage_errors_exit_2():
         ["analyze", "depth", "m=5", "b=1"],
         ["gen", "cross", "--m", "64", "--b", "2", "--p", "3"],
         ["analyze", "advantage", "m=64", "b=2", "p=3"],
+        ["gen", "id", "--m", "0"],
+        ["analyze", "advantage", "m=0", "b=2"],
+        ["analyze", "decay", "b=3", "trails=5"],
+        ["analyze", "depth", "m=16", "--trials", "5"],
     ],
     ids=["gen-b-not-dividing-m", "gen-p-zero", "gen-sigma-wrong-length",
          "analyze-not-key-value", "analyze-b-one", "gen-over-vertex-cap",
-         "analyze-over-vertex-cap"],
+         "analyze-over-vertex-cap", "gen-m-zero", "analyze-advantage-m-zero",
+         "analyze-unknown-setting", "analyze-depth-trials"],
 )
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     if argv[0] == "gen":

@@ -13,7 +13,6 @@ from permlab.gen import (
     gen_general,
     gen_simple,
     sample_simple,
-    validate_params,
     vertex_count,
 )
 from permlab.graphs import extract_permutation
@@ -29,7 +28,6 @@ from permlab.perms import (
     swap_perm,
     vec,
 )
-from permlab.rs import trivial_rs
 
 
 def player_edges(g):
@@ -164,14 +162,15 @@ def test_fake_replay_rejects_multi_pass():
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        validate_params(GenParams(m=8, b=3, k=2, p=1))  # 3 does not divide 16
+        GenParams(m=8, b=3, k=2, p=1)  # 3 does not divide 16
     with pytest.raises(ValueError):
-        validate_params(GenParams(m=8, b=2, k=0, p=1))
+        GenParams(m=8, b=2, k=0, p=1)
     with pytest.raises(ValueError):
-        validate_params(GenParams(m=8, b=2, k=2, p=0))
-    with pytest.raises(ValueError):
-        validate_params(GenParams(m=8, b=2, k=2, p=1, rs=trivial_rs(4, 2)))
-    validate_params(GenParams(m=8, b=2, k=2, p=1, rs=trivial_rs(16, 8)))
+        GenParams(m=8, b=2, k=2, p=0)
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        GenParams(m=0, b=2, k=2, p=1)
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        GenParams(m=-4, b=2, k=2, p=1)
 
 
 def test_budget_enforced():

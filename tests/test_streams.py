@@ -255,6 +255,13 @@ def test_stream_parse_rejects_bad_input():
         parse_stream("PHSTREAM v1\n3 2 0\n1 2 tag\n1 3\n")
 
 
+@pytest.mark.parametrize("flag", ["7", "-1", "2"])
+def test_stream_parse_rejects_directed_flag_other_than_0_or_1(flag):
+    with pytest.raises(ValueError, match="directed flag"):
+        parse_stream(f"PHSTREAM v1\n2 1 {flag}\n1 2\n")
+    assert parse_stream("PHSTREAM v1\n2 1 1\n1 2\n").directed
+
+
 def test_canonical_order_and_shuffle():
     params = default_params(8, 2, k=2, p=1)
     g = gen_simple(
