@@ -88,9 +88,12 @@ def cmd_gen(args) -> int:
         "k": args.k,
         "p": args.p,
         "sigma": list(sigma),
-        "graph": g.to_dict(),
+        "graph": None,
     }
-    graph_bytes = (json.dumps(doc, sort_keys=True) + "\n").encode()
+    # the graph's text goes where json.dumps writes its value: "b", the one
+    # key that sorts before "graph", holds an int, so the first null is it
+    head, tail = json.dumps(doc, sort_keys=True).split("null", 1)
+    graph_bytes = (head + g.to_json() + tail + "\n").encode()
     stream_bytes = dump_stream(stream).encode()
     out = _resolve_out(args)
     outputs = {}
@@ -115,8 +118,10 @@ def cmd_gen(args) -> int:
 
 
 def _verify_permgraph(doc: dict) -> list[str]:
+    """Check a permgraph document; its "graph" entry is consumed, so that the
+    parsed edge lists are freed before the matching runs."""
     problems = []
-    g = LayeredGraph.from_dict(doc["graph"])
+    g = LayeredGraph.from_dict(doc.pop("graph"))
     m = doc["m"]
     sigma = tuple(doc["sigma"])
     try:
@@ -152,6 +157,7 @@ def _verify_file(path: str) -> list[str]:
     if stripped.startswith("{"):
         doc = json.loads(text)
         if doc.get("kind") == "permgraph":
+            del text, stripped  # free the file text before the matching runs
             return _verify_permgraph(doc)
         if doc.get("schema", "").startswith("multi-hph"):
             inst = parse_instance(text)
@@ -204,7 +210,13 @@ def _kv_args(tokens: list[str]) -> dict[str, str]:
     return out
 
 
+def _check_trials(trials: int, least: int) -> None:
+    if trials < least:
+        raise ValueError(f"trials must be at least {least}, got {trials}")
+
+
 def _analyze_decay(seed, b, g, trials):
+    _check_trials(trials, 0)
     rng = rng_for(seed, "analyze/decay")
     rows = []
     for eps in (0.25, 1 / 9, 1 / 16):
@@ -224,6 +236,7 @@ def _analyze_decay(seed, b, g, trials):
 
 
 def _analyze_fourier(seed, b, trials):
+    _check_trials(trials, 1)
     rng = rng_for(seed, "analyze/fourier")
     irr = dists.build_irreps(b)
     dims = [ir.dim for ir in irr.irreps]
@@ -246,6 +259,7 @@ def _analyze_fourier(seed, b, trials):
 
 
 def _analyze_pinsker(seed, b, trials):
+    _check_trials(trials, 1)
     rng = rng_for(seed, "analyze/pinsker")
     rows = []
     holds = 0

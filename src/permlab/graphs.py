@@ -103,25 +103,80 @@ class LayeredGraph:
                 raise ValueError(f"edge layer {el} out of range")
             raise ValueError(f"edge ({el},{eu},{ev}) leaves its layers")
 
-    def to_dict(self) -> dict:
-        """The JSON payload: layers, edges as lists, and tags unless every
-        edge is tagged "fixed"."""
-        payload: dict = {"layers": self.layers, "edges": self.edges.tolist()}
-        used = np.flatnonzero(np.bincount(self.tag_ids)).tolist()
-        if any(self.tag_names[i] != "fixed" for i in used):
-            payload["tags"] = self.tags
-        return payload
-
     @classmethod
     def from_dict(cls, d: dict) -> "LayeredGraph":
         return cls(d["layers"], d["edges"], d.get("tags", ()))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """The JSON payload, as json.dumps(payload, sort_keys=True) would write
+        it: layers, edges as [layer, u, v] lists, and one tag per edge unless
+        every edge is tagged "fixed". Formatted straight from the columns."""
+        edges = _format_rows((b"[", b", ", b", ", b"], "), list(self.edges.T))[:-2]
+        parts = [b'{"edges": [', edges, b'], "layers": ', json.dumps(self.layers).encode()]
+        used = np.flatnonzero(np.bincount(self.tag_ids)).tolist()
+        if any(self.tag_names[i] != "fixed" for i in used):
+            table = [json.dumps(name).encode() for name in self.tag_names]
+            tags = _format_rows((b"", b", "), [], self.tag_ids, table)[:-2]
+            parts += [b', "tags": [', tags, b"]"]
+        return b"".join([*parts, b"}"]).decode()
 
     @classmethod
     def from_json(cls, text: str) -> "LayeredGraph":
         return cls.from_dict(json.loads(text))
+
+
+_CHUNK = 1 << 16  # rows formatted at once, which bounds the temporaries
+
+
+def _decimal(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An int32 column's values as right-aligned ASCII digits, after a sign
+    column when any is negative, with the mask of the characters str(int)
+    would print."""
+    v = col.astype(np.int64)
+    a = np.abs(v).astype(np.uint32)  # every int32 magnitude fits, 2**31 too
+    width = len(str(int(a.max())))
+    chars = np.empty((len(a), width), dtype=np.uint8)
+    rest = a
+    for j in range(width - 1, -1, -1):  # units first; // by a scalar is the fast path
+        high = rest // 10
+        chars[:, j] = rest - 10 * high
+        rest = high
+    chars += ord("0")
+    keep = a[:, None] >= 10 ** np.arange(width - 1, -1, -1, dtype=np.uint32)  # from the leading digit on
+    keep[:, -1] = True  # zero prints as "0"
+    if (v < 0).any():
+        chars = np.concatenate([np.full((len(v), 1), ord("-"), np.uint8), chars], axis=1)
+        keep = np.concatenate([(v < 0)[:, None], keep], axis=1)
+    return chars, keep
+
+
+def _format_rows(seps: Sequence[bytes], cols: Sequence[np.ndarray],
+                 ids: np.ndarray | None = None, table: Sequence[bytes] = ()) -> bytes:
+    """Rows seps[0] f0 seps[1] f1 ... seps[-1], concatenated. The fields are
+    the int columns, each value as str(int) prints it, then, when ids is
+    given, table[ids[row]]."""
+    n = len(cols[0]) if cols else len(ids)
+    if ids is not None:
+        lens = np.array([len(t) for t in table], dtype=np.int64)
+        names = np.zeros((len(table), int(lens.max(initial=0))), dtype=np.uint8)
+        for row, name in zip(names, table):
+            row[:len(name)] = np.frombuffer(name, dtype=np.uint8)
+    out = []
+    for lo in range(0, n, _CHUNK):
+        fields = [_decimal(col[lo:lo + _CHUNK]) for col in cols]
+        if ids is not None:
+            part = ids[lo:lo + _CHUNK]
+            fields.append((names[part], np.arange(names.shape[1]) < lens[part][:, None]))
+        k = min(_CHUNK, n - lo)
+        pieces = []
+        for sep, field in zip(seps, [*fields, None]):
+            sep_chars = np.broadcast_to(np.frombuffer(sep, dtype=np.uint8), (k, len(sep)))
+            pieces.append((sep_chars, np.ones((k, len(sep)), dtype=bool)))
+            if field is not None:
+                pieces.append(field)
+        chars, keep = zip(*pieces)
+        out.append(np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)].tobytes())
+    return b"".join(out)
 
 
 def basic(sigma: Perm, tag: str = "fixed") -> LayeredGraph:

@@ -17,32 +17,78 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
-from .graphs import LayeredGraph
+from .graphs import LayeredGraph, _format_rows
 from .matching import BipartiteInstance, max_matching
 
 MAGIC = "PHSTREAM v1"
 
 
-@dataclass
 class EdgeStream:
-    n: int
-    directed: bool
-    edges: list[tuple[int, int]]       # one-indexed vertex ids
-    tags: list[str] | None = None      # provenance, parallel to edges
+    """n vertices and an ordered edge list, held as columns: edge e runs from
+    us[e] to vs[e] (int32 one-indexed vertex ids, so n must fit in int32) and,
+    in a tagged stream, carries provenance tag_names[tag_ids[e]]."""
 
-    def __post_init__(self):
-        if self.tags is not None and len(self.tags) != len(self.edges):
-            raise ValueError("tags must parallel edges")
-        for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u},{v}) outside [1,{self.n}]")
+    def __init__(self, n: int, directed: bool, edges: Iterable[tuple[int, int]],
+                 tags: Iterable[str] | None = None):
+        rows = list(edges)
+        if set(map(len, rows)) - {2}:
+            raise ValueError("every edge must be a (u, v) pair")
+        ids = np.frombuffer(array("q", chain.from_iterable(rows)), dtype=np.int64).reshape(-1, 2)
+        tag_ids, names = None, ()
+        if tags is not None:
+            tags = list(tags)
+            if len(tags) != len(rows):
+                raise ValueError("tags must parallel edges")
+            index = {t: i for i, t in enumerate(dict.fromkeys(tags))}
+            tag_ids = np.fromiter(map(index.__getitem__, tags), dtype=np.uint32, count=len(tags))
+            names = tuple(index)
+        self._adopt(n, directed, ids[:, 0], ids[:, 1], tag_ids, names)
+
+    @classmethod
+    def from_columns(cls, n: int, directed: bool, us: np.ndarray, vs: np.ndarray,
+                     tag_ids: np.ndarray | None = None,
+                     tag_names: tuple[str, ...] = ()) -> "EdgeStream":
+        """Adopt integer id columns, and tag ids into tag_names for a tagged
+        stream, after the same bounds check as the list constructor."""
+        stream = cls.__new__(cls)
+        stream._adopt(n, directed, us, vs, tag_ids, tag_names)
+        return stream
+
+    def _adopt(self, n, directed, us, vs, tag_ids, tag_names) -> None:
+        """Raise ValueError naming the first edge, in edge order, with an
+        endpoint outside [1, n]; otherwise keep the columns."""
+        bad = (us < 1) | (us > n) | (vs < 1) | (vs > n)
+        if bad.any():
+            first = int(bad.argmax())
+            raise ValueError(f"edge ({us[first]},{vs[first]}) outside [1,{n}]")
+        if n > np.iinfo(np.int32).max:
+            raise ValueError(f"n={n} does not fit in int32 vertex ids")
+        self.n, self.directed = n, directed
+        self.us, self.vs = us.astype(np.int32), vs.astype(np.int32)
+        self.tag_ids, self.tag_names = tag_ids, tuple(tag_names)
+
+    @cached_property
+    def edges(self) -> list[tuple[int, int]]:
+        """The (u, v) pairs in stream order, built once from the columns."""
+        return list(zip(self.us.tolist(), self.vs.tolist()))
+
+    @cached_property
+    def tags(self) -> list[str] | None:
+        """One tag name per edge in stream order, or None for an untagged stream."""
+        if self.tag_ids is None:
+            return None
+        return list(map(self.tag_names.__getitem__, self.tag_ids.tolist()))
 
     def __len__(self):
-        return len(self.edges)
+        return len(self.us)
 
 
 def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStream:
@@ -58,19 +104,19 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
         shuffled = list(range(len(order)))
         random.Random(shuffle_seed).shuffle(shuffled)
         order = order[np.fromiter(shuffled, dtype=np.intp, count=len(shuffled))]
-    edges = list(zip(gu[order].tolist(), gv[order].tolist()))
-    tags = list(map(names.__getitem__, g.tag_ids[order].tolist()))
-    return EdgeStream(g.vertex_count, True, edges, tags)
+    return EdgeStream.from_columns(g.vertex_count, True, gu[order], gv[order],
+                                   g.tag_ids[order], names)
 
 
 def dump_stream(stream: EdgeStream) -> str:
-    lines = [MAGIC, f"{stream.n} {len(stream.edges)} {1 if stream.directed else 0}"]
-    for i, (u, v) in enumerate(stream.edges):
-        if stream.tags is not None:
-            lines.append(f"{u} {v} {stream.tags[i]}")
-        else:
-            lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+    head = f"{MAGIC}\n{stream.n} {len(stream)} {1 if stream.directed else 0}\n"
+    if stream.tag_ids is None:
+        body = _format_rows((b"", b" ", b"\n"), [stream.us, stream.vs])
+    else:
+        table = [name.encode() for name in stream.tag_names]
+        body = _format_rows((b"", b" ", b" ", b"\n"), [stream.us, stream.vs],
+                            stream.tag_ids, table)
+    return head + body.decode()
 
 
 def parse_stream(text: str) -> EdgeStream:
@@ -86,8 +132,8 @@ def parse_stream(text: str) -> EdgeStream:
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != count:
         raise ValueError(f"expected {count} edges, found {len(body)}")
-    edges = []
-    tags: list[str] = []
+    us, vs, tag_ids = array("q"), array("q"), array("I")
+    index: dict[str, int] = {}  # tag name -> tag id
     tagged = None
     for ln in body:
         parts = ln.split()
@@ -101,10 +147,14 @@ def parse_stream(text: str) -> EdgeStream:
             tagged = now
         elif tagged != now:
             raise ValueError("mixed tagged and untagged edge lines")
-        edges.append((int(parts[0]), int(parts[1])))
+        us.append(int(parts[0]))
+        vs.append(int(parts[1]))
         if now:
-            tags.append(parts[2])
-    return EdgeStream(n, directed == 1, edges, tags if tagged else None)
+            tag_ids.append(index.setdefault(parts[2], len(index)))
+    return EdgeStream.from_columns(
+        n, directed == 1, np.asarray(us), np.asarray(vs),
+        np.asarray(tag_ids) if tagged else None, tuple(index),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -217,11 +217,15 @@ def test_usage_errors_exit_2():
         ["analyze", "advantage", "m=0", "b=2"],
         ["analyze", "decay", "b=3", "trails=5"],
         ["analyze", "depth", "m=16", "--trials", "5"],
+        ["analyze", "pinsker", "trials=0"],
+        ["analyze", "fourier", "--trials", "0"],
+        ["analyze", "decay", "trials=-1"],
     ],
     ids=["gen-b-not-dividing-m", "gen-p-zero", "gen-sigma-wrong-length",
          "analyze-not-key-value", "analyze-b-one", "gen-over-vertex-cap",
          "analyze-over-vertex-cap", "gen-m-zero", "analyze-advantage-m-zero",
-         "analyze-unknown-setting", "analyze-depth-trials"],
+         "analyze-unknown-setting", "analyze-depth-trials", "analyze-pinsker-no-trials",
+         "analyze-fourier-no-trials", "analyze-decay-negative-trials"],
 )
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     if argv[0] == "gen":

@@ -2,9 +2,10 @@
 
 Each reference below is the tuple-and-list version of the same routine: edges
 as (layer, u, v) tuples, one tag string per edge. The columnar code must give
-identical edges, tags, orders, adjacency lists and errors, including on
-edges out of layer order, empty edge sets, tag tables with unused names and
-more than ten players (string order puts "player:10" before "player:2").
+identical edges, tags, orders, adjacency lists, artifact text and errors,
+including on edges out of layer order, empty edge sets, tag tables with unused
+names and more than ten players (string order puts "player:10" before
+"player:2").
 """
 
 import json
@@ -13,18 +14,20 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permlab.graphs import (
+    _CHUNK,
     ExtractionError,
     GroupLayeredGraph,
     LayeredGraph,
+    _format_rows,
     basic,
     concat_all,
     extract_permutation,
 )
 from permlab.matching import BipartiteInstance, bipartite_of, max_matching
-from permlab.streams import graph_to_stream
+from permlab.streams import MAGIC, EdgeStream, dump_stream, graph_to_stream, parse_stream
 
 TAGS = ("fixed", "referee", *(f"player:{i}" for i in range(1, 13)))
 
@@ -74,6 +77,33 @@ def ref_stream(layers, edges, tags, shuffle_seed):
         out_edges = [out_edges[i] for i in order]
         out_tags = [out_tags[i] for i in order]
     return out_edges, out_tags
+
+
+def ref_to_dict(g):
+    """The JSON payload as Python lists: layers, edges, and tags unless every
+    edge is tagged "fixed"."""
+    payload = {"layers": g.layers, "edges": g.edges.tolist()}
+    used = np.flatnonzero(np.bincount(g.tag_ids)).tolist()
+    if any(g.tag_names[i] != "fixed" for i in used):
+        payload["tags"] = g.tags
+    return payload
+
+
+def ref_dump_stream(stream):
+    lines = [MAGIC, f"{stream.n} {len(stream.edges)} {1 if stream.directed else 0}"]
+    for i, (u, v) in enumerate(stream.edges):
+        if stream.tags is not None:
+            lines.append(f"{u} {v} {stream.tags[i]}")
+        else:
+            lines.append(f"{u} {v}")
+    return "\n".join(lines) + "\n"
+
+
+def ref_stream_error(n, edges):
+    for u, v in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            return f"edge ({u},{v}) outside [1,{n}]"
+    return None
 
 
 def ref_bipartite_adj(layers, edges, m):
@@ -186,13 +216,14 @@ def test_expand_matches_reference(w, d, b, data, tag):
     assert listed(gg.expand(tag=tag)) == ref_expand(gg, tag)
 
 
-@settings(deadline=None, max_examples=30)
-@given(graphs(), st.one_of(st.none(), st.integers(0, 2**32)))
+@settings(deadline=None, max_examples=40)
+@given(graphs(), st.one_of(st.sampled_from([None, 0, 3]), st.integers(0, 2**32)))
 def test_stream_order_matches_reference(g, shuffle_seed):
     stream = graph_to_stream(g, shuffle_seed=shuffle_seed)
     layers, edges, tags = listed(g)
     assert (stream.edges, stream.tags) == ref_stream(layers, edges, tags, shuffle_seed)
     assert all(type(x) is int for e in stream.edges for x in e)
+    assert stream.us.dtype == stream.vs.dtype == np.int32
 
 
 def test_stream_orders_tags_as_strings():
@@ -288,11 +319,11 @@ def test_to_dict_ignores_unused_tag_names():
         [2, 2], np.array([[1, 1, 2], [1, 2, 1]], dtype=np.int32),
         np.zeros(2, dtype=np.uint16), ("fixed", "player:3"),
     )
-    doc = g.to_dict()
+    doc = ref_to_dict(g)
     assert doc == {"layers": [2, 2], "edges": [[1, 1, 2], [1, 2, 1]]}
-    json.dumps(doc)
+    assert g.to_json() == json.dumps(doc, sort_keys=True)
     tagged = LayeredGraph.from_dict({**doc, "tags": ["fixed", "referee"]})
-    assert tagged.to_dict()["tags"] == ["fixed", "referee"]
+    assert json.loads(tagged.to_json())["tags"] == ["fixed", "referee"]
 
 
 @pytest.mark.parametrize("edges, error", [
@@ -305,3 +336,107 @@ def test_to_dict_ignores_unused_tag_names():
 def test_from_dict_rejects_malformed_edges(edges, error):
     with pytest.raises(error):
         LayeredGraph.from_dict({"layers": [2, 2], "edges": edges})
+
+
+# ---------------------------------------------------------------------------
+# artifact writers
+
+INT32 = st.integers(-2**31, 2**31 - 1)
+EXTREMES = [0, 1, -1, 2**31 - 1, -2**31, *(s * 10**k + d for k in range(1, 10)
+                                          for s in (1, -1) for d in (-1, 0, 1))]
+WORDS = ("fixed", "referee", "player:10", "jugador:ñ", "игрок:2", "玩家:3")  # no whitespace
+
+
+def test_format_rows_prints_int32_as_str():
+    col = np.array(EXTREMES, dtype=np.int32)
+    assert _format_rows((b"<", b">\n"), [col]).decode() == "".join(f"<{v}>\n" for v in EXTREMES)
+    assert _format_rows((b"", b""), [np.zeros(3, dtype=np.int32)]) == b"000"
+    assert _format_rows((b"", b" ", b""), [col[:0]], col[:0], [b"x"]) == b""
+
+
+@st.composite
+def raw_graphs(draw):
+    """Any int32 edge rows (possibly none), any layer sizes, and tag tables
+    with unused and non-ASCII names."""
+    edges = draw(st.lists(st.tuples(INT32, INT32, INT32), max_size=12))
+    names = tuple(draw(st.lists(st.sampled_from(WORDS) | st.text(max_size=4),
+                                min_size=1, max_size=4, unique=True)))
+    ids = draw(st.lists(st.integers(0, len(names) - 1), min_size=len(edges), max_size=len(edges)))
+    return LayeredGraph.from_columns(
+        draw(st.lists(st.integers(1, 2**40), min_size=1, max_size=4)),
+        np.array(edges, dtype=np.int32).reshape(-1, 3),
+        np.array(ids, dtype=np.uint16),
+        names,
+    )
+
+
+@settings(deadline=None, max_examples=80)
+@given(raw_graphs())
+@example(LayeredGraph.from_columns(
+    [3], np.array(EXTREMES[:3 * (len(EXTREMES) // 3)], dtype=np.int32).reshape(-1, 3),
+    np.zeros(len(EXTREMES) // 3, dtype=np.uint16), ("fixed", "unused")))
+@example(LayeredGraph([2], [], []))
+def test_to_json_matches_reference(g):
+    assert g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True)
+
+
+def test_writers_match_reference_across_chunks():
+    rng = np.random.default_rng(0)
+    rows = _CHUNK + 7
+    edges = rng.integers(-2**31, 2**31, size=(rows, 3), dtype=np.int64).astype(np.int32)
+    edges[:, 0] = rng.integers(1, 10**rng.integers(1, 10, rows))  # varying widths per chunk
+    g = LayeredGraph.from_columns([4, 4], edges, rng.integers(0, 3, rows).astype(np.uint16),
+                                  ("fixed", "referee", "jugador:ñ"))
+    assert g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True)
+    n = 2**31 - 1
+    us, vs = (rng.integers(1, n, rows, endpoint=True) for _ in range(2))
+    stream = EdgeStream.from_columns(n, True, us, vs, g.tag_ids, g.tag_names)
+    assert dump_stream(stream) == ref_dump_stream(stream)
+
+
+@st.composite
+def streams(draw):
+    n = draw(st.integers(1, 2**31 - 1))
+    edges = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12))
+    tag = st.sampled_from(WORDS)
+    tags = draw(st.none() | st.lists(tag, min_size=len(edges), max_size=len(edges)))
+    return EdgeStream(n, draw(st.booleans()), edges, tags)
+
+
+@settings(deadline=None, max_examples=60)
+@given(streams())
+@example(EdgeStream(3, False, [], None))
+@example(EdgeStream(3, True, [], []))
+def test_stream_text_matches_reference_and_round_trips(stream):
+    text = dump_stream(stream)
+    assert text == ref_dump_stream(stream)
+    back = parse_stream(text)
+    # the text of an empty stream does not say whether it was tagged
+    assert (back.n, back.directed, back.edges, back.tags) == (
+        stream.n, stream.directed, stream.edges, stream.tags if len(stream) else None)
+    assert back.us.dtype == back.vs.dtype == np.int32
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 10), st.lists(st.tuples(INT32, INT32), max_size=8))
+def test_stream_bounds_error_names_first_bad_edge(n, edges):
+    want = ref_stream_error(n, edges)
+    if want is None:
+        assert EdgeStream(n, False, edges).edges == edges
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            EdgeStream(n, False, edges)
+        lines = "".join(f"{u} {v}\n" for u, v in edges)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            parse_stream(f"{MAGIC}\n{n} {len(edges)} 0\n{lines}")
+
+
+def test_stream_constructor_errors():
+    with pytest.raises(ValueError, match=r"^edge \(5,1\) outside \[1,4\]$"):
+        EdgeStream(4, False, [(1, 2), (5, 1), (0, 3)], ["a", "b", "c"])
+    with pytest.raises(ValueError, match="tags must parallel edges"):
+        EdgeStream(4, False, [(1, 2), (5, 1)], ["a"])
+    with pytest.raises(ValueError, match="pair"):
+        EdgeStream(4, False, [(1, 2, 3), (1,)])
+    with pytest.raises(ValueError, match="int32"):
+        EdgeStream(2**31, False, [])
