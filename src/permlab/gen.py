@@ -162,12 +162,30 @@ def _count_general(m: int, b: int, k: int, p: int) -> int:
     return len(plan) * _count_simple(m, b, k, p) + 4 * m * sum(part != lex for part in plan)
 
 
+def _count_floor(m: int, k: int, p: int) -> int:
+    """A lower bound on both counts that builds no sorting network. Every
+    layer plan has a piece, so _count_general >= _count_simple, and the
+    bound's recursion is linear in m: m * c_p with c_1 = 2(6k + 1) and
+    c_p = 4k + (4k + 1) c_(p-1). It stops growing once it passes the cap."""
+    c = 2 * (6 * k + 1)
+    for _ in range(p - 1):
+        if m * c > MAX_VERTICES:
+            break
+        c = 4 * k + (4 * k + 1) * c
+    return m * c
+
+
 def vertex_count(params: GenParams, general: bool) -> int:
     """Exact vertex count of any sample at these parameters.
 
     For general=False this is the count for a Lex-simple input; hiding over a
-    non-Lex partition adds 4m wrapper vertices on top.
+    non-Lex partition adds 4m wrapper vertices on top. Parameters whose count
+    is over MAX_VERTICES by _count_floor alone raise ValueError before the
+    layer plans, which build sorting networks at sizes up to m * 2^(p-1).
     """
+    floor = _count_floor(params.m, params.k, params.p)
+    if floor > MAX_VERTICES:
+        raise ValueError(f"sample would need at least {floor} vertices, cap is {MAX_VERTICES}")
     count = _count_general if general else _count_simple
     return count(params.m, params.b, params.k, params.p)
 

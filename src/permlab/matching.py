@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .gen import GenParams, gen_general, vertex_count
 from .graphs import LayeredGraph
 from .perms import Perm, identity
@@ -37,8 +39,18 @@ def sigma_cross(m: int) -> Perm:
 class BipartiteInstance:
     n: int                      # graph vertices copied to each side
     half: int                   # extra terminals per side (m/2)
-    adj: list[list[int]]        # left index -> right indices, 0-based
+    indptr: np.ndarray          # int64 CSR offsets: left l's right neighbours (0-based,
+    indices: np.ndarray         # in edge order) are indices[indptr[l]:indptr[l + 1]]
     canonical: Sequence[int]    # vertices v whose copy edge (v, v) seeds the matching
+
+    @classmethod
+    def from_edges(cls, n: int, half: int, left, right, canonical) -> "BipartiteInstance":
+        """Group the edges (left[e], right[e]) by left vertex, stably."""
+        left = np.asarray(left, dtype=np.int64)
+        indptr = np.zeros(n + half + 1, dtype=np.int64)
+        np.cumsum(np.bincount(left, minlength=n + half), out=indptr[1:])
+        indices = np.asarray(right, dtype=np.int64)[np.argsort(left, kind="stable")]
+        return cls(n, half, indptr, indices, canonical)
 
     @property
     def side(self) -> int:
@@ -46,7 +58,7 @@ class BipartiteInstance:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj)
+        return len(self.indices)
 
 
 def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
@@ -57,16 +69,12 @@ def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
         raise ValueError("boundary layers smaller than m/2")
     gu, gv = g.global_ids()
     n = g.vertex_count
-    adj: list[list[int]] = [[] for _ in range(n + half)]
-    for left, right in zip((gu - 1).tolist(), (gv - 1).tolist()):
-        adj[left].append(right)
-    for v in range(n):
-        adj[v].append(v)  # canonical copy edge
-    last_off = n - g.last_size()
-    for i in range(half):
-        adj[n + i].append(i)                 # terminal to source copy
-        adj[last_off + i].append(n + i)      # sink copy to terminal
-    return BipartiteInstance(n, half, adj, range(n))
+    copies, terminals = np.arange(n), np.arange(n, n + half)
+    sinks = np.arange(half) + n - g.last_size()
+    # graph edges, canonical copy edges, terminal to source copy, sink copy to terminal
+    left = np.concatenate([gu - 1, copies, terminals, sinks])
+    right = np.concatenate([gv - 1, copies, copies[:half], terminals])
+    return BipartiteInstance.from_edges(n, half, left, right, range(n))
 
 
 @dataclass
@@ -84,7 +92,7 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
     phase's search. Augmenting paths are walked with an explicit stack, so
     their length is bounded by memory, not by the recursion limit."""
     side = inst.side
-    adj = inst.adj
+    ptr, nbr = inst.indptr.tolist(), inst.indices.tolist()
     match_l = [-1] * side
     match_r = [-1] * side
     for v in inst.canonical:
@@ -104,7 +112,7 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
         found = False
         while q:
             l = q.popleft()
-            for r in adj[l]:
+            for r in nbr[ptr[l]:ptr[l + 1]]:
                 nxt = match_r[r]
                 if nxt == -1:
                     found = True
@@ -116,7 +124,7 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
     def augment(root: int) -> None:
         # explicit DFS stack: the path's left vertices, an iterator over the
         # untried edges of each, and the right vertex each path step uses
-        path, untried, via = [root], [iter(adj[root])], []
+        path, untried, via = [root], [iter(nbr[ptr[root]:ptr[root + 1]])], []
         while path:
             l = path[-1]
             for r in untried[-1]:
@@ -129,7 +137,7 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
                     return
                 if dist[nxt] == dist[l] + 1:
                     path.append(nxt)
-                    untried.append(iter(adj[nxt]))
+                    untried.append(iter(nbr[ptr[nxt]:ptr[nxt + 1]]))
                     via.append(r)
                     break
             else:
@@ -148,14 +156,13 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
 
     # Koenig cover from the final search, which found no augmenting path:
     # left vertices it did not reach stay in the cover, right neighbours of
-    # those it reached join it.
-    cover_left = [l for l in range(side) if dist[l] == INF]
-    in_cl = set(cover_left)
-    in_cr = {r for l in range(side) if dist[l] != INF for r in adj[l]}
-    cover_right = sorted(in_cr)
-    certified = len(cover_left) + len(cover_right) == size and all(
-        l in in_cl or r in in_cr for l in range(side) for r in adj[l]
-    )
+    # those it reached join it. Every edge must have an endpoint in it.
+    reached = np.array(dist) != INF
+    from_reached = np.repeat(reached, np.diff(inst.indptr))   # per edge, in indices order
+    in_cr = np.bincount(inst.indices[from_reached], minlength=side) > 0
+    cover_left, cover_right = np.flatnonzero(~reached).tolist(), np.flatnonzero(in_cr).tolist()
+    covered = (~from_reached | in_cr[inst.indices]).all()
+    certified = len(cover_left) + len(cover_right) == size and bool(covered)
     return MatchingResult(size, match_l, cover_left, cover_right, certified)
 
 
@@ -214,8 +221,5 @@ def instance_to_stream(inst: BipartiteInstance):
     from .streams import EdgeStream
 
     side = inst.side
-    edges = []
-    for l in range(side):
-        for r in inst.adj[l]:
-            edges.append((l + 1, side + r + 1))
-    return EdgeStream(n=2 * side, directed=False, edges=edges, tags=None)
+    lefts = np.repeat(np.arange(1, side + 1), np.diff(inst.indptr))
+    return EdgeStream.from_columns(2 * side, False, lefts, side + inst.indices + 1)

@@ -109,10 +109,15 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
 
 
 def dump_stream(stream: EdgeStream) -> str:
+    """The stream as text. Raises ValueError for a tag that parse_stream
+    could not read back as one field: empty, or holding whitespace."""
     head = f"{MAGIC}\n{stream.n} {len(stream)} {1 if stream.directed else 0}\n"
     if stream.tag_ids is None:
         body = _format_rows((b"", b" ", b"\n"), [stream.us, stream.vs])
     else:
+        for i in np.flatnonzero(np.bincount(stream.tag_ids)).tolist():
+            if stream.tag_names[i].split() != [stream.tag_names[i]]:
+                raise ValueError(f"tag {stream.tag_names[i]!r} is empty or holds whitespace")
         table = [name.encode() for name in stream.tag_names]
         body = _format_rows((b"", b" ", b" ", b"\n"), [stream.us, stream.vs],
                             stream.tag_ids, table)
@@ -389,16 +394,11 @@ class FullMemory(StreamAlgorithm):
         return state
 
     def finalize(self, state, rand):
-        # number each side's endpoints in order of first appearance: the
-        # matching size does not depend on the numbering, and isolated
-        # vertices, which no edge names, cannot change it
-        edges = state["edges"]
-        left = {u: i for i, u in enumerate(dict.fromkeys(u for u, _ in edges))}
-        right = {v: i for i, v in enumerate(dict.fromkeys(v for _, v in edges))}
-        adj = [[] for _ in range(max(len(left), len(right)))]
-        for u, v in edges:
-            adj[left[u]].append(right[v])
-        inst = BipartiteInstance(n=len(adj), half=0, adj=adj, canonical=[])
+        # number the endpoints in value order: the matching size depends on
+        # neither the numbering nor the isolated vertices it adds to each side
+        ids, ends = np.unique(np.array(state["edges"], dtype=np.int64), return_inverse=True)
+        ends = ends.reshape(-1, 2)
+        inst = BipartiteInstance.from_edges(len(ids), 0, ends[:, 0], ends[:, 1], [])
         return max_matching(inst).size
 
     def serialize(self, state) -> bytes:
@@ -469,7 +469,8 @@ def partitioned_replay(
     """Replay the stream as a communication protocol: whenever provenance
     changes, the current party hands the state to the next, and the handoff
     is charged to the sender at state_bits // 8 bytes (checked against
-    serialize at each pass end). With fake_stream set, passes
+    serialize at each pass end). A charge over the algorithm's s_bits raises
+    StreamBudgetError. With fake_stream set, passes
     1..p-1 replay it instead of the real stream (the real referee input is
     only consumed on the final pass)."""
     if stream.tags is None:
@@ -480,6 +481,7 @@ def partitioned_replay(
     state = alg.init()
     bytes_per: dict[str, int] = {}
     handoffs = 0
+    budget = math.inf if alg.s_bits is None else alg.s_bits
     for pass_index in range(1, p + 1):
         src = stream if (fake_stream is None or pass_index == p) else fake_stream
         state = alg.start_pass(state, pass_index)
@@ -488,13 +490,20 @@ def partitioned_replay(
             now = _party_of(tag)
             if now != party:
                 if party is not None:
-                    bytes_per[party] = bytes_per.get(party, 0) + alg.state_bits(state) // 8
+                    bits = alg.state_bits(state)
+                    if bits > budget:
+                        raise StreamBudgetError(f"state is {bits} bits at {party}'s handoff in "
+                                                f"pass {pass_index} of the replay, budget is {budget}")
+                    bytes_per[party] = bytes_per.get(party, 0) + bits // 8
                 if now.startswith("player:"):
                     handoffs += 1
                 party = now
             state = alg.update(state, edge, rand)
         if party is not None:
             bits = alg.state_bits(state)
+            if bits > budget:
+                raise StreamBudgetError(f"state is {bits} bits at the end of pass {pass_index} "
+                                        f"of the replay, budget is {budget}")
             _check_state_bits(alg, state, bits, f"pass {pass_index} of the replay")
             bytes_per[party] = bytes_per.get(party, 0) + bits // 8
     return ReplayReport(bytes_per, handoffs, p, alg.finalize(state, rand))

@@ -15,7 +15,6 @@ from permlab.gen import default_params, gen_general, gen_simple, vertex_count
 from permlab.graphs import extract_permutation
 from permlab.hph import sample_instance, referee_answer, zero_info_guess
 from permlab.matching import (
-    BipartiteInstance,
     bipartite_of,
     dichotomy_check,
     instance_to_stream,
@@ -41,6 +40,7 @@ from permlab.streams import (
     greedy_matching_baseline,
     run_passes,
 )
+from test_columnar import instance_of
 
 SEED = 20260822
 
@@ -280,7 +280,7 @@ def test_c11_harness_sanity():
             sorted(rng.sample(range(side), rng.randrange(0, side + 1)))
             for _ in range(side)
         ]
-        inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
+        inst = instance_of(adj)
         opt = max_matching(inst).size
         got = len(run_passes(greedy_matching_baseline(), instance_to_stream(inst), 1).output)
         assert 2 * got >= opt

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -220,12 +221,17 @@ def test_usage_errors_exit_2():
         ["analyze", "pinsker", "trials=0"],
         ["analyze", "fourier", "--trials", "0"],
         ["analyze", "decay", "trials=-1"],
+        ["gen", "cross", "--m", "8", "--b", "2", "--p", "40"],
+        ["gen", "cross", "--m", "1000000", "--b", "2"],
+        ["analyze", "advantage", "m=4", "b=2", "p=40"],
     ],
     ids=["gen-b-not-dividing-m", "gen-p-zero", "gen-sigma-wrong-length",
          "analyze-not-key-value", "analyze-b-one", "gen-over-vertex-cap",
          "analyze-over-vertex-cap", "gen-m-zero", "analyze-advantage-m-zero",
          "analyze-unknown-setting", "analyze-depth-trials", "analyze-pinsker-no-trials",
-         "analyze-fourier-no-trials", "analyze-decay-negative-trials"],
+         "analyze-fourier-no-trials", "analyze-decay-negative-trials",
+         "gen-p-far-over-vertex-cap", "gen-m-far-over-vertex-cap",
+         "analyze-advantage-p-far-over-vertex-cap"],
 )
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     if argv[0] == "gen":
@@ -282,3 +288,20 @@ def test_verify_reports_wrongly_typed_field(tmp_path, capsys, field, value):
     assert code == 1
     (problem,) = json.loads(out)["violations"][str(path)]
     assert problem.startswith("unreadable:")
+
+
+def test_verify_refuses_params_far_over_the_cap(tmp_path, capsys):
+    # the exact count at p=40 would need sorting networks on m * 2^39 wires;
+    # the network-free floor refuses it first
+    code, _ = run(["gen", "cross", "--m", "4", "--b", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "graph.json").read_text())
+    doc["p"] = 40
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code, out = run(["verify", str(path)], capsys)
+    assert time.monotonic() - start < 5
+    assert code == 1
+    (problem,) = json.loads(out)["violations"][str(path)]
+    assert problem.startswith("unreadable: sample would need at least ")

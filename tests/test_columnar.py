@@ -11,6 +11,7 @@ names and more than ten players (string order puts "player:10" before
 import json
 import random
 import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from permlab.graphs import (
     concat_all,
     extract_permutation,
 )
-from permlab.matching import BipartiteInstance, bipartite_of, max_matching
+from permlab.matching import BipartiteInstance, bipartite_of, instance_to_stream, max_matching
 from permlab.streams import MAGIC, EdgeStream, dump_stream, graph_to_stream, parse_stream
 
 TAGS = ("fixed", "referee", *(f"player:{i}" for i in range(1, 13)))
@@ -121,6 +122,98 @@ def ref_bipartite_adj(layers, edges, m):
         adj[n + i].append(i)
         adj[offsets[-1] + i].append(n + i)
     return adj
+
+
+def instance_of(adj, half=0, canonical=()):
+    """The BipartiteInstance with these per-left-vertex adjacency lists, the
+    last half of them terminals."""
+    left = [l for l, row in enumerate(adj) for _ in row]
+    right = [r for row in adj for r in row]
+    return BipartiteInstance.from_edges(len(adj) - half, half, left, right, canonical)
+
+
+def adjacency(inst):
+    """The instance's CSR columns as one list of right vertices per left vertex."""
+    return [inst.indices[a:b].tolist() for a, b in zip(inst.indptr[:-1], inst.indptr[1:])]
+
+
+def ref_instance_to_stream(side, adj):
+    edges = []
+    for l in range(side):
+        for r in adj[l]:
+            edges.append((l + 1, side + r + 1))
+    return EdgeStream(n=2 * side, directed=False, edges=edges, tags=None)
+
+
+def ref_max_matching(side, adj, canonical):
+    """Hopcroft-Karp over adjacency lists with the Koenig cover certificate
+    checked edge by edge: (size, match_left, cover_left, cover_right, certified)."""
+    match_l = [-1] * side
+    match_r = [-1] * side
+    for v in canonical:
+        match_l[v] = v
+        match_r[v] = v
+    INF = side + 1
+    dist = [INF] * side
+
+    def bfs() -> bool:
+        q = deque()
+        for l in range(side):
+            if match_l[l] == -1:
+                dist[l] = 0
+                q.append(l)
+            else:
+                dist[l] = INF
+        found = False
+        while q:
+            l = q.popleft()
+            for r in adj[l]:
+                nxt = match_r[r]
+                if nxt == -1:
+                    found = True
+                elif dist[nxt] == INF:
+                    dist[nxt] = dist[l] + 1
+                    q.append(nxt)
+        return found
+
+    def augment(root: int) -> None:
+        path, untried, via = [root], [iter(adj[root])], []
+        while path:
+            l = path[-1]
+            for r in untried[-1]:
+                nxt = match_r[r]
+                if nxt == -1:
+                    via.append(r)
+                    for l, r in zip(path, via):
+                        match_l[l] = r
+                        match_r[r] = l
+                    return
+                if dist[nxt] == dist[l] + 1:
+                    path.append(nxt)
+                    untried.append(iter(adj[nxt]))
+                    via.append(r)
+                    break
+            else:
+                dist[l] = INF
+                path.pop()
+                untried.pop()
+                if via:
+                    via.pop()
+
+    while bfs():
+        for l in range(side):
+            if match_l[l] == -1:
+                augment(l)
+
+    size = side - match_l.count(-1)
+    cover_left = [l for l in range(side) if dist[l] == INF]
+    in_cl = set(cover_left)
+    in_cr = {r for l in range(side) if dist[l] != INF for r in adj[l]}
+    cover_right = sorted(in_cr)
+    certified = len(cover_left) + len(cover_right) == size and all(
+        l in in_cl or r in in_cr for l in range(side) for r in adj[l]
+    )
+    return size, match_l, cover_left, cover_right, certified
 
 
 def ref_extract(layers, edges, m):
@@ -241,8 +334,9 @@ def test_stream_orders_tags_as_strings():
 def test_bipartite_of_matches_reference(g):
     inst = bipartite_of(g, 2)
     want = ref_bipartite_adj(g.layers, [tuple(e) for e in g.edges.tolist()], 2)
-    assert inst.adj == want
-    assert all(type(r) is int for row in inst.adj for r in row)
+    assert adjacency(inst) == want
+    assert inst.indptr.dtype == inst.indices.dtype == np.int64
+    assert len(inst.indptr) == inst.side + 1 and inst.edge_count == sum(map(len, want))
 
 
 @settings(deadline=None, max_examples=30)
@@ -253,9 +347,70 @@ def test_matching_identical_on_reordered_edges(mg):
     inst = bipartite_of(g, m)
     ref_adj = ref_bipartite_adj(g.layers, [tuple(e) for e in g.edges.tolist()], m)
     res = max_matching(inst)
-    ref = max_matching(BipartiteInstance(inst.n, inst.half, ref_adj, inst.canonical))
+    ref = max_matching(instance_of(ref_adj, inst.half, inst.canonical))
     assert (res.size, res.match_left, res.cover_left, res.cover_right) == (
         ref.size, ref.match_left, ref.cover_left, ref.cover_right)
+    assert (res.size, res.match_left, res.cover_left, res.cover_right, res.certified) == (
+        ref_max_matching(inst.side, ref_adj, inst.canonical))
+
+
+@st.composite
+def adjacency_lists(draw):
+    """(adj, half, canonical): n copied vertices plus half terminals per side,
+    rows that may be empty or leave right vertices unused, and canonical
+    vertices whose copy edge is somewhere in their row."""
+    n = draw(st.integers(0, 6))
+    half = draw(st.integers(0, 3))
+    side = n + half
+    adj = draw(st.lists(st.lists(st.integers(0, side - 1), unique=True, max_size=side),
+                        min_size=side, max_size=side)) if side else []
+    canonical = draw(st.lists(st.integers(0, n - 1), unique=True)) if n else []
+    for v in canonical:
+        if v not in adj[v]:
+            adj[v].insert(draw(st.integers(0, len(adj[v]))), v)
+    return adj, half, canonical
+
+
+@settings(deadline=None, max_examples=200)
+@given(adjacency_lists())
+@example(([], 0, []))                              # empty instance
+@example(([[], [], []], 1, []))                    # isolated vertices only
+@example(([[0, 1], [1], [0]], 1, [0, 1]))          # a terminal, two copy pairs
+def test_max_matching_matches_list_reference(case):
+    adj, half, canonical = case
+    inst = instance_of(adj, half, canonical)
+    assert adjacency(inst) == adj
+    res = max_matching(inst)
+    assert (res.size, res.match_left, res.cover_left, res.cover_right, res.certified) == (
+        ref_max_matching(inst.side, adj, canonical))
+    assert res.certified
+
+
+@settings(deadline=None, max_examples=60)
+@given(adjacency_lists())
+def test_instance_to_stream_matches_reference(case):
+    adj, half, canonical = case
+    inst = instance_of(adj, half, canonical)
+    stream, want = instance_to_stream(inst), ref_instance_to_stream(inst.side, adj)
+    assert (stream.n, stream.directed, stream.edges, stream.tags) == (
+        want.n, want.directed, want.edges, want.tags)
+
+
+@settings(deadline=None, max_examples=30)
+@given(permutation_graphs())
+def test_bipartite_stream_matches_reference(mg):
+    m, g = mg
+    m -= m % 2
+    stream = instance_to_stream(bipartite_of(g, m))
+    want = ref_bipartite_adj(g.layers, [tuple(e) for e in g.edges.tolist()], m)
+    assert stream.edges == ref_instance_to_stream(g.vertex_count + m // 2, want).edges
+
+
+def test_bipartite_stream_of_a_swap():
+    # per left vertex: graph edges, then the copy edge, then terminal edges
+    stream = instance_to_stream(bipartite_of(basic((2, 1)), 2))
+    assert stream.n == 10
+    assert stream.edges == [(1, 9), (1, 6), (2, 8), (2, 7), (3, 8), (3, 10), (4, 9), (5, 6)]
 
 
 def check_extract(g, m):
@@ -415,6 +570,22 @@ def test_stream_text_matches_reference_and_round_trips(stream):
     assert (back.n, back.directed, back.edges, back.tags) == (
         stream.n, stream.directed, stream.edges, stream.tags if len(stream) else None)
     assert back.us.dtype == back.vs.dtype == np.int32
+
+
+@pytest.mark.parametrize("tags", [["", ""], ["a", ""], ["a b", "c"], ["a", "b\nc"], ["\t", "a"]],
+                         ids=["all-empty", "one-empty", "space", "newline", "tab"])
+def test_dump_stream_rejects_tags_it_cannot_read_back(tags):
+    stream = EdgeStream(3, True, [(1, 2), (2, 3)], tags)
+    bad = next(t for t in tags if t.split() != [t])
+    with pytest.raises(ValueError, match=f"^tag {re.escape(repr(bad))} "):
+        dump_stream(stream)
+
+
+def test_dump_stream_ignores_unused_tag_names():
+    one = np.array([1, 2], dtype=np.int32)
+    stream = EdgeStream.from_columns(3, True, one, one + 1, np.zeros(2, dtype=np.uint32),
+                                     ("a", "b c", ""))
+    assert dump_stream(stream) == f"{MAGIC}\n3 2 1\n1 2 a\n2 3 a\n"
 
 
 @settings(deadline=None, max_examples=60)

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permlab.gen import (
+    MAX_VERTICES,
     GenParams,
+    _count_floor,
+    _count_general,
+    _count_simple,
     _layer_plan,
     _pieces,
     default_params,
@@ -104,6 +108,29 @@ def test_vertex_count_matches_built_graphs():
         assert g.vertex_count == vertex_count(params, general=False)
         gg = gen_general(random_perm(m, rng), params, rng)
         assert gg.vertex_count == vertex_count(params, general=True)
+
+
+def test_count_floor_is_a_lower_bound():
+    for m, b in [(2, 2), (4, 2), (6, 3), (8, 2), (8, 4), (12, 3), (16, 4), (16, 16)]:
+        for k in (1, 2, 3):
+            for p in (1, 2, 3):
+                floor = _count_floor(m, k, p)
+                if floor <= MAX_VERTICES:
+                    assert floor <= _count_simple(m, b, k, p) <= _count_general(m, b, k, p)
+                assert floor <= _count_floor(m, k, p + 1)
+    assert _count_floor(8, 2, 1) == vertex_count(default_params(8, 2, k=2, p=1), general=False)
+
+
+@pytest.mark.parametrize("m, b, k, p", [(8, 2, 2, 40), (8, 2, 2, 10**9), (10**6, 2, 2, 1),
+                                        (4, 2, 10**9, 1)])
+def test_vertex_count_refuses_without_networks(m, b, k, p, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("layer plan built")
+
+    monkeypatch.setattr("permlab.gen._layer_plan", refuse)
+    for general in (False, True):
+        with pytest.raises(ValueError, match=f"at least \\d+ vertices, cap is {MAX_VERTICES}"):
+            vertex_count(default_params(m, b, k=k, p=p), general=general)
 
 
 def test_nonlex_layer_adds_wrapper():

@@ -6,7 +6,6 @@ import pytest
 from permlab.gen import default_params, gen_general
 from permlab.graphs import basic
 from permlab.matching import (
-    BipartiteInstance,
     bipartite_of,
     dichotomy_check,
     max_matching,
@@ -14,12 +13,13 @@ from permlab.matching import (
     sigma_eq,
 )
 from permlab.perms import identity
+from test_columnar import adjacency, instance_of
 
 
 def brute_max_matching(inst):
     # exhaustive search over left-vertex assignments, fine for tiny instances
     best = 0
-    adj = inst.adj
+    adj = adjacency(inst)
 
     def go(i, used, count):
         nonlocal best
@@ -71,20 +71,14 @@ def test_hand_instance_cross():
 
 
 def test_k33_direct():
-    inst = BipartiteInstance(
-        n=3, half=0, adj=[[0, 1, 2], [0, 1, 2], [0, 1, 2]], canonical=[]
-    )
+    inst = instance_of([[0, 1, 2], [0, 1, 2], [0, 1, 2]])
     res = max_matching(inst)
     assert res.certified and res.size == 3
 
 
 def test_augmenting_needed():
     # greedy-style seeding can trap; HK must still reach the optimum
-    inst = BipartiteInstance(
-        n=4, half=0,
-        adj=[[0, 1], [0], [1, 2], [2, 3]],
-        canonical=[],
-    )
+    inst = instance_of([[0, 1], [0], [1, 2], [2, 3]])
     res = max_matching(inst)
     assert res.certified and res.size == 4
     assert res.size == brute_max_matching(inst)
@@ -98,7 +92,7 @@ def test_cover_certifies_random_instances():
             sorted(rng.sample(range(side), rng.randrange(0, side)))
             for _ in range(side)
         ]
-        inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
+        inst = instance_of(adj)
         res = max_matching(inst)
         assert res.certified
         assert res.size == brute_max_matching(inst)
@@ -135,7 +129,7 @@ def test_matching_is_valid_matching():
     assert len(rights) == len(set(rights))
     for u, v in enumerate(res.match_left):
         if v != -1:
-            assert v in inst.adj[u]
+            assert v in adjacency(inst)[u]
 
 
 def test_long_augmenting_path():
@@ -143,7 +137,7 @@ def test_long_augmenting_path():
     # left vertex n sees right 0, left i sees rights i and i + 1, right n is free
     n = 100_000
     adj = [[i, i + 1] for i in range(n)] + [[0]]
-    res = max_matching(BipartiteInstance(n=n, half=1, adj=adj, canonical=range(n)))
+    res = max_matching(instance_of(adj, half=1, canonical=range(n)))
     assert res.certified and res.size == n + 1
     assert res.match_left == [*range(1, n + 1), 0]
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from permlab.gen import default_params, gen_general, gen_simple, sample_simple, fake_simple_from_core
 from permlab.graphs import basic
-from permlab.matching import BipartiteInstance, bipartite_of, instance_to_stream, max_matching, sigma_eq
+from permlab.matching import bipartite_of, instance_to_stream, max_matching, sigma_eq
 from permlab.perms import identity, lex_partition, random_simple
 from permlab.streams import (
     AdvantageReport,
@@ -27,6 +27,7 @@ from permlab.streams import (
     partitioned_replay,
     run_passes,
 )
+from test_columnar import instance_of
 
 
 def test_counting_algorithm():
@@ -71,9 +72,7 @@ def test_greedy_at_least_half_of_optimum():
             sorted(rng.sample(range(side), rng.randrange(0, side + 1)))
             for _ in range(side)
         ]
-        from permlab.matching import BipartiteInstance
-
-        inst = BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
+        inst = instance_of(adj)
         opt = max_matching(inst).size
         stream = instance_to_stream(inst)
         greedy = len(run_passes(greedy_matching_baseline(), stream, 1).output)
@@ -104,6 +103,27 @@ def test_budget_violation_names_element():
     s = EdgeStream(2, False, [(1, 2)])
     with pytest.raises(StreamBudgetError, match=r"element 0 of pass 1"):
         run_passes(Hog(), s, 1)
+
+
+def test_replay_enforces_state_budget():
+    class Small(GreedyMatching):
+        s_bits = 8
+
+    handoff = EdgeStream(4, False, [(1, 2), (3, 4)], tags=["player:1", "referee"])
+    with pytest.raises(StreamBudgetError, match=r"^state is 64 bits at player:1's handoff in pass 1 "):
+        partitioned_replay(handoff, Small())
+    with pytest.raises(StreamBudgetError, match=r"element 0 of pass 1"):
+        run_passes(Small(), handoff, 1)
+    one_party = EdgeStream(4, False, [(1, 2), (3, 4)], tags=["referee", "referee"])
+    with pytest.raises(StreamBudgetError, match=r"^state is 128 bits at the end of pass 1 of the replay, budget is 8$"):
+        partitioned_replay(one_party, Small())
+
+    class Roomy(GreedyMatching):
+        s_bits = 8 * len(b"[[1, 2], [3, 4]]")
+
+    fits = partitioned_replay(handoff, Roomy())
+    assert fits == partitioned_replay(handoff, GreedyMatching())
+    assert fits.bytes_per_party == {"player:1": 8, "referee": 16}
 
 
 def test_augmenting_counts_half_map():
@@ -154,14 +174,14 @@ def bipartite_instances(draw):
     # empty lists and unused right indices leave vertices isolated on both sides
     adj = draw(st.lists(st.lists(st.integers(0, side - 1), unique=True, max_size=side),
                         min_size=side, max_size=side))
-    return BipartiteInstance(n=side, half=0, adj=adj, canonical=[])
+    return instance_of(adj)
 
 
 @settings(max_examples=200, deadline=None)
 @given(bipartite_instances())
 # the highest-numbered right vertex has no edge, so the stream's largest id
 # does not reveal the side
-@example(BipartiteInstance(n=2, half=0, adj=[[0], []], canonical=[]))
+@example(instance_of([[0], []]))
 def test_full_memory_is_max_matching(inst):
     assert run_passes(FullMemory(), instance_to_stream(inst), 1).output == max_matching(inst).size
 
