@@ -8,6 +8,7 @@ route(sigma) callable: the default basic_route is the plain two-layer graph
 of sigma (a 6-layer block), and the p-pass generator passes one that samples
 a (p-1)-pass hiding graph instead. Within a block the left gadget is routed
 before the right, so a route that draws randomness sees a fixed order.
+Routes, blocks and multi-blocks return parts; the sampler joins them once.
 
 Provenance: encoded layers carry the owning player's tag, routing gadgets
 carry "referee", junctions stay "fixed".
@@ -19,6 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+# concat_all is unused here, but perfbench/tracing.py looks the name up on this module
 from .graphs import GroupLayeredGraph, LayeredGraph, basic, concat_all
 from .perms import Perm, compose, extend, match_aligned, random_perm
 from .rs import RSGraph
@@ -81,11 +83,11 @@ def block_rho(grs: RSGraph, sig: PermMatrix, e: EdgeTuple, b: int) -> Perm:
     return tuple(out)
 
 
-Route = Callable[[Perm], LayeredGraph]  # routing gadget realizing sigma
+Route = Callable[[Perm], list[LayeredGraph]]  # parts of a routing gadget realizing sigma
 
 
-def basic_route(sigma: Perm) -> LayeredGraph:
-    return basic(sigma, "referee")
+def basic_route(sigma: Perm) -> list[LayeredGraph]:
+    return [basic(sigma, "referee")]
 
 
 def block(
@@ -95,14 +97,14 @@ def block(
     b: int,
     player_tag: str = "player:1",
     route: Route = basic_route,
-) -> LayeredGraph:
+) -> list[LayeredGraph]:
     """Encoded RS layers between two routed gadgets, realizing block_rho on the
     first (r/2)*b positions (six layers of n_rs*b vertices with basic_route)."""
     sl, sr = edge_pick(grs, e)
     enc = encoded_rs(grs, sig, b).expand(tag=player_tag)
     left = route(extend(sl, b))
     right = route(extend(sr, b))
-    return concat_all([right, enc, left])
+    return [*right, enc, *left]
 
 
 Hypermatching = tuple[tuple[int, ...], ...]  # k rows of r/2 distinct indices
@@ -125,17 +127,14 @@ def multi_block(
     M: Hypermatching,
     b: int,
     route: Route = basic_route,
-) -> LayeredGraph:
+) -> list[LayeredGraph]:
     """Chain of k blocks, the k-th traversed first; realizes the fold of the
     per-block permutations (= join of the hidden gamma-star vector). Blocks
     are built, and routed, in order a = 1..k."""
     k = len(sigs)
     check_hypermatching(M, k, grs.r)
-    blocks = [
-        block(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b, f"player:{a + 1}", route)
-        for a in range(k)
-    ]
-    return concat_all(blocks)
+    return [part for a in range(k)
+            for part in block(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b, f"player:{a + 1}", route)]
 
 
 def multi_block_rho(

@@ -47,7 +47,7 @@ from .perms import (
     vec,
 )
 from .rs import RSGraph, trivial_rs
-from .sortnet import SorterNetwork, build_sort_network, decompose
+from .sortnet import SorterNetwork, build_sort_network, decompose, depth_floor
 
 # an alias kept because perfbench/tracing.py looks this name up on this module
 p_multi_block_sample = multi_block
@@ -163,10 +163,11 @@ def _count_general(m: int, b: int, k: int, p: int) -> int:
 
 
 def _count_floor(m: int, k: int, p: int) -> int:
-    """A lower bound on both counts that builds no sorting network. Every
-    layer plan has a piece, so _count_general >= _count_simple, and the
-    bound's recursion is linear in m: m * c_p with c_1 = 2(6k + 1) and
-    c_p = 4k + (4k + 1) c_(p-1). It stops growing once it passes the cap."""
+    """A lower bound on _count_simple that builds no sorting network. Its
+    recursion is linear in m: m * c_p with c_1 = 2(6k + 1) and
+    c_p = 4k + (4k + 1) c_(p-1). It stops growing once it passes the cap.
+    Every network layer gives at least one piece, so _count_general is at
+    least depth_floor(m, b) times it."""
     c = 2 * (6 * k + 1)
     for _ in range(p - 1):
         if m * c > MAX_VERTICES:
@@ -180,10 +181,13 @@ def vertex_count(params: GenParams, general: bool) -> int:
 
     For general=False this is the count for a Lex-simple input; hiding over a
     non-Lex partition adds 4m wrapper vertices on top. Parameters whose count
-    is over MAX_VERTICES by _count_floor alone raise ValueError before the
-    layer plans, which build sorting networks at sizes up to m * 2^(p-1).
+    is over MAX_VERTICES by _count_floor alone (times depth_floor for general
+    counts) raise ValueError before the layer plans, which build sorting
+    networks at sizes up to m * 2^(p-1).
     """
     floor = _count_floor(params.m, params.k, params.p)
+    if general:
+        floor *= depth_floor(params.m, params.b)
     if floor > MAX_VERTICES:
         raise ValueError(f"sample would need at least {floor} vertices, cap is {MAX_VERTICES}")
     count = _count_general if general else _count_simple
@@ -202,8 +206,8 @@ def _retag_referee(g: LayeredGraph) -> LayeredGraph:
 
 def sample_simple(
     rho: Perm, P: Partition, params: GenParams, rng: random.Random
-) -> tuple[LayeredGraph, dict]:
-    """gen_simple plus the sampled communication core, for replay experiments."""
+) -> tuple[list[LayeredGraph], dict]:
+    """gen_simple's parts plus the sampled communication core, for replay experiments."""
     m, b, k, p = params.m, params.b, params.k, params.p
     if len(rho) != m:
         raise ValueError(f"rho acts on [{len(rho)}], params say m={m}")
@@ -214,8 +218,7 @@ def sample_simple(
     if canon != lex:
         s = swap_perm(canon)
         inner, core = sample_simple(compose(s, compose(rho, inverse(s))), lex, params, rng)
-        wrapped = concat_all([basic(inverse(s), "fixed"), inner, basic(s, "fixed")])
-        return wrapped, core
+        return [basic(inverse(s), "fixed"), *inner, basic(s, "fixed")], core
 
     grs = params.family
     check_budget(_count_simple(m, b, k, p))
@@ -226,15 +229,15 @@ def sample_simple(
     if p == 1:
         route = basic_route
     else:
-        def route(s: Perm) -> LayeredGraph:
-            return _retag_referee(gen_general(s, replace(params, m=len(s), p=p - 1), rng))
+        def route(s: Perm) -> list[LayeredGraph]:
+            return [_retag_referee(gen_general(s, replace(params, m=len(s), p=p - 1), rng))]
 
     # rng draw order: blocks a = 1..k (left gadget before right), shift last
-    return concat_all([multi_block(grs, sigmas, L, M, b, route), route(join(gamma))]), core
+    return [*multi_block(grs, sigmas, L, M, b, route), *route(join(gamma))], core
 
 
 def gen_simple(rho: Perm, P: Partition, params: GenParams, rng: random.Random) -> LayeredGraph:
-    return sample_simple(rho, P, params, rng)[0]
+    return concat_all(sample_simple(rho, P, params, rng)[0])
 
 
 def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGraph:
@@ -243,7 +246,8 @@ def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGr
     if len(sigma) != params.m:
         raise ValueError(f"sigma acts on [{len(sigma)}], params say m={params.m}")
     check_budget(vertex_count(params, general=True))
-    return concat_all([gen_simple(g, part, params, rng) for part, g in _pieces(sigma, params.b)])
+    return concat_all([g for part, gamma in _pieces(sigma, params.b)
+                       for g in sample_simple(gamma, part, params, rng)[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -257,4 +261,4 @@ def fake_simple_from_core(sigmas, params: GenParams) -> LayeredGraph:
     grs = params.family
     L = tuple(1 for _ in range(k))
     M = tuple(tuple(range(1, grs.r // 2 + 1)) for _ in range(k))
-    return concat_all([multi_block(grs, sigmas, L, M, b), basic_route(identity(params.m))])
+    return concat_all([*multi_block(grs, sigmas, L, M, b), *basic_route(identity(params.m))])

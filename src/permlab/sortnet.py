@@ -219,6 +219,8 @@ def build_sort_network(m: int, b: int) -> SorterNetwork:
     width is q*q, the largest square not exceeding b. Non-power sizes are
     padded internally and the network restricted back to [m].
     """
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got m={m}")
     if b < 2:
         raise ValueError("b must be at least 2")
     if m <= b:
@@ -234,14 +236,19 @@ def build_sort_network(m: int, b: int) -> SorterNetwork:
     return SorterNetwork(m, b, _schedule(_restrict(ops, m), m))
 
 
-def depth_bound(m: int, b: int) -> int:
-    """The advertised layer budget 4 * ceil(log_b m)^2."""
-    e = 0
-    p = 1
+def depth_floor(m: int, b: int) -> int:
+    """ceil(log_b m), the depth any network of sorters at most b wide needs to
+    sort m wires: after d layers a wire's value can reach at most b^d wires."""
+    e, p = 0, 1
     while p < m:
         p *= b
         e += 1
-    return 4 * e * e
+    return e
+
+
+def depth_bound(m: int, b: int) -> int:
+    """The advertised layer budget 4 * ceil(log_b m)^2."""
+    return 4 * depth_floor(m, b) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def test_block_shape_and_extraction():
     rng = random.Random(2)
     sig = random_perm_matrix(grs.t, grs.r, b, rng)
     e = EdgeTuple(2, (1,))
-    g = block(grs, sig, e, b)
+    g = concat_all(block(grs, sig, e, b))
     assert g.layers == [grs.n_rs * b] * 6
     m = (grs.r // 2) * b
     assert extract_permutation(g, m) == block_rho(grs, sig, e, b)
@@ -90,7 +90,7 @@ def test_block_edge_provenance():
     grs = trivial_rs(4, 2)
     rng = random.Random(4)
     sig = random_perm_matrix(grs.t, grs.r, 2, rng)
-    g = block(grs, sig, EdgeTuple(1, (2,)), 2, player_tag="player:7")
+    g = concat_all(block(grs, sig, EdgeTuple(1, (2,)), 2, player_tag="player:7"))
     by_tag = {}
     for (li, _, _), tag in zip(g.edges, g.tags):
         by_tag.setdefault(tag, set()).add(li)
@@ -104,8 +104,8 @@ def test_multi_block_single_reduces_to_block():
     grs = trivial_rs(4, 2)
     rng = random.Random(5)
     sig = random_perm_matrix(grs.t, grs.r, 2, rng)
-    g1 = multi_block(grs, [sig], [3], ((1,),), 2)
-    g2 = block(grs, sig, EdgeTuple(3, (1,)), 2)
+    g1 = concat_all(multi_block(grs, [sig], [3], ((1,),), 2))
+    g2 = concat_all(block(grs, sig, EdgeTuple(3, (1,)), 2))
     assert g1.layers == g2.layers and g1.edges.tolist() == g2.edges.tolist() and g1.tags == g2.tags
 
 
@@ -115,7 +115,7 @@ def test_multi_block_composes_blocks():
     b, k = 2, 3
     rng = random.Random(6)
     sigs, L, M = sample_core(grs.r, grs.t, b, k, rng)
-    g = multi_block(grs, sigs, L, M, b)
+    g = concat_all(multi_block(grs, sigs, L, M, b))
     assert g.layers == [grs.n_rs * b] * (6 * k)
     m = (grs.r // 2) * b
     rho = extract_permutation(g, m)
@@ -155,7 +155,7 @@ def test_multi_block_extraction_sound_or_detected_at_larger_t():
     for seed in range(10):
         rng = random.Random(seed)
         sigs, L, M = sample_core(grs.r, grs.t, b, k, rng)
-        g = multi_block(grs, sigs, L, M, b)
+        g = concat_all(multi_block(grs, sigs, L, M, b))
         try:
             rho = extract_permutation(g, m)
         except ExtractionError:
@@ -171,7 +171,7 @@ def test_multi_block_realizes_join_of_gamma_star():
     for seed in range(8):
         rng = random.Random(seed)
         sigs, L, M = sample_core(grs.r, grs.t, b, k, rng)
-        g = multi_block(grs, sigs, L, M, b)
+        g = concat_all(multi_block(grs, sigs, L, M, b))
         m = (grs.r // 2) * b
         assert extract_permutation(g, m) == join(recompute_gamma_star(sigs, L, M))
 
@@ -186,9 +186,9 @@ def test_p_block_hide_required_and_used():
 
     def hide(sigma):
         hide_calls.append(sigma)
-        return basic(sigma, tag="referee")
+        return [basic(sigma, tag="referee")]
 
-    g = block(grs, sig, e, 2, route=hide)
+    g = concat_all(block(grs, sig, e, 2, route=hide))
     sl, sr = edge_pick(grs, e)
     assert hide_calls == [extend(sl, 2), extend(sr, 2)]  # left routed first
     m = (grs.r // 2) * 2
@@ -202,9 +202,9 @@ def test_p_multi_block_matches_plain_rho():
     sigs, L, M = sample_core(grs.r, grs.t, b, k, rng)
 
     def hide(sigma):
-        return basic(sigma, tag="referee")
+        return [basic(sigma, tag="referee")]
 
-    g = multi_block(grs, sigs, L, M, b, route=hide)
+    g = concat_all(multi_block(grs, sigs, L, M, b, route=hide))
     m = (grs.r // 2) * b
     assert extract_permutation(g, m) == multi_block_rho(grs, sigs, L, M, b)
 
@@ -229,7 +229,7 @@ def test_p1_sample_is_plain_block():
         tuples = [(1, i, sigma[i - 1], identity(2)) for i in range(1, len(sigma) + 1)]
         return GroupLayeredGraph(len(sigma), 2, 2, tuples).expand(tag="referee")
 
-    g1 = block(grs, sig, e, 2, route=basic_route)
+    g1 = concat_all(block(grs, sig, e, 2, route=basic_route))
     sl, sr = edge_pick(grs, e)
     enc = encoded_rs(grs, sig, 2).expand(tag="player:1")
     g2 = concat_all([routed(sr), enc, routed(sl)])

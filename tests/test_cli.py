@@ -224,6 +224,9 @@ def test_usage_errors_exit_2():
         ["gen", "cross", "--m", "8", "--b", "2", "--p", "40"],
         ["gen", "cross", "--m", "1000000", "--b", "2"],
         ["analyze", "advantage", "m=4", "b=2", "p=40"],
+        ["gen", "cross", "--m", "700000", "--b", "2", "--k", "1"],
+        ["analyze", "depth", "m=0"],
+        ["analyze", "depth", "m=-5"],
     ],
     ids=["gen-b-not-dividing-m", "gen-p-zero", "gen-sigma-wrong-length",
          "analyze-not-key-value", "analyze-b-one", "gen-over-vertex-cap",
@@ -231,7 +234,8 @@ def test_usage_errors_exit_2():
          "analyze-unknown-setting", "analyze-depth-trials", "analyze-pinsker-no-trials",
          "analyze-fourier-no-trials", "analyze-decay-negative-trials",
          "gen-p-far-over-vertex-cap", "gen-m-far-over-vertex-cap",
-         "analyze-advantage-p-far-over-vertex-cap"],
+         "analyze-advantage-p-far-over-vertex-cap", "gen-wide-over-general-floor",
+         "analyze-depth-m-zero", "analyze-depth-m-negative"],
 )
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     if argv[0] == "gen":

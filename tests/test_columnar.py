@@ -12,11 +12,14 @@ import json
 import random
 import re
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from permlab.blocks import EdgeTuple, edge_pick, encoded_rs
+from permlab.gen import _layer_plan, _pieces, default_params, gen_general
 from permlab.graphs import (
     _CHUNK,
     ExtractionError,
@@ -27,7 +30,25 @@ from permlab.graphs import (
     concat_all,
     extract_permutation,
 )
-from permlab.matching import BipartiteInstance, bipartite_of, instance_to_stream, max_matching
+from permlab.hph import force_gamma, recompute_gamma_star, sample_core
+from permlab.matching import (
+    BipartiteInstance,
+    bipartite_of,
+    instance_to_stream,
+    max_matching,
+    sigma_cross,
+)
+from permlab.perms import (
+    compose,
+    extend,
+    identity,
+    inverse,
+    join,
+    lex_partition,
+    random_perm,
+    swap_perm,
+    vec,
+)
 from permlab.streams import MAGIC, EdgeStream, dump_stream, graph_to_stream, parse_stream
 
 TAGS = ("fixed", "referee", *(f"player:{i}" for i in range(1, 13)))
@@ -54,6 +75,54 @@ def ref_concat_all(parts):
         edges.extend((li + off, u, v) for (li, u, v) in p_edges)
         tags.extend(p_tags)
     return layers, edges, tags
+
+
+# The nested assembly the sampler used before it joined each sample once:
+# every block, multi-block, non-Lex wrapper and piece was concatenated on its
+# own, so an edge was copied once per level. The rng draw order is the
+# sampler's: player matrices, row indices, hypermatching, then the routes of
+# blocks a = 1..k (left before right), the shift gadget last.
+
+
+def ref_block(grs, sig, e, b, player_tag, route):
+    sl, sr = edge_pick(grs, e)
+    enc = ref_expand(encoded_rs(grs, sig, b), player_tag)
+    left = route(extend(sl, b))
+    right = route(extend(sr, b))
+    return ref_concat_all([right, enc, left])
+
+
+def ref_multi_block(grs, sigs, L, M, b, route):
+    return ref_concat_all([
+        ref_block(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b, f"player:{a + 1}", route)
+        for a in range(len(sigs))
+    ])
+
+
+def ref_sample_simple(rho, P, params, rng):
+    m, b, k, p = params.m, params.b, params.k, params.p
+    canon = tuple(sorted((tuple(sorted(g)) for g in P), key=lambda g: g[0]))
+    lex = lex_partition(m, b)
+    if canon != lex:
+        s = swap_perm(canon)
+        inner = ref_sample_simple(compose(s, compose(rho, inverse(s))), lex, params, rng)
+        return ref_concat_all([listed(basic(inverse(s))), inner, listed(basic(s))])
+    grs = params.family
+    sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
+    gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(rho, b))
+    if p == 1:
+        def route(s):
+            return listed(basic(s, "referee"))
+    else:
+        def route(s):
+            layers, edges, tags = ref_gen_general(s, replace(params, m=len(s), p=p - 1), rng)
+            return layers, edges, ["fixed" if t == "fixed" else "referee" for t in tags]
+    return ref_concat_all([ref_multi_block(grs, sigmas, L, M, b, route), route(join(gamma))])
+
+
+def ref_gen_general(sigma, params, rng):
+    return ref_concat_all([ref_sample_simple(g, part, params, rng)
+                           for part, g in _pieces(sigma, params.b)])
 
 
 def ref_expand(gg, tag):
@@ -295,6 +364,31 @@ def test_concat_all_matches_reference(parts):
     g = concat_all(parts)
     assert listed(g) == ref_concat_all([listed(p) for p in parts])
     assert g.edges.dtype == np.int32 and g.tag_ids.dtype == np.uint16
+
+
+@pytest.mark.parametrize("b, k, p", [(b, k, p) for b in (2, 3) for k in (1, 2) for p in (1, 2)])
+def test_gen_general_matches_nested_reference(b, k, p):
+    m = 2 * b
+    assert any(part != lex_partition(m, b) for part in _layer_plan(m, b))  # non-Lex pieces
+    params = default_params(m, b, k=k, p=p)
+    for sigma in (identity(m), sigma_cross(m), random_perm(m, random.Random(b + k + p))):
+        g = gen_general(sigma, params, random.Random(7))
+        assert listed(g) == ref_gen_general(sigma, params, random.Random(7))
+
+
+def test_gen_general_concatenates_once(monkeypatch):
+    calls = []
+
+    def counted(parts):
+        calls.append(len(parts))
+        return concat_all(parts)
+
+    monkeypatch.setattr("permlab.gen.concat_all", counted)
+    monkeypatch.setattr("permlab.blocks.concat_all", counted)
+    params = default_params(8, 2, k=2, p=1)
+    g = gen_general(sigma_cross(8), params, random.Random(1))
+    assert len(calls) == 1
+    assert extract_permutation(g, 8) == sigma_cross(8)
 
 
 @settings(deadline=None, max_examples=30)

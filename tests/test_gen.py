@@ -19,7 +19,7 @@ from permlab.gen import (
     sample_simple,
     vertex_count,
 )
-from permlab.graphs import extract_permutation
+from permlab.graphs import concat_all, extract_permutation
 from permlab.perms import (
     compose,
     identity,
@@ -32,6 +32,7 @@ from permlab.perms import (
     swap_perm,
     vec,
 )
+from permlab.sortnet import depth_floor
 
 
 def player_edges(g):
@@ -117,20 +118,29 @@ def test_count_floor_is_a_lower_bound():
                 floor = _count_floor(m, k, p)
                 if floor <= MAX_VERTICES:
                     assert floor <= _count_simple(m, b, k, p) <= _count_general(m, b, k, p)
+                    assert floor * depth_floor(m, b) <= _count_general(m, b, k, p)
                 assert floor <= _count_floor(m, k, p + 1)
     assert _count_floor(8, 2, 1) == vertex_count(default_params(8, 2, k=2, p=1), general=False)
+    # the general floor's factor: every network layer gives at least one piece
+    for b in range(2, 9):
+        for m in range(b, 65, b):
+            assert len(_layer_plan(m, b)) >= depth_floor(m, b)
 
 
 @pytest.mark.parametrize("m, b, k, p", [(8, 2, 2, 40), (8, 2, 2, 10**9), (10**6, 2, 2, 1),
-                                        (4, 2, 10**9, 1)])
+                                        (4, 2, 10**9, 1), (700_000, 2, 1, 1)])
 def test_vertex_count_refuses_without_networks(m, b, k, p, monkeypatch):
     def refuse(*args):
         raise AssertionError("layer plan built")
 
     monkeypatch.setattr("permlab.gen._layer_plan", refuse)
     for general in (False, True):
-        with pytest.raises(ValueError, match=f"at least \\d+ vertices, cap is {MAX_VERTICES}"):
-            vertex_count(default_params(m, b, k=k, p=p), general=general)
+        params = default_params(m, b, k=k, p=p)
+        if general or _count_floor(m, k, p) > MAX_VERTICES:
+            with pytest.raises(ValueError, match=f"at least \\d+ vertices, cap is {MAX_VERTICES}"):
+                vertex_count(params, general=general)
+        else:  # a one-pass simple count needs no plan, and 700,000 wires fit the cap
+            assert vertex_count(params, general=False) == _count_simple(m, b, k, p)
 
 
 def test_nonlex_layer_adds_wrapper():
@@ -169,7 +179,8 @@ def test_fake_replay_matches_player_view():
     P = lex_partition(8, 2)
     rng = random.Random(9)
     rho = random_simple(lex_partition(8, 2), rng)
-    g, core = sample_simple(rho, P, params, random.Random(11))
+    parts, core = sample_simple(rho, P, params, random.Random(11))
+    g = concat_all(parts)
     fake = fake_simple_from_core(core["sigmas"], params)
     assert player_edges(fake) == player_edges(g)
     assert extract_permutation(g, 8) == rho

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permlab.gen import default_params, gen_general, gen_simple, sample_simple, fake_simple_from_core
-from permlab.graphs import basic
+from permlab.graphs import basic, concat_all
 from permlab.matching import bipartite_of, instance_to_stream, max_matching, sigma_eq
 from permlab.perms import identity, lex_partition, random_simple
 from permlab.streams import (
@@ -323,7 +323,7 @@ def test_replay_handoff_counts():
 
     grs = trivial_rs(4, 4)
     sigs, L, M = sample_core(4, 1, 2, 2, random.Random(3))
-    g = multi_block(grs, sigs, L, M, 2)
+    g = concat_all(multi_block(grs, sigs, L, M, 2))
     stream = graph_to_stream(g)
     rep = partitioned_replay(stream, CountingAlgorithm(), p=1)
     assert rep.handoffs == 2  # one entry per player's encoded layer
@@ -343,7 +343,8 @@ def test_replay_fake_passes_hide_referee_input():
     params = default_params(8, 2, k=2, p=1)
     rng = random.Random(4)
     rho = random_simple(lex_partition(8, 2), rng)
-    g, core = sample_simple(rho, lex_partition(8, 2), params, random.Random(5))
+    parts, core = sample_simple(rho, lex_partition(8, 2), params, random.Random(5))
+    g = concat_all(parts)
     fake = fake_simple_from_core(core["sigmas"], params)
     real_stream = graph_to_stream(g)
     fake_stream = graph_to_stream(fake)
