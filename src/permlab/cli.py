@@ -117,11 +117,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _verify_permgraph(doc: dict) -> list[str]:
-    """Check a permgraph document; its "graph" entry is consumed, so that the
-    parsed edge lists are freed before the matching runs."""
+def _verify_permgraph(doc: dict, g: LayeredGraph) -> list[str]:
+    """Check a permgraph document, read without its graph, against the graph."""
     problems = []
-    g = LayeredGraph.from_dict(doc.pop("graph"))
     m = doc["m"]
     sigma = tuple(doc["sigma"])
     try:
@@ -151,29 +149,32 @@ def _verify_permgraph(doc: dict) -> list[str]:
 
 
 def _verify_file(path: str) -> list[str]:
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        if doc.get("kind") == "permgraph":
-            del text, stripped  # free the file text before the matching runs
-            return _verify_permgraph(doc)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    stripped = data.lstrip()
+    if stripped.startswith(b"{"):
+        if b'"permgraph"' in data:
+            g, doc = LayeredGraph.from_json(data)
+            del data, stripped  # free the file's bytes before the matching runs
+            if doc.get("kind") != "permgraph":
+                return [f"unrecognized JSON document in {path}"]
+            return _verify_permgraph(doc, g)
+        doc = json.loads(data)
         if doc.get("schema", "").startswith("multi-hph"):
-            inst = parse_instance(text)
+            inst = parse_instance(data.decode())
             answer = referee_answer(inst)
             if answer != inst.answer:
                 return [f"referee answered {answer}, instance says {inst.answer}"]
             return []
         return [f"unrecognized JSON document in {path}"]
-    if stripped.startswith("PHSTREAM"):
+    if stripped.startswith(b"PHSTREAM"):
         from .streams import parse_stream
 
-        parse_stream(text)
+        parse_stream(data)
         return []
     # otherwise treat as an RS family file
     try:
-        g = parse_rs(text)
+        g = parse_rs(data.decode())
     except ValueError as err:
         return [str(err)]
     report = validate_rs(g)
@@ -188,6 +189,8 @@ def cmd_verify(args) -> int:
             problems = _verify_file(path)
         except (OSError, ValueError, KeyError, TypeError, OverflowError) as err:
             problems = [f"unreadable: {err}"]
+        except MemoryError as err:
+            problems = [f"out of memory: {err or 'allocation failed'}"]
         results[path] = problems
         if not problems:
             clean += 1

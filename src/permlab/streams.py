@@ -25,10 +25,20 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import LayeredGraph, _format_rows
+from .graphs import (
+    _WINDOW,
+    LayeredGraph,
+    _byte_mask,
+    _expect,
+    _fields,
+    _format_rows,
+    _ints,
+    _Tokens,
+)
 from .matching import BipartiteInstance, max_matching
 
 MAGIC = "PHSTREAM v1"
+_STREAM_SEP = _byte_mask(b" \n")
 
 
 class EdgeStream:
@@ -108,6 +118,19 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
                                    g.tag_ids[order], names)
 
 
+def _one_field(tag: str) -> bool:
+    """Whether parse_stream reads the tag back as one field: not empty, no whitespace."""
+    return tag.split() == [tag]
+
+
+def _tag_field(token: bytes) -> bytes:
+    """The field dump_stream writes for the tag that token spells; ValueError
+    when the token is no such field."""
+    if not _one_field(token.decode()):
+        raise ValueError(f"tag {token!r} is empty or holds whitespace")
+    return token
+
+
 def dump_stream(stream: EdgeStream) -> str:
     """The stream as text. Raises ValueError for a tag that parse_stream
     could not read back as one field: empty, or holding whitespace."""
@@ -116,7 +139,7 @@ def dump_stream(stream: EdgeStream) -> str:
         body = _format_rows((b"", b" ", b"\n"), [stream.us, stream.vs])
     else:
         for i in np.flatnonzero(np.bincount(stream.tag_ids)).tolist():
-            if stream.tag_names[i].split() != [stream.tag_names[i]]:
+            if not _one_field(stream.tag_names[i]):
                 raise ValueError(f"tag {stream.tag_names[i]!r} is empty or holds whitespace")
         table = [name.encode() for name in stream.tag_names]
         body = _format_rows((b"", b" ", b" ", b"\n"), [stream.us, stream.vs],
@@ -124,42 +147,57 @@ def dump_stream(stream: EdgeStream) -> str:
     return head + body.decode()
 
 
-def parse_stream(text: str) -> EdgeStream:
-    lines = text.splitlines()
-    if not lines or lines[0] != MAGIC:
+def parse_stream(data: str | bytes) -> EdgeStream:
+    """Read dump_stream's text. The header's fields are read first; the
+    edge lines are then cut into columns at their spaces and newlines and
+    checked by formatting them again with dump_stream's formatter. Anything
+    dump_stream would not write raises ValueError, naming its byte offset."""
+    if isinstance(data, str):
+        data = data.encode()
+    if not data.startswith(MAGIC.encode()):
         raise ValueError(f"missing header {MAGIC!r}")
-    head = lines[1].split() if len(lines) > 1 else []
+    lo = data.find(b"\n") + 1
+    hi = data.find(b"\n", lo) if lo else -1
+    head = data[lo:hi if hi >= 0 else len(data)].split() if lo else []
     if len(head) != 3:
         raise ValueError("second line must be '<n> <edges> <directed>'")
-    n, count, directed = int(head[0]), int(head[1]), int(head[2])
+    n, count, directed = map(int, head)
     if directed not in (0, 1):
         raise ValueError(f"directed flag must be 0 or 1, got {directed}")
-    body = [ln for ln in lines[2:] if ln.strip()]
-    if len(body) != count:
-        raise ValueError(f"expected {count} edges, found {len(body)}")
-    us, vs, tag_ids = array("q"), array("q"), array("I")
-    index: dict[str, int] = {}  # tag name -> tag id
-    tagged = None
-    for ln in body:
-        parts = ln.split()
-        if len(parts) == 2:
-            now = False
-        elif len(parts) == 3:
-            now = True
-        else:
-            raise ValueError(f"bad edge line {ln!r}")
-        if tagged is None:
-            tagged = now
-        elif tagged != now:
+    header = f"{MAGIC}\n{n} {count} {directed}\n".encode()
+    _expect(data, 0, len(header), header)
+    lines = data.count(b"\n", len(header)) + (len(data) > len(header) and not data.endswith(b"\n"))
+    if lines != count:
+        raise ValueError(f"expected {count} edges, found {lines}")
+    eol = data.find(b"\n", len(header))
+    tagged = len(data[len(header):eol if eol >= 0 else len(data)].split()) == 3
+    seps = (b"", b" ", b" ", b"\n") if tagged else (b"", b" ", b"\n")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # filled in place, window by window, so no window's columns outlive it
+    us, vs, tag_ids = (np.empty(count, dtype=t) for t in (np.int32, np.int32, np.uint32))
+    tokens = _Tokens(_tag_field)
+    lo, at = len(header), 0
+    while lo < len(data):
+        hi = data.find(b"\n", lo + _WINDOW) + 1 or len(data)  # whole lines
+        starts, ends = _fields(buf, lo, hi, _STREAM_SEP)
+        per_line = np.diff(np.searchsorted(starts, np.flatnonzero(buf[lo:hi] == ord("\n")) + lo),
+                           prepend=0)
+        if (per_line == (2 if tagged else 3)).any():
             raise ValueError("mixed tagged and untagged edge lines")
-        us.append(int(parts[0]))
-        vs.append(int(parts[1]))
-        if now:
-            tag_ids.append(index.setdefault(parts[2], len(index)))
-    return EdgeStream.from_columns(
-        n, directed == 1, np.asarray(us), np.asarray(vs),
-        np.asarray(tag_ids) if tagged else None, tuple(index),
-    )
+        # each line's fields as a row of indices into starts; a short last row
+        # points at field 0, which the check sees
+        fields = np.zeros((-(-len(starts) // (len(seps) - 1)), len(seps) - 1), dtype=np.intp)
+        fields.flat[:len(starts)] = np.arange(len(starts))
+        cols = [_ints(buf, starts[f], ends[f]) for f in fields.T[:2]]
+        ids = tokens.ids(buf, starts[fields[:, 2]], ends[fields[:, 2]]) if tagged else None
+        _expect(data, lo, hi, _format_rows(seps, cols, ids, tokens.table))
+        span = slice(at, at + len(fields))  # the lines counted above, so they fit
+        us[span], vs[span] = cols
+        if tagged:
+            tag_ids[span] = ids
+        lo, at = hi, span.stop
+    return EdgeStream.from_columns(n, directed == 1, us, vs, tag_ids if tagged else None,
+                                   tuple(token.decode() for token in tokens.index))
 
 
 # ---------------------------------------------------------------------------

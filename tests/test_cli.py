@@ -309,3 +309,21 @@ def test_verify_refuses_params_far_over_the_cap(tmp_path, capsys):
     assert code == 1
     (problem,) = json.loads(out)["violations"][str(path)]
     assert problem.startswith("unreadable: sample would need at least ")
+
+
+def test_verify_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
+    from permlab.graphs import LayeredGraph
+
+    code, _ = run(["gen", "cross", "--m", "4", "--b", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+    def exhausted(data):
+        raise MemoryError("Unable to allocate 3.00 GiB for an array")
+
+    monkeypatch.setattr(LayeredGraph, "from_json", exhausted)
+    path, stream = str(tmp_path / "graph.json"), str(tmp_path / "stream.txt")
+    code, out = run(["verify", path, stream], capsys)
+    assert code == 1
+    report = json.loads(out)
+    assert report["clean"] == 1
+    assert report["violations"] == {path: ["out of memory: Unable to allocate 3.00 GiB for an array"]}

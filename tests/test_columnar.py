@@ -22,6 +22,7 @@ from permlab.blocks import EdgeTuple, edge_pick, encoded_rs
 from permlab.gen import _layer_plan, _pieces, default_params, gen_general
 from permlab.graphs import (
     _CHUNK,
+    _WINDOW,
     ExtractionError,
     GroupLayeredGraph,
     LayeredGraph,
@@ -157,6 +158,42 @@ def ref_to_dict(g):
     if any(g.tag_names[i] != "fixed" for i in used):
         payload["tags"] = g.tags
     return payload
+
+
+def ref_from_dict(d):
+    """The graph of a parsed JSON payload, through the list constructor."""
+    return LayeredGraph(d["layers"], d["edges"], d.get("tags", ()))
+
+
+def ref_from_json(text):
+    """The graph of a JSON payload as json.loads reads it."""
+    return ref_from_dict(json.loads(text))
+
+
+def ref_parse_stream(text):
+    """The stream of dump_stream's text, read line by line."""
+    lines = text.splitlines()
+    if not lines or lines[0] != MAGIC:
+        raise ValueError(f"missing header {MAGIC!r}")
+    head = lines[1].split() if len(lines) > 1 else []
+    if len(head) != 3:
+        raise ValueError("second line must be '<n> <edges> <directed>'")
+    n, count, directed = int(head[0]), int(head[1]), int(head[2])
+    if directed not in (0, 1):
+        raise ValueError(f"directed flag must be 0 or 1, got {directed}")
+    body = [ln for ln in lines[2:] if ln.strip()]
+    if len(body) != count:
+        raise ValueError(f"expected {count} edges, found {len(body)}")
+    edges, tags = [], []
+    for ln in body:
+        parts = ln.split()
+        if len(parts) not in (2, 3):
+            raise ValueError(f"bad edge line {ln!r}")
+        if len(parts) != len(body[0].split()):
+            raise ValueError("mixed tagged and untagged edge lines")
+        edges.append((int(parts[0]), int(parts[1])))
+        tags += parts[2:]
+    return EdgeStream(n, directed == 1, edges, tags if body and len(body[0].split()) == 3 else None)
 
 
 def ref_dump_stream(stream):
@@ -571,7 +608,7 @@ def test_to_dict_ignores_unused_tag_names():
     doc = ref_to_dict(g)
     assert doc == {"layers": [2, 2], "edges": [[1, 1, 2], [1, 2, 1]]}
     assert g.to_json() == json.dumps(doc, sort_keys=True)
-    tagged = LayeredGraph.from_dict({**doc, "tags": ["fixed", "referee"]})
+    tagged = ref_from_dict({**doc, "tags": ["fixed", "referee"]})
     assert json.loads(tagged.to_json())["tags"] == ["fixed", "referee"]
 
 
@@ -584,7 +621,7 @@ def test_to_dict_ignores_unused_tag_names():
 ])
 def test_from_dict_rejects_malformed_edges(edges, error):
     with pytest.raises(error):
-        LayeredGraph.from_dict({"layers": [2, 2], "edges": edges})
+        LayeredGraph([2, 2], edges)
 
 
 # ---------------------------------------------------------------------------
@@ -705,3 +742,179 @@ def test_stream_constructor_errors():
         EdgeStream(4, False, [(1, 2, 3), (1,)])
     with pytest.raises(ValueError, match="int32"):
         EdgeStream(2**31, False, [])
+
+
+# ---------------------------------------------------------------------------
+# artifact readers: the bytes the writers give, and nothing else
+
+
+def assert_same_graph(got, want):
+    assert (got.layers, got.edges.tolist(), got.tags) == (want.layers, want.edges.tolist(), want.tags)
+    assert got.edges.dtype == np.int32 and got.tag_ids.dtype == np.uint16
+
+
+@settings(deadline=None, max_examples=80)
+@given(raw_graphs())
+@example(LayeredGraph.from_columns(
+    [3], np.array(EXTREMES[:3 * (len(EXTREMES) // 3)], dtype=np.int32).reshape(-1, 3),
+    np.arange(len(EXTREMES) // 3, dtype=np.uint16) % 2, ("fixed", "referee")))
+@example(LayeredGraph.from_columns(
+    [2], np.array([[1, -2, 3]] * 3, dtype=np.int32), np.array([0, 1, 2], dtype=np.uint16), WORDS[3:]))
+@example(LayeredGraph([2], [], []))
+@example(LayeredGraph([2, 2], [(1, 1, 2), (1, 2, 1)]))
+@example(LayeredGraph([1], [(1, 1, 1)] * 4, ['"]', "\\", '\\"], ', ']']))
+def test_from_json_matches_reference(g):
+    text = g.to_json()
+    got, rest = LayeredGraph.from_json(text)
+    assert rest == {}
+    assert_same_graph(got, ref_from_json(text))
+
+
+@settings(deadline=None, max_examples=40)
+@given(raw_graphs(), st.randoms(use_true_random=False))
+def test_from_json_reads_documents_in_any_key_order(g, rnd):
+    def shuffled(d):
+        keys = list(d)
+        rnd.shuffle(keys)
+        return {k: d[k] for k in keys}
+
+    doc = {"kind": "permgraph", "m": 2, "b": 2, "k": 2, "p": 1, "sigma": [2, 1],
+           "graph": shuffled(ref_to_dict(g))}
+    text = json.dumps(shuffled(doc)) + rnd.choice(["", "\n"])
+    got, rest = LayeredGraph.from_json(text.encode())
+    assert_same_graph(got, ref_from_json(json.dumps(doc["graph"])))
+    del doc["graph"]
+    assert rest == doc and list(rest) == [k for k in json.loads(text) if k != "graph"]
+
+
+def test_from_json_reads_across_windows():
+    rng = np.random.default_rng(1)
+    rows = 3 * _WINDOW // 9  # past three read windows, even for the tag array
+    edges = rng.integers(-2**31, 2**31, size=(rows, 3), dtype=np.int64).astype(np.int32)
+    names = ("fixed", "referee", "jugador:ñ", "x" * 40)
+    g = LayeredGraph.from_columns([4, 4], edges, rng.integers(0, 4, rows).astype(np.uint16), names)
+    got, _ = LayeredGraph.from_json(g.to_json())
+    assert (got.edges == g.edges).all() and got.tags == g.tags
+    n = 2**31 - 1
+    stream = EdgeStream.from_columns(n, True, *(rng.integers(1, n, rows, endpoint=True) for _ in "uv"),
+                                     g.tag_ids, ("fixed", "referee", "jugador:ñ", "x" * 40))
+    back = parse_stream(dump_stream(stream))
+    assert (back.us == stream.us).all() and (back.vs == stream.vs).all() and back.tags == stream.tags
+
+
+def test_token_ids_are_exact_when_every_hash_collides(monkeypatch):
+    monkeypatch.setattr("permlab.graphs._hash", lambda keys: np.zeros(keys.shape[1], dtype=np.uint64))
+    names = ("a", "a\0", "b", "player:1", "x" * 20, "jugador:ñ")
+    ids = np.array([1, 0, 2, 1, 5, 3, 4, 0, 0, 2], dtype=np.uint16)
+    edges = np.ones((len(ids), 3), dtype=np.int32)
+    g = LayeredGraph.from_columns([1, 1], edges, ids, names)
+    assert LayeredGraph.from_json(g.to_json())[0].tags == g.tags
+    stream = EdgeStream.from_columns(1, True, edges[:, 1], edges[:, 2], ids, names)
+    assert parse_stream(dump_stream(stream)).tags == stream.tags
+
+
+@settings(deadline=None, max_examples=60)
+@given(streams())
+@example(EdgeStream(3, False, [], None))
+@example(EdgeStream(3, True, [(1, 2)], ["jugador:ñ"]))
+@example(EdgeStream(2**31 - 1, False, [(2**31 - 1, 1), (10**9, 99999999)], None))
+def test_parse_stream_matches_reference(stream):
+    text = dump_stream(stream)
+    got, want = parse_stream(text), ref_parse_stream(text)
+    assert (got.n, got.directed, got.edges, got.tags) == (want.n, want.directed, want.edges, want.tags)
+    assert parse_stream(text.encode()).edges == got.edges
+
+
+def first_number(data, at):
+    """The offset and text of the first integer at or after offset at."""
+    match = re.compile(rb"-?\d+").search(data, at)
+    return match.start(), match.group()
+
+
+def mutations(graph, stream):
+    """(artifact, name, mutated bytes, first offset of the field it changes,
+    first changed offset); a reader may name either offset or one between."""
+    out = []
+
+    def edit(art, name, data, at, old, new):
+        assert data[at:at + len(old)] == old
+        bad = data[:at] + new + data[at + len(old):]
+        out.append((art, name, bad, at, _first_difference(bad, data)))
+
+    body = stream.index(b"\n", stream.index(b"\n") + 1) + 1
+    for art, data, start in (("graph", graph, graph.index(b'"edges": [[')), ("stream", stream, body)):
+        at, num = first_number(data, start)
+        sep = data.index(b" ", at)
+        edit(art, "doubled space", data, sep, b" ", b"  ")
+        edit(art, "leading zero", data, at, num, b"0" + num)
+        edit(art, "plus sign", data, at, num, b"+" + num)
+        edit(art, "float", data, at, num, num + b".0")
+        edit(art, "int32 overflow", data, at, num, b"2147483648")
+        crlf = data.replace(b"\n", b"\r\n")
+        out.append((art, "CRLF", crlf, data.index(b"\n"), data.index(b"\n")))
+    edit("stream", "no final newline", stream, len(stream) - 1, b"\n", b"")
+    edit("graph", "doubled space in the skeleton", graph, graph.index(b'"m": '), b'"m": ', b'"m":  ')
+    tags = graph.index(b'"tags": [')
+    end = graph.index(b'"]', tags) + 1
+    last = graph.rindex(b", ", tags, end)
+    out.append(("graph", "tag array one entry short", graph[:last] + graph[end:], last, last))
+    return out
+
+
+def _first_difference(a, b):
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    from permlab.cli import main
+
+    out = tmp_path_factory.mktemp("gen")
+    assert main(["gen", "cross", "--m", "4", "--b", "2", "--seed", "5", "--out", str(out)]) == 0
+    return (out / "graph.json").read_bytes(), (out / "stream.txt").read_bytes()
+
+
+def test_readers_accept_the_writers_bytes(artifacts):
+    graph, stream = artifacts
+    g, doc = LayeredGraph.from_json(graph)
+    assert doc["kind"] == "permgraph" and extract_permutation(g, 4) == sigma_cross(4)
+    assert_same_graph(g, ref_from_dict(json.loads(graph)["graph"]))
+    got, want = parse_stream(stream), ref_parse_stream(stream.decode())
+    assert (got.n, got.edges, got.tags) == (want.n, want.edges, want.tags)
+
+
+def test_readers_name_the_offset_of_each_mutation(artifacts, tmp_path, capsys):
+    from permlab.cli import main
+
+    cases = mutations(*artifacts)
+    assert len(cases) == 15
+    for art, name, bad, lo, hi in cases:
+        read = LayeredGraph.from_json if art == "graph" else parse_stream
+        with pytest.raises(ValueError, match=r"^byte \d+: ") as err:
+            read(bad)
+        assert lo <= int(str(err.value).split()[1][:-1]) <= hi, (name, str(err.value))
+        path = tmp_path / f"{art}-{name}"
+        path.write_bytes(bad)
+        assert main(["verify", str(path)]) == 1, name
+        report = json.loads(capsys.readouterr().out)
+        assert report["violations"] == {str(path): [f"unreadable: {err.value}"]}, name
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"layers": [2], "edges": [[1, 1, 1], [1, 1]]}', "byte 42: expected b', 0]'"),
+    ('{"graph": {"layers": [2], "edges": []}, "x": NaN}', "NaN and Infinity"),
+    ('{"graph": {"layers": [2], "edges": [], "tags": null}}', '"tags" arrays must be entries'),
+    ('{"graph": {"layers": [2]}, "x\\"edges": []}', '"edges" and "tags" arrays must be entries'),
+    ('{"layers": [2], "edges": [[1, 1, 1]]', "byte 36: Expecting ',' delimiter"),
+    ('{"layers": [2], "edges": [[1, 1, 1]}', "byte 25: edge array has no end"),
+    ('{"layers": [2], "edges": [], "tags": ["a}', "byte 37: tag array has no end"),
+    ('{"layers": [2], "edges": [[1, 1, 1]], "tags": ["\\u00F1"]}', "byte 52: expected b'f1\"'"),
+    ('{"layers": [2], "edges": [[1, 1, 1]], "tags": ["\\q"]}', "byte 47: expected b''"),
+    ('{"layers": [2], "edges": [[1, 1, 1]], "tags": [1]}', "byte 46: tag array has no end"),
+    ('{"layers": [2], "edges": [[1, 1, 1]], "tags": ["a", "b"]}', "byte 52: more tags than the 1 edges"),
+    ('{"layers": [2], "edges": [[1, 1, 1]], "tags": []}', "byte 47: 0 tags for 1 edges"),
+    ('{"layers": [2], "edges": [[1, 1, 1]], "tags": ["a"], "é": 1}', "byte 54: not ASCII"),
+])
+def test_from_json_rejects_other_documents(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LayeredGraph.from_json(text.encode())

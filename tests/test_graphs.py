@@ -125,11 +125,12 @@ def test_tags_flow_through_concat():
 
 def test_json_roundtrip():
     g = concat_all([basic((2, 1), tag="x"), basic((1, 2))])
-    h = LayeredGraph.from_json(g.to_json())
+    h, rest = LayeredGraph.from_json(g.to_json())
     assert h.layers == g.layers and h.edges.tolist() == g.edges.tolist() and h.tags == g.tags
+    assert rest == {}
     plain = basic((2, 1))
     assert "tags" not in plain.to_json()
-    assert LayeredGraph.from_json(plain.to_json()).tags == plain.tags
+    assert LayeredGraph.from_json(plain.to_json())[0].tags == plain.tags
 
 
 def test_validate_catches_bad_edges():
