@@ -46,8 +46,14 @@ class RunManifest:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _write(path: str, pieces: list[bytes]) -> str:
+    """Write the pieces to path in order; the sha256 of what was written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for piece in pieces:
+            fh.write(piece)
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 def _resolve_out(args) -> str:
@@ -76,11 +82,10 @@ def cmd_gen(args) -> int:
         params = default_params(args.m, args.b, k=args.k, p=args.p)
         sigma = _sigma_from_spec(args.sigma, args.m, args.seed)
         check_budget(vertex_count(params, general=True))
-    except ValueError as err:
+        out = _resolve_out(args)
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    g = gen_general(sigma, params, rng_for(args.seed, "gen"))
-    stream = graph_to_stream(g, shuffle_seed=args.shuffle_seed)
     doc = {
         "kind": "permgraph",
         "m": args.m,
@@ -90,17 +95,20 @@ def cmd_gen(args) -> int:
         "sigma": list(sigma),
         "graph": None,
     }
-    # the graph's text goes where json.dumps writes its value: "b", the one
+    # the graph's bytes go where json.dumps writes its value: "b", the one
     # key that sorts before "graph", holds an int, so the first null is it
-    head, tail = json.dumps(doc, sort_keys=True).split("null", 1)
-    graph_bytes = (head + g.to_json() + tail + "\n").encode()
-    stream_bytes = dump_stream(stream).encode()
-    out = _resolve_out(args)
-    outputs = {}
-    for name, data in (("graph.json", graph_bytes), ("stream.txt", stream_bytes)):
-        with open(os.path.join(out, name), "wb") as fh:
-            fh.write(data)
-        outputs[name] = _digest(data)
+    head, tail = json.dumps(doc, sort_keys=True).encode().split(b"null", 1)
+    try:
+        g = gen_general(sigma, params, rng_for(args.seed, "gen"))
+        outputs = {"graph.json": _write(os.path.join(out, "graph.json"),
+                                        [head, g.to_json(), tail, b"\n"])}
+        stream = graph_to_stream(g, shuffle_seed=args.shuffle_seed)
+        del g  # the graph's columns go before the stream's text is formatted
+        outputs["stream.txt"] = _write(os.path.join(out, "stream.txt"),
+                                       [dump_stream(stream).encode()])
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
+        return 1
     manifest = RunManifest(
         command="gen",
         params={
@@ -160,7 +168,8 @@ def _verify_file(path: str) -> list[str]:
                 return [f"unrecognized JSON document in {path}"]
             return _verify_permgraph(doc, g)
         doc = json.loads(data)
-        if doc.get("schema", "").startswith("multi-hph"):
+        schema = doc.get("schema")
+        if isinstance(schema, str) and schema.startswith("multi-hph"):
             inst = parse_instance(data.decode())
             answer = referee_answer(inst)
             if answer != inst.answer:
@@ -190,7 +199,7 @@ def cmd_verify(args) -> int:
         except (OSError, ValueError, KeyError, TypeError, OverflowError) as err:
             problems = [f"unreadable: {err}"]
         except MemoryError as err:
-            problems = [f"out of memory: {err or 'allocation failed'}"]
+            problems = [f"out of memory: {str(err) or 'allocation failed'}"]
         results[path] = problems
         if not problems:
             clean += 1

@@ -103,17 +103,17 @@ class LayeredGraph:
                 raise ValueError(f"edge layer {el} out of range")
             raise ValueError(f"edge ({el},{eu},{ev}) leaves its layers")
 
-    def to_json(self) -> str:
-        """The JSON payload, as json.dumps(payload, sort_keys=True) would write
-        it: layers, edges as [layer, u, v] lists, and one tag per edge unless
-        every edge is tagged "fixed". Formatted straight from the columns."""
+    def to_json(self) -> bytes:
+        """The JSON payload as bytes, as json.dumps(payload, sort_keys=True)
+        would write it: layers, edges as [layer, u, v] lists, and one tag per
+        edge unless every edge is tagged "fixed". Formatted from the columns."""
         edges = _format_rows(_EDGE_ROW, list(self.edges.T))[:-2]
         parts = [b'{"edges": [', edges, b'], "layers": ', json.dumps(self.layers).encode()]
         used = np.flatnonzero(np.bincount(self.tag_ids)).tolist()
         if any(self.tag_names[i] != "fixed" for i in used):
             tags = _format_rows(_TAG_ROW, [], self.tag_ids, list(map(_json_token, self.tag_names)))[:-2]
             parts += [b', "tags": [', tags, b"]"]
-        return b"".join([*parts, b"}"]).decode()
+        return b"".join([*parts, b"}"])
 
     @classmethod
     def from_json(cls, data: str | bytes) -> tuple["LayeredGraph", dict]:

@@ -111,9 +111,9 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.lexsort((gv, gu, rank[g.tag_ids], g.edges[:, 0]))
     if shuffle_seed is not None:
-        shuffled = list(range(len(order)))
+        shuffled = array("q", range(len(order)))  # shuffle draws the same on any sequence
         random.Random(shuffle_seed).shuffle(shuffled)
-        order = order[np.fromiter(shuffled, dtype=np.intp, count=len(shuffled))]
+        order = order[np.frombuffer(shuffled, dtype=np.int64)]
     return EdgeStream.from_columns(g.vertex_count, True, gu[order], gv[order],
                                    g.tag_ids[order], names)
 
@@ -144,7 +144,8 @@ def dump_stream(stream: EdgeStream) -> str:
         table = [name.encode() for name in stream.tag_names]
         body = _format_rows((b"", b" ", b" ", b"\n"), [stream.us, stream.vs],
                             stream.tag_ids, table)
-    return head + body.decode()
+    body = body.decode()  # rebound, so the bytes go before the header is joined
+    return head + body
 
 
 def parse_stream(data: str | bytes) -> EdgeStream:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import time
@@ -39,6 +40,8 @@ def test_gen_writes_artifacts(tmp_path, capsys):
     assert set(manifest["outputs"]) == {"graph.json", "stream.txt"}
     stream_text = (tmp_path / "stream.txt").read_text()
     assert stream_text.startswith("PHSTREAM v1\n")
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_gen_deterministic_rerun(tmp_path, capsys):
@@ -132,6 +135,15 @@ def test_verify_hph_file(tmp_path, capsys):
     path.write_text(dump_instance(inst))
     code, _ = run(["verify", str(path)], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("schema", [5, None, ["multi-hph"]], ids=["int", "null", "list"])
+def test_verify_reports_a_schema_that_is_no_string(tmp_path, capsys, schema):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"schema": schema}))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {str(path): [f"unrecognized JSON document in {path}"]}
 
 
 def test_analyze_decay_json(capsys):
@@ -246,6 +258,36 @@ def test_bad_values_exit_2(argv, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_refuses_an_out_that_is_a_file(tmp_path, capsys, monkeypatch):
+    def sample(*args):
+        raise AssertionError("sampled before the output directory was resolved")
+
+    monkeypatch.setattr("permlab.cli.gen_general", sample)
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["gen", "id", "--m", "4", "--b", "2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert path.read_text() == ""
+
+
+# a MemoryError raised by the interpreter's own allocator carries no message
+OUT_OF_MEMORY = [("Unable to allocate 3.00 GiB for an array",) * 2, ("", "allocation failed")]
+
+
+def test_gen_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
+    for message, reported in OUT_OF_MEMORY:
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("permlab.cli.gen_general", exhausted)
+        assert main(["gen", "cross", "--m", "4", "--b", "2", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: out of memory: {reported}\n"
+        assert not (tmp_path / "manifest.json").exists()
+
+
 def test_env_var_default_out(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERMLAB_OUT", str(tmp_path))
     code, out = run(["gen", "id", "--m", "4", "--b", "2"], capsys)
@@ -316,14 +358,14 @@ def test_verify_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
 
     code, _ = run(["gen", "cross", "--m", "4", "--b", "2", "--out", str(tmp_path)], capsys)
     assert code == 0
-
-    def exhausted(data):
-        raise MemoryError("Unable to allocate 3.00 GiB for an array")
-
-    monkeypatch.setattr(LayeredGraph, "from_json", exhausted)
     path, stream = str(tmp_path / "graph.json"), str(tmp_path / "stream.txt")
-    code, out = run(["verify", path, stream], capsys)
-    assert code == 1
-    report = json.loads(out)
-    assert report["clean"] == 1
-    assert report["violations"] == {path: ["out of memory: Unable to allocate 3.00 GiB for an array"]}
+    for message, reported in OUT_OF_MEMORY:
+        def exhausted(data):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(LayeredGraph, "from_json", exhausted)
+        code, out = run(["verify", path, stream], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["clean"] == 1
+        assert report["violations"] == {path: [f"out of memory: {reported}"]}

@@ -607,7 +607,7 @@ def test_to_dict_ignores_unused_tag_names():
     )
     doc = ref_to_dict(g)
     assert doc == {"layers": [2, 2], "edges": [[1, 1, 2], [1, 2, 1]]}
-    assert g.to_json() == json.dumps(doc, sort_keys=True)
+    assert g.to_json() == json.dumps(doc, sort_keys=True).encode()
     tagged = ref_from_dict({**doc, "tags": ["fixed", "referee"]})
     assert json.loads(tagged.to_json())["tags"] == ["fixed", "referee"]
 
@@ -663,7 +663,7 @@ def raw_graphs(draw):
     np.zeros(len(EXTREMES) // 3, dtype=np.uint16), ("fixed", "unused")))
 @example(LayeredGraph([2], [], []))
 def test_to_json_matches_reference(g):
-    assert g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True)
+    assert g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True).encode()
 
 
 def test_writers_match_reference_across_chunks():
@@ -673,7 +673,7 @@ def test_writers_match_reference_across_chunks():
     edges[:, 0] = rng.integers(1, 10**rng.integers(1, 10, rows))  # varying widths per chunk
     g = LayeredGraph.from_columns([4, 4], edges, rng.integers(0, 3, rows).astype(np.uint16),
                                   ("fixed", "referee", "jugador:ñ"))
-    assert g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True)
+    assert g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True).encode()
     n = 2**31 - 1
     us, vs = (rng.integers(1, n, rows, endpoint=True) for _ in range(2))
     stream = EdgeStream.from_columns(n, True, us, vs, g.tag_ids, g.tag_names)

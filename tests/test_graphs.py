@@ -129,7 +129,7 @@ def test_json_roundtrip():
     assert h.layers == g.layers and h.edges.tolist() == g.edges.tolist() and h.tags == g.tags
     assert rest == {}
     plain = basic((2, 1))
-    assert "tags" not in plain.to_json()
+    assert b"tags" not in plain.to_json()
     assert LayeredGraph.from_json(plain.to_json())[0].tags == plain.tags
 
 
