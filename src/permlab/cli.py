@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, dists
 from .gen import check_budget, default_params, gen_general, vertex_count
-from .graphs import LayeredGraph, extract_permutation
+from .graphs import ExtractionError, LayeredGraph, extract_permutation
 from .hph import parse_instance, referee_answer
 from .matching import bipartite_of, max_matching, sigma_cross, sigma_eq
 from .perms import parse_perm, random_perm
@@ -138,7 +138,7 @@ def _verify_permgraph(doc: dict, g: LayeredGraph) -> list[str]:
         got = extract_permutation(g, m)
         if got != sigma:
             problems.append(f"extracted {got}, expected {sigma}")
-    except Exception as err:
+    except (ExtractionError, ValueError) as err:
         problems.append(f"extraction failed: {err}")
         return problems
     want = vertex_count(default_params(m, doc["b"], k=doc["k"], p=doc["p"]), general=True)

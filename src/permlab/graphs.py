@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .codec import first_difference, format_rows, read_rows, used_tags
 from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
@@ -106,13 +107,13 @@ class LayeredGraph:
     def to_json(self) -> bytes:
         """The JSON payload as bytes, as json.dumps(payload, sort_keys=True)
         would write it: layers, edges as [layer, u, v] lists, and one tag per
-        edge unless every edge is tagged "fixed". Formatted from the columns."""
-        edges = _format_rows(_EDGE_ROW, list(self.edges.T))[:-2]
+        edge unless every edge is tagged "fixed". Formatted from the columns.
+        Raises ValueError for a used tag outside codec.TAG's alphabet."""
+        edges = format_rows(_EDGE_ROW, list(self.edges.T))[:-2]
         parts = [b'{"edges": [', edges, b'], "layers": ', json.dumps(self.layers).encode()]
-        used = np.flatnonzero(np.bincount(self.tag_ids)).tolist()
-        if any(self.tag_names[i] != "fixed" for i in used):
-            tags = _format_rows(_TAG_ROW, [], self.tag_ids, list(map(_json_token, self.tag_names)))[:-2]
-            parts += [b', "tags": [', tags, b"]"]
+        if set(used_tags(self.tag_names, self.tag_ids)) - {"fixed"}:
+            table = [name.encode() for name in self.tag_names]
+            parts += [b', "tags": [', format_rows(_TAG_ROW, [], self.tag_ids, table)[:-2], b"]"]
         return b"".join([*parts, b"}"])
 
     @classmethod
@@ -122,28 +123,40 @@ class LayeredGraph:
 
         The document must be the bytes json.dumps writes with its default
         separators (keys in any order, one final newline allowed). The edge
-        and tag arrays are cut out and read as columns, each checked by
-        formatting it again with to_json's formatter; json.loads reads only
+        and tag arrays are cut out and read as columns by codec.read_rows,
+        which checks them by formatting them again; json.loads reads only
         the rest, which is checked by dumping it again. Bytes that these
         writers would not write raise ValueError naming the offset of the
         first of them."""
         if isinstance(data, str):
             data = data.encode()
-        buf = np.frombuffer(data, dtype=np.uint8)
-        cuts = []  # (start, end, stand-in) of each array read as columns
         key = data.find(b'"edges": [')
         if key < 0:
             raise ValueError('no "edges" array')
         start = key + len(b'"edges": ')
-        edges, end = _read_edges(data, buf, start)
-        cuts.append((start, end, b"NaN"))
+        end = start + 1 if data[start:start + 2] == b"[]" else data.find(b"]]", start) + 1
+        if end == 0:
+            raise ValueError(f"byte {start}: edge array has no end")
+        edges = np.empty((data.count(b"]", start + 1, end), 3), dtype=np.int32)  # one "]" a row
+        read_rows(data, start + 1, end, _EDGE_ROW, list(edges.T), trim=2)
+        cuts = [(start, end + 1, b"NaN")]  # (start, end, stand-in) of each array read as columns
         key = data.find(b'"tags": [')
         if key >= 0:
             start = key + len(b'"tags": ')
-            tokens = _Tokens(lambda token: _json_token(json.loads(token)))
-            tag_ids, end = _read_tags(data, buf, start, tokens, len(edges))
-            cuts.append((start, end, b"Infinity"))
-            names = tuple(map(json.loads, tokens.index))
+            end = data.find(b"]", start)  # no tag holds a "]"
+            if end < 0:
+                raise ValueError(f"byte {start}: tag array has no end")
+            tags = data.count(b", ", start, end) + (end > start + 1)  # a ", " between two tags
+            if tags > len(edges):
+                at = start + 1
+                for _ in range(len(edges)):  # to the first tag too many
+                    at = data.find(b", ", at) + 2
+                raise ValueError(f"byte {at}: more tags than the {len(edges)} edges")
+            if tags < len(edges):
+                raise ValueError(f"byte {end}: {tags} tags for {len(edges)} edges")
+            tag_ids = np.empty(len(edges), dtype=np.uint16)
+            names = read_rows(data, start + 1, end, _TAG_ROW, [], tag_ids, trim=2)
+            cuts.append((start, end + 1, b"Infinity"))
         else:
             tag_ids, names = np.zeros(len(edges), dtype=np.uint16), ("fixed",)
         doc = _load_skeleton(data, sorted(cuts))
@@ -159,271 +172,9 @@ class LayeredGraph:
         return g, ({} if payload is doc else doc)
 
 
-_CHUNK = 1 << 16  # rows formatted at once, which bounds the temporaries
-_WINDOW = 1 << 19  # input bytes read at once, which bounds the reader's temporaries
+
 _EDGE_ROW = (b"[", b", ", b", ", b"], ")
-_TAG_ROW = (b"", b", ")
-
-
-def _decimal(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An int32 column's values as right-aligned ASCII digits, after a sign
-    column when any is negative, with the mask of the characters str(int)
-    would print."""
-    v = col.astype(np.int64)
-    a = np.abs(v).astype(np.uint32)  # every int32 magnitude fits, 2**31 too
-    width = len(str(int(a.max())))
-    chars = np.empty((len(a), width), dtype=np.uint8)
-    rest = a
-    for j in range(width - 1, -1, -1):  # units first; // by a scalar is the fast path
-        high = rest // 10
-        chars[:, j] = rest - 10 * high
-        rest = high
-    chars += ord("0")
-    keep = a[:, None] >= 10 ** np.arange(width - 1, -1, -1, dtype=np.uint32)  # from the leading digit on
-    keep[:, -1] = True  # zero prints as "0"
-    if (v < 0).any():
-        chars = np.concatenate([np.full((len(v), 1), ord("-"), np.uint8), chars], axis=1)
-        keep = np.concatenate([(v < 0)[:, None], keep], axis=1)
-    return chars, keep
-
-
-def _format_rows(seps: Sequence[bytes], cols: Sequence[np.ndarray],
-                 ids: np.ndarray | None = None, table: Sequence[bytes] = ()) -> bytes:
-    """Rows seps[0] f0 seps[1] f1 ... seps[-1], concatenated. The fields are
-    the int columns, each value as str(int) prints it, then, when ids is
-    given, table[ids[row]]."""
-    n = len(cols[0]) if cols else len(ids)
-    if ids is not None:
-        lens = np.array([len(t) for t in table], dtype=np.int64)
-        names = np.zeros((len(table), int(lens.max(initial=0))), dtype=np.uint8)
-        for row, name in zip(names, table):
-            row[:len(name)] = np.frombuffer(name, dtype=np.uint8)
-    out = []
-    for lo in range(0, n, _CHUNK):
-        fields = [_decimal(col[lo:lo + _CHUNK]) for col in cols]
-        if ids is not None:
-            part = ids[lo:lo + _CHUNK]
-            fields.append((names[part], np.arange(names.shape[1]) < lens[part][:, None]))
-        k = min(_CHUNK, n - lo)
-        pieces = []
-        for sep, field in zip(seps, [*fields, None]):
-            sep_chars = np.broadcast_to(np.frombuffer(sep, dtype=np.uint8), (k, len(sep)))
-            pieces.append((sep_chars, np.ones((k, len(sep)), dtype=bool)))
-            if field is not None:
-                pieces.append(field)
-        chars, keep = zip(*pieces)
-        out.append(np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)].tobytes())
-    return b"".join(out)
-
-
-def _json_token(name: str) -> bytes:
-    return json.dumps(name).encode()
-
-
-# The reader below parses optimistically, then proves the parse exact: it
-# formats the parsed columns again with _format_rows and compares the bytes
-# with the input, window by window. Equality leaves no room for floats, signs
-# such as "+", leading zeros, stray tokens, int32 overflow or rows of the
-# wrong shape, so the parsing needs no grammar of its own.
-
-
-def _expect(data: bytes, lo: int, hi: int, want: bytes) -> None:
-    """Raise ValueError naming the first offset where data[lo:hi] and want differ."""
-    got = data[lo:hi]
-    if got != want:
-        at = lo + _first_difference(got, want)
-        raise ValueError(f"byte {at}: expected {want[at - lo:at - lo + 12]!r}, "
-                         f"found {data[at:at + 12]!r}")
-
-
-def _first_difference(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    diff = np.flatnonzero(np.frombuffer(a, np.uint8, n) != np.frombuffer(b, np.uint8, n))
-    return int(diff[0]) if len(diff) else n
-
-
-def _byte_mask(chars: bytes) -> np.ndarray:
-    mask = np.zeros(256, dtype=bool)
-    mask[list(chars)] = True
-    return mask
-
-
-def _fields(buf: np.ndarray, lo: int, hi: int, sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of the runs of bytes in buf[lo:hi] outside the mask sep."""
-    step = np.diff((~sep[buf[lo:hi]]).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    return np.flatnonzero(step == 1) + lo, np.flatnonzero(step == -1) + lo
-
-
-def _words(buf: np.ndarray, lo: int, hi: int, fill: int) -> tuple[np.ndarray, int]:
-    """(words, base): words[o - base] is the little-endian 8-byte word at
-    offsets o..o+7 of buf[lo:hi], for lo - 16 <= o <= hi, with fill read
-    outside [lo, hi)."""
-    pad = np.full(hi - lo + 24, fill, dtype=np.uint8)
-    pad[16:16 + hi - lo] = buf[lo:hi]
-    return np.ndarray((len(pad) - 7,), dtype="<u8", buffer=pad, strides=(1,)), lo - 16
-
-
-_U64 = np.uint64
-_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_U64)  # keeps the k first bytes
-_HIGH = ~_LOW[::-1]  # keeps the k last bytes
-
-
-def _ints(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The int32 that each field buf[start:end] spells as an optional "-" and
-    decimal digits. Other fields give values that do not format back to them.
-    Eight digits are combined at a time, as one word (SWAR)."""
-    if not len(starts):
-        return np.empty(0, dtype=np.int32)
-    words, base = _words(buf, int(starts.min()), int(ends.max()), ord("0"))
-    neg = buf[starts] == ord("-")
-    digits = ends - starts - neg
-    val = np.zeros(len(starts), dtype=_U64)
-    for j in range(-(-min(int(digits.max()), 16) // 8)):  # int32 has 10 digits
-        # the word's last digits, the bytes before them masked to 0, which reads as a digit 0
-        w = words[ends - 8 * (j + 1) - base] & _HIGH[np.clip(digits - 8 * j, 0, 8)]
-        w = ((w & _U64(0x0F0F0F0F0F0F0F0F)) * _U64((10 << 8) + 1)) >> _U64(8)
-        w = ((w & _U64(0x00FF00FF00FF00FF)) * _U64((100 << 16) + 1)) >> _U64(16)
-        w = ((w & _U64(0x0000FFFF0000FFFF)) * _U64((10000 << 32) + 1)) >> _U64(32)
-        val += w * _U64(10 ** (8 * j))
-    val = val.astype(np.int64)
-    return np.where(neg, -val, val).astype(np.int32)  # wraps outside int32, which the check sees
-
-
-class _Tokens:
-    """Exact ids for byte-string tokens, numbered in order of first
-    appearance, and the bytes a writer gives each. write maps a token to
-    those bytes, or raises ValueError for a token the writer never writes;
-    its entry is then b"", which the check never finds equal to the token."""
-
-    def __init__(self, write):
-        self.write = write
-        self.index: dict[bytes, int] = {}  # token -> id
-        self.table: list[bytes] = []
-
-    def ids(self, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """The id of each token buf[start:end]. Tokens are grouped by a hash
-        of their keys and compared whole with their group's first token, so
-        the ids are exact; a token that differs (a hash collision) is looked
-        up on its own."""
-        width = 1 + -(-int((ends - starts).max(initial=0)) // 8)
-        step = max(1, _WINDOW // width)  # tokens at once, which bounds the keys
-        ids = np.empty(len(starts), dtype=np.uint32)
-        for lo in range(0, len(starts), step):
-            s, e = starts[lo:lo + step], ends[lo:lo + step]
-            keys = _keys(buf, s, e, width)
-            _, first, group = np.unique(_hash(keys), return_index=True, return_inverse=True)
-            heads = np.empty(len(first), dtype=np.uint32)
-            for g in np.argsort(first):  # in order of first appearance
-                heads[g] = self._id(buf[s[first[g]]:e[first[g]]].tobytes())
-            got = heads[group]
-            for i in np.flatnonzero((keys != keys[:, first[group]]).any(axis=0)):
-                got[i] = self._id(buf[s[i]:e[i]].tobytes())
-            ids[lo:lo + step] = got
-        return ids
-
-    def _id(self, token: bytes) -> int:
-        i = self.index.setdefault(token, len(self.index))
-        if i == len(self.table):
-            try:
-                self.table.append(self.write(token))
-            except ValueError:
-                self.table.append(b"")
-        return i
-
-
-def _keys(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
-    """The key of each token buf[start:end], as a column of width words: its
-    length, then its bytes as 8-byte words, zero past its end."""
-    keys = np.empty((width, len(starts)), dtype=_U64)
-    keys[0] = lens = ends - starts
-    if len(starts):
-        words, base = _words(buf, int(starts.min()), int(ends.max()), 0)
-        for j in range(width - 1):
-            keys[1 + j] = words[np.minimum(starts + 8 * j, ends) - base] & _LOW[np.clip(lens - 8 * j, 0, 8)]
-    return keys
-
-
-def _hash(keys: np.ndarray) -> np.ndarray:
-    """A hash of each key column."""
-    h = np.zeros(keys.shape[1], dtype=_U64)
-    for j, word in enumerate(keys):
-        h += word * _U64((2 * j + 1) * 0x9E3779B97F4A7C15 % (1 << 64))
-    return h
-
-
-def _read_edges(data: bytes, buf: np.ndarray, start: int) -> tuple[np.ndarray, int]:
-    """The edge array to_json writes at data[start]: (E, 3) int32 rows and
-    the offset just past the array."""
-    if data[start:start + 2] == b"[]":
-        return np.empty((0, 3), dtype=np.int32), start + 2
-    end = data.find(b"]]", start) + 1  # the array's closing bracket
-    if end == 0:
-        raise ValueError(f"byte {start}: edge array has no end")
-    # filled in place, window by window, so no window's rows outlive it
-    edges = np.empty((data.count(b"]", start + 1, end), 3), dtype=np.int32)  # one "]" a row
-    lo, at = start + 1, 0
-    while lo < end:
-        hi = data.find(b"], [", lo + _WINDOW, end)
-        hi = end if hi < 0 else hi + 3  # whole rows
-        vals = _ints(buf, *_fields(buf, lo, hi, _EDGE_SEP))
-        rows = np.zeros((-(-len(vals) // 3), 3), dtype=np.int32)  # a short last row: the check sees it
-        rows.flat[:len(vals)] = vals
-        text = _format_rows(_EDGE_ROW, list(rows.T))
-        _expect(data, lo, hi, text if hi < end else text[:-2])
-        edges[at:at + len(rows)] = rows
-        lo, at = hi, at + len(rows)
-    return edges, end + 1
-
-
-def _escaped(buf: np.ndarray, quotes: np.ndarray) -> np.ndarray:
-    """Which of the quotes follow an odd run of backslashes."""
-    odd = np.zeros(len(quotes), dtype=bool)
-    at = quotes - 1
-    run = np.flatnonzero(buf[at] == ord("\\"))
-    while len(run):
-        odd[run] ^= True
-        at[run] -= 1
-        run = run[buf[at[run]] == ord("\\")]
-    return odd
-
-
-def _read_tags(data: bytes, buf: np.ndarray, start: int, tokens: _Tokens,
-               count: int) -> tuple[np.ndarray, int]:
-    """The tag array to_json writes at data[start], which must hold count
-    tags: an id per tag through tokens, which holds JSON string tokens, and
-    the offset just past the array. The array ends at the first string
-    followed by "]"; it is read window by window into one id column."""
-    tag_ids = np.empty(count, dtype=np.uint16)
-    lo, checked, at = start + 1, start + 1, 0
-    quotes = np.empty(0, dtype=np.intp)  # a string's open quote left from the last window
-    end = start + 1 if data[start:start + 2] == b"[]" else None  # the closing bracket
-    while end is None:
-        if lo >= len(data):
-            raise ValueError(f"byte {start}: tag array has no end")
-        hi = min(lo + _WINDOW, len(data))
-        found = np.flatnonzero(buf[lo:hi] == ord('"')) + lo
-        quotes = np.concatenate([quotes, found[~_escaped(buf, found)]])
-        pairs = len(quotes) // 2
-        opens, closes = quotes[0:2 * pairs:2], quotes[1:2 * pairs:2]
-        last = np.flatnonzero(buf[np.minimum(closes + 1, len(buf) - 1)] == ord("]"))
-        if len(last):
-            opens, closes = opens[:last[0] + 1], closes[:last[0] + 1]
-            end = int(closes[-1]) + 1
-        if at + len(opens) > count:
-            raise ValueError(f"byte {opens[count - at]}: more tags than the {count} edges")
-        ids = tokens.ids(buf, opens, closes + 1)
-        if len(tokens.table) > 1 << 16:
-            raise ValueError("at most 65536 distinct tags")
-        if len(ids):
-            upto = closes[-1] + (1 if len(last) else 3)
-            text = _format_rows(_TAG_ROW, [], ids, tokens.table)
-            _expect(data, checked, upto, text[:-2] if len(last) else text)
-            tag_ids[at:at + len(ids)] = ids
-            checked, at = upto, at + len(ids)
-        quotes, lo = quotes[2 * pairs:], hi
-    if at != count:
-        raise ValueError(f"byte {end}: {at} tags for {count} edges")
-    return tag_ids, end + 1
+_TAG_ROW = (b'"', b'", ')
 
 
 def _load_skeleton(data: bytes, cuts: list[tuple[int, int, bytes]]) -> dict:
@@ -455,7 +206,7 @@ def _load_skeleton(data: bytes, cuts: list[tuple[int, int, bytes]]) -> dict:
         raise ValueError(f"byte {offset(err.pos)}: {err.msg}") from None
     want = json.dumps(doc) + ("\n" if text.endswith("\n") else "")
     if text != want:
-        at = _first_difference(skeleton, want.encode())
+        at = first_difference(skeleton, want.encode())
         raise ValueError(f"byte {offset(at)}: not as json.dumps writes it")
     if not isinstance(doc, dict):
         raise ValueError("the document is not a JSON object")
@@ -463,8 +214,6 @@ def _load_skeleton(data: bytes, cuts: list[tuple[int, int, bytes]]) -> dict:
         raise ValueError("NaN and Infinity have no place in the document")
     return doc
 
-
-_EDGE_SEP = _byte_mask(b"[], ")
 
 
 def basic(sigma: Perm, tag: str = "fixed") -> LayeredGraph:

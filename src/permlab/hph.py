@@ -175,10 +175,13 @@ def dump_instance(inst: MultiHPHInstance) -> str:
 
 
 def parse_instance(text: str) -> MultiHPHInstance:
+    """Read dump_instance's text. Raises ValueError for a rank outside
+    [0, b!), a matrix or hypermatching of the wrong shape, a row index outside
+    [1, t], or a shift or target vector that does not hold r/2 permutations."""
     d = json.loads(text)
     if d.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {d.get('schema')!r}")
-    b = d["b"]
+    r, t, b, k = d["r"], d["t"], d["b"], d["k"]
 
     def unrank_vec(v):
         return tuple(lehmer_unrank(x, b) for x in v)
@@ -186,20 +189,17 @@ def parse_instance(text: str) -> MultiHPHInstance:
     sigmas = tuple(
         tuple(unrank_vec(row) for row in mat) for mat in d["sigmas"]
     )
+    if len(sigmas) != k:
+        raise ValueError(f"sigmas must hold {k} matrices, one per player")
     for mat in sigmas:
-        check_perm_matrix(mat, d["t"], d["r"], b)
+        check_perm_matrix(mat, t, r, b)
+    L = tuple(d["L"])
+    if len(L) != k or any(not 1 <= x <= t for x in L):
+        raise ValueError(f"L must hold {k} row indices in [1, {t}]")
     M = tuple(tuple(row) for row in d["M"])
-    check_hypermatching(M, d["k"], d["r"])
-    return MultiHPHInstance(
-        d["r"],
-        d["t"],
-        b,
-        d["k"],
-        sigmas,
-        tuple(d["L"]),
-        M,
-        unrank_vec(d["gamma"]),
-        (unrank_vec(d["targets"]["yes"]), unrank_vec(d["targets"]["no"])),
-        d["answer"],
-        d.get("seed"),
-    )
+    check_hypermatching(M, k, r)
+    gamma = unrank_vec(d["gamma"])
+    targets = (unrank_vec(d["targets"]["yes"]), unrank_vec(d["targets"]["no"]))
+    if any(len(v) != r // 2 for v in (gamma, *targets)):
+        raise ValueError(f"gamma and the targets must hold r/2 = {r // 2} permutations each")
+    return MultiHPHInstance(r, t, b, k, sigmas, L, M, gamma, targets, d["answer"], d.get("seed"))

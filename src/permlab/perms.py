@@ -183,10 +183,14 @@ def lehmer_rank(p: Perm) -> int:
 
 
 def lehmer_unrank(rank: int, m: int) -> Perm:
-    digits = []
+    """The permutation of rank rank in lexicographic order of S_m; ValueError
+    for a rank outside [0, m!)."""
+    digits, rest = [], rank
     for radix in range(1, m + 1):
-        digits.append(rank % radix)
-        rank //= radix
+        digits.append(rest % radix)
+        rest //= radix
+    if rest:  # rank >= m!, or rank < 0, whose quotients stay at -1
+        raise ValueError(f"rank {rank} outside [0, {m}!)")
     digits.reverse()
     avail = list(range(1, m + 1))
     return tuple(avail.pop(d) for d in digits)

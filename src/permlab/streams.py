@@ -25,20 +25,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import (
-    _WINDOW,
-    LayeredGraph,
-    _byte_mask,
-    _expect,
-    _fields,
-    _format_rows,
-    _ints,
-    _Tokens,
-)
+from .codec import FormatError, expect, format_rows, read_rows, used_tags
+from .graphs import LayeredGraph
 from .matching import BipartiteInstance, max_matching
 
 MAGIC = "PHSTREAM v1"
-_STREAM_SEP = _byte_mask(b" \n")
+_LINE = (b"", b" ", b"\n")
+_TAGGED_LINE = (b"", b" ", b" ", b"\n")
 
 
 class EdgeStream:
@@ -118,40 +111,25 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
                                    g.tag_ids[order], names)
 
 
-def _one_field(tag: str) -> bool:
-    """Whether parse_stream reads the tag back as one field: not empty, no whitespace."""
-    return tag.split() == [tag]
-
-
-def _tag_field(token: bytes) -> bytes:
-    """The field dump_stream writes for the tag that token spells; ValueError
-    when the token is no such field."""
-    if not _one_field(token.decode()):
-        raise ValueError(f"tag {token!r} is empty or holds whitespace")
-    return token
-
-
 def dump_stream(stream: EdgeStream) -> str:
-    """The stream as text. Raises ValueError for a tag that parse_stream
-    could not read back as one field: empty, or holding whitespace."""
+    """The stream as text. Raises ValueError for a used tag that is not a
+    non-empty run of ASCII letters, digits and _:.-, which parse_stream
+    reads back as one field."""
     head = f"{MAGIC}\n{stream.n} {len(stream)} {1 if stream.directed else 0}\n"
     if stream.tag_ids is None:
-        body = _format_rows((b"", b" ", b"\n"), [stream.us, stream.vs])
+        body = format_rows(_LINE, [stream.us, stream.vs])
     else:
-        for i in np.flatnonzero(np.bincount(stream.tag_ids)).tolist():
-            if not _one_field(stream.tag_names[i]):
-                raise ValueError(f"tag {stream.tag_names[i]!r} is empty or holds whitespace")
+        used_tags(stream.tag_names, stream.tag_ids)
         table = [name.encode() for name in stream.tag_names]
-        body = _format_rows((b"", b" ", b" ", b"\n"), [stream.us, stream.vs],
-                            stream.tag_ids, table)
+        body = format_rows(_TAGGED_LINE, [stream.us, stream.vs], stream.tag_ids, table)
     body = body.decode()  # rebound, so the bytes go before the header is joined
     return head + body
 
 
 def parse_stream(data: str | bytes) -> EdgeStream:
     """Read dump_stream's text. The header's fields are read first; the
-    edge lines are then cut into columns at their spaces and newlines and
-    checked by formatting them again with dump_stream's formatter. Anything
+    edge lines are then read as columns by codec.read_rows, which checks
+    them by formatting them again with dump_stream's formatter. Anything
     dump_stream would not write raises ValueError, naming its byte offset."""
     if isinstance(data, str):
         data = data.encode()
@@ -166,39 +144,23 @@ def parse_stream(data: str | bytes) -> EdgeStream:
     if directed not in (0, 1):
         raise ValueError(f"directed flag must be 0 or 1, got {directed}")
     header = f"{MAGIC}\n{n} {count} {directed}\n".encode()
-    _expect(data, 0, len(header), header)
+    expect(data, 0, len(header), header)
     lines = data.count(b"\n", len(header)) + (len(data) > len(header) and not data.endswith(b"\n"))
     if lines != count:
         raise ValueError(f"expected {count} edges, found {lines}")
     eol = data.find(b"\n", len(header))
     tagged = len(data[len(header):eol if eol >= 0 else len(data)].split()) == 3
-    seps = (b"", b" ", b" ", b"\n") if tagged else (b"", b" ", b"\n")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # filled in place, window by window, so no window's columns outlive it
-    us, vs, tag_ids = (np.empty(count, dtype=t) for t in (np.int32, np.int32, np.uint32))
-    tokens = _Tokens(_tag_field)
-    lo, at = len(header), 0
-    while lo < len(data):
-        hi = data.find(b"\n", lo + _WINDOW) + 1 or len(data)  # whole lines
-        starts, ends = _fields(buf, lo, hi, _STREAM_SEP)
-        per_line = np.diff(np.searchsorted(starts, np.flatnonzero(buf[lo:hi] == ord("\n")) + lo),
-                           prepend=0)
-        if (per_line == (2 if tagged else 3)).any():
-            raise ValueError("mixed tagged and untagged edge lines")
-        # each line's fields as a row of indices into starts; a short last row
-        # points at field 0, which the check sees
-        fields = np.zeros((-(-len(starts) // (len(seps) - 1)), len(seps) - 1), dtype=np.intp)
-        fields.flat[:len(starts)] = np.arange(len(starts))
-        cols = [_ints(buf, starts[f], ends[f]) for f in fields.T[:2]]
-        ids = tokens.ids(buf, starts[fields[:, 2]], ends[fields[:, 2]]) if tagged else None
-        _expect(data, lo, hi, _format_rows(seps, cols, ids, tokens.table))
-        span = slice(at, at + len(fields))  # the lines counted above, so they fit
-        us[span], vs[span] = cols
-        if tagged:
-            tag_ids[span] = ids
-        lo, at = hi, span.stop
-    return EdgeStream.from_columns(n, directed == 1, us, vs, tag_ids if tagged else None,
-                                   tuple(token.decode() for token in tokens.index))
+    us, vs = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
+    tag_ids = np.empty(count, dtype=np.uint32) if tagged else None
+    try:
+        names = read_rows(data, len(header), len(data), _TAGGED_LINE if tagged else _LINE,
+                          [us, vs], tag_ids)
+    except FormatError as err:  # name a line of the other kind as such
+        lo, hi = data.rfind(b"\n", 0, err.offset) + 1, data.find(b"\n", err.offset)
+        if len(data[lo:hi if hi >= 0 else len(data)].split()) == (2 if tagged else 3):
+            raise ValueError("mixed tagged and untagged edge lines") from None
+        raise
+    return EdgeStream.from_columns(n, directed == 1, us, vs, tag_ids, names)
 
 
 # ---------------------------------------------------------------------------

@@ -369,3 +369,41 @@ def test_verify_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
         report = json.loads(out)
         assert report["clean"] == 1
         assert report["violations"] == {path: [f"out of memory: {reported}"]}
+
+
+def test_verify_reports_running_out_of_memory_in_extraction(tmp_path, capsys, monkeypatch):
+    code, _ = run(["gen", "cross", "--m", "4", "--b", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    path = str(tmp_path / "graph.json")
+    failures = [(MemoryError(message), f"out of memory: {reported}") for message, reported in OUT_OF_MEMORY]
+    failures.append((ValueError("boundary layers"), "extraction failed: boundary layers"))
+    for err, problem in failures:
+        def failing(g, m):
+            raise err
+
+        monkeypatch.setattr("permlab.cli.extract_permutation", failing)
+        code, out = run(["verify", path], capsys)
+        assert code == 1
+        assert json.loads(out)["violations"] == {path: [problem]}
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("L", [2, 1], "L must hold 2 row indices in [1, 1]"),
+    ("L", [0, 1], "L must hold 2 row indices in [1, 1]"),
+    ("gamma", [0], "gamma and the targets must hold r/2 = 2 permutations each"),
+    ("gamma", [2, 0], "rank 2 outside [0, 2!)"),
+    ("gamma", [0, -1], "rank -1 outside [0, 2!)"),
+], ids=["L-past-t", "L-zero", "gamma-short", "rank-2", "rank-minus-1"])
+def test_verify_rejects_instance_files_dump_instance_never_writes(tmp_path, capsys, field, value, problem):
+    import random
+
+    from permlab.hph import dump_instance, sample_instance
+
+    targets = (((1, 2), (1, 2)), ((2, 1), (2, 1)))
+    doc = json.loads(dump_instance(sample_instance(4, 1, 2, 2, targets, random.Random(0))))
+    doc[field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {str(path): [f"unreadable: {problem}"]}

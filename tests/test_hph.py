@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -124,6 +125,29 @@ def test_serialization_roundtrip():
 def test_parse_rejects_garbage():
     with pytest.raises((ValueError, KeyError)):
         parse_instance("{}")
+
+
+MALFORMED = {
+    "row index past t": lambda d: d.update(L=[2, 1]),
+    "row index 0": lambda d: d.update(L=[0, 1]),
+    "one row index short": lambda d: d.update(L=[1]),
+    "gamma cut to 1 entry": lambda d: d.update(gamma=d["gamma"][:1]),
+    "yes target cut to 1 entry": lambda d: d["targets"].update(yes=d["targets"]["yes"][:1]),
+    "no target cut to 1 entry": lambda d: d["targets"].update(no=d["targets"]["no"][:1]),
+    "one matrix short": lambda d: d.update(sigmas=d["sigmas"][:1]),
+    "rank b!": lambda d: d.update(gamma=[2, 0]),
+    "rank -1": lambda d: d["sigmas"][0][0].__setitem__(0, -1),
+}
+
+
+@pytest.mark.parametrize("mutate", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_parse_rejects_malformed_instances(mutate):
+    # r=4, t=1, b=2, k=2
+    d = json.loads(dump_instance(sample_instance(4, 1, 2, 2, _targets(4, 2), random.Random(9))))
+    parse_instance(json.dumps(d))
+    mutate(d)
+    with pytest.raises(ValueError):
+        parse_instance(json.dumps(d))
 
 
 def test_zero_info_guess_runs_and_is_fair_in_the_small():

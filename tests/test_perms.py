@@ -182,5 +182,11 @@ def test_lehmer_roundtrip():
         assert lehmer_unrank(rank, 4) == p
 
 
+@pytest.mark.parametrize("rank, m", [(2, 2), (3, 2), (-1, 2), (24, 4), (-25, 4), (1, 0)])
+def test_lehmer_unrank_rejects_ranks_outside_the_range(rank, m):
+    with pytest.raises(ValueError, match=rf"^rank {rank} outside \[0, {m}!\)$"):
+        lehmer_unrank(rank, m)
+
+
 def test_all_perms_count():
     assert len(list(all_perms(4))) == 24
