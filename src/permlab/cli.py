@@ -21,15 +21,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, dists
-from .gen import check_budget, default_params, gen_general, vertex_count
+from .gen import default_params, gen_general, vertex_count
 from .graphs import ExtractionError, LayeredGraph, extract_permutation
 from .hph import parse_instance, referee_answer
-from .matching import bipartite_of, max_matching, sigma_cross, sigma_eq
+from .matching import bipartite_of, instance_to_stream, max_matching, sigma_cross, sigma_eq
 from .perms import parse_perm, random_perm
 from .rs import parse_rs, validate_rs
 from .seeds import rng_for
 from .sortnet import build_sort_network, depth_bound
-from .streams import dump_stream, graph_to_stream
+from .streams import FullMemory, advantage_estimate, dump_stream, graph_to_stream, parse_stream
 
 OUT_ENV = "PERMLAB_OUT"
 
@@ -81,7 +81,7 @@ def cmd_gen(args) -> int:
     try:
         params = default_params(args.m, args.b, k=args.k, p=args.p)
         sigma = _sigma_from_spec(args.sigma, args.m, args.seed)
-        check_budget(vertex_count(params, general=True))
+        vertex_count(params, general=True)
         out = _resolve_out(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -177,8 +177,6 @@ def _verify_file(path: str) -> list[str]:
             return []
         return [f"unrecognized JSON document in {path}"]
     if stripped.startswith(b"PHSTREAM"):
-        from .streams import parse_stream
-
         parse_stream(data)
         return []
     # otherwise treat as an RS family file
@@ -290,15 +288,11 @@ def _analyze_pinsker(seed, b, trials):
 
 
 def _analyze_advantage(seed, m, b, k, p, trials):
-    from .streams import FullMemory, advantage_estimate
-
     params = default_params(m, b, k=k, p=p)
     rng = rng_for(seed, "analyze/advantage")
 
     def sampler(sigma):
         def sample(r):
-            from .matching import instance_to_stream
-
             g = gen_general(sigma, params, r)
             return instance_to_stream(bipartite_of(g, m))
 

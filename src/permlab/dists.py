@@ -261,9 +261,9 @@ def _adjacent_matrices(shape: tuple[int, ...], b: int) -> tuple[int, list[np.nda
     return d, gens
 
 
-def build_irreps(b: int, cap: int = FOURIER_CAP) -> IrrepSet:
-    if b > cap:
-        raise ValueError(f"b={b} above the Fourier cap {cap}")
+def build_irreps(b: int) -> IrrepSet:
+    if b > FOURIER_CAP:
+        raise ValueError(f"b={b} above the Fourier cap {FOURIER_CAP}")
     perms = all_perms(b)
     rank_of = {p: i for i, p in enumerate(perms)}
     # BFS over S_b by right-multiplication with adjacent transpositions

@@ -47,7 +47,7 @@ from .perms import (
     vec,
 )
 from .rs import RSGraph, trivial_rs
-from .sortnet import SorterNetwork, build_sort_network, decompose, depth_floor
+from .sortnet import decompose, depth_floor
 
 # an alias kept because perfbench/tracing.py looks this name up on this module
 p_multi_block_sample = multi_block
@@ -82,16 +82,6 @@ class GenParams:
 
 def default_params(m: int, b: int, k: int = 2, p: int = 1) -> GenParams:
     return GenParams(m, b, k, p)
-
-
-def check_budget(vertices: int) -> None:
-    if vertices > MAX_VERTICES:
-        raise ValueError(f"sample would need {vertices} vertices, cap is {MAX_VERTICES}")
-
-
-@lru_cache(maxsize=64)
-def _net(m: int, b: int) -> SorterNetwork:
-    return build_sort_network(m, b)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +122,7 @@ def _pieces(sigma: Perm, b: int) -> list[tuple[Partition, Perm]]:
     """The simple factors gen_general hides, each with its exact-b partition:
     decompose sigma along the sorting network, then regularize every layer."""
     m = len(sigma)
-    d = decompose(sigma, b, _net(m, b))
+    d = decompose(sigma, b)
     return [piece for part, g in zip(d.partitions, d.gammas) for piece in _regularize(part, g, b, m)]
 
 
@@ -177,13 +167,14 @@ def _count_floor(m: int, k: int, p: int) -> int:
 
 
 def vertex_count(params: GenParams, general: bool) -> int:
-    """Exact vertex count of any sample at these parameters.
+    """Exact vertex count of any sample at these parameters, or ValueError
+    if it is over MAX_VERTICES.
 
     For general=False this is the count for a Lex-simple input; hiding over a
     non-Lex partition adds 4m wrapper vertices on top. Parameters whose count
-    is over MAX_VERTICES by _count_floor alone (times depth_floor for general
-    counts) raise ValueError before the layer plans, which build sorting
-    networks at sizes up to m * 2^(p-1).
+    is over the cap by _count_floor alone (times depth_floor for general
+    counts) are refused before the layer plans, which build sorting networks
+    at sizes up to m * 2^(p-1).
     """
     floor = _count_floor(params.m, params.k, params.p)
     if general:
@@ -191,7 +182,10 @@ def vertex_count(params: GenParams, general: bool) -> int:
     if floor > MAX_VERTICES:
         raise ValueError(f"sample would need at least {floor} vertices, cap is {MAX_VERTICES}")
     count = _count_general if general else _count_simple
-    return count(params.m, params.b, params.k, params.p)
+    vertices = count(params.m, params.b, params.k, params.p)
+    if vertices > MAX_VERTICES:
+        raise ValueError(f"sample would need {vertices} vertices, cap is {MAX_VERTICES}")
+    return vertices
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +215,7 @@ def sample_simple(
         return [basic(inverse(s), "fixed"), *inner, basic(s, "fixed")], core
 
     grs = params.family
-    check_budget(_count_simple(m, b, k, p))
+    vertex_count(params, general=False)
     target = vec(rho, b)
     sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
     gamma = force_gamma(recompute_gamma_star(sigmas, L, M), target)
@@ -245,7 +239,7 @@ def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGr
     regularize each layer to exact-b groups, hide every factor, concatenate."""
     if len(sigma) != params.m:
         raise ValueError(f"sigma acts on [{len(sigma)}], params say m={params.m}")
-    check_budget(vertex_count(params, general=True))
+    vertex_count(params, general=True)
     return concat_all([g for part, gamma in _pieces(sigma, params.b)
                        for g in sample_simple(gamma, part, params, rng)[0]])
 

@@ -27,6 +27,8 @@ from .perms import (
 
 Targets = tuple[PermVector, PermVector]  # (yes tuple, no tuple), each length r/2
 
+ENUMERATION_CAP = 10**6  # cell assignments zero_info_guess may enumerate
+
 
 @dataclass(frozen=True)
 class MultiHPHInstance:
@@ -112,7 +114,7 @@ def referee_answer(inst: MultiHPHInstance) -> str:
     raise ValueError("shifted composition matches neither target (corrupt instance)")
 
 
-def zero_info_guess(inst: MultiHPHInstance, rng: random.Random, cap: int = 10**6) -> str:
+def zero_info_guess(inst: MultiHPHInstance, rng: random.Random) -> str:
     """Best guess from (L, M, Gamma, targets) alone, Sigma unseen.
 
     Enumerates the relevant matrix cells per hyperedge (they are independent
@@ -122,7 +124,7 @@ def zero_info_guess(inst: MultiHPHInstance, rng: random.Random, cap: int = 10**6
     b, k = inst.b, inst.k
     half = len(inst.gamma)
     perms = all_perms(b)
-    if len(perms) ** k * half > cap:
+    if len(perms) ** k * half > ENUMERATION_CAP:
         raise ValueError("enumeration over the relevant cells exceeds the cap")
     log_yes = 0.0
     log_no = 0.0
@@ -174,17 +176,27 @@ def dump_instance(inst: MultiHPHInstance) -> str:
     return json.dumps(payload)
 
 
+def _int(v, name: str) -> int:
+    """v, or ValueError unless it is a JSON integer (json reads true and
+    false as bools, which are ints to Python)."""
+    if type(v) is not int:
+        raise ValueError(f"{name}: {json.dumps(v)} is not a JSON integer")
+    return v
+
+
 def parse_instance(text: str) -> MultiHPHInstance:
-    """Read dump_instance's text. Raises ValueError for a rank outside
+    """Read dump_instance's text. Raises ValueError for a size, row index,
+    column index, rank or seed that is not a JSON integer, a rank outside
     [0, b!), a matrix or hypermatching of the wrong shape, a row index outside
     [1, t], or a shift or target vector that does not hold r/2 permutations."""
     d = json.loads(text)
     if d.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {d.get('schema')!r}")
-    r, t, b, k = d["r"], d["t"], d["b"], d["k"]
+    r, t, b, k = (_int(d[key], key) for key in ("r", "t", "b", "k"))
+    seed = None if d.get("seed") is None else _int(d["seed"], "seed")
 
     def unrank_vec(v):
-        return tuple(lehmer_unrank(x, b) for x in v)
+        return tuple(lehmer_unrank(_int(x, "rank"), b) for x in v)
 
     sigmas = tuple(
         tuple(unrank_vec(row) for row in mat) for mat in d["sigmas"]
@@ -193,13 +205,13 @@ def parse_instance(text: str) -> MultiHPHInstance:
         raise ValueError(f"sigmas must hold {k} matrices, one per player")
     for mat in sigmas:
         check_perm_matrix(mat, t, r, b)
-    L = tuple(d["L"])
+    L = tuple(_int(x, "L") for x in d["L"])
     if len(L) != k or any(not 1 <= x <= t for x in L):
         raise ValueError(f"L must hold {k} row indices in [1, {t}]")
-    M = tuple(tuple(row) for row in d["M"])
+    M = tuple(tuple(_int(x, "M") for x in row) for row in d["M"])
     check_hypermatching(M, k, r)
     gamma = unrank_vec(d["gamma"])
     targets = (unrank_vec(d["targets"]["yes"]), unrank_vec(d["targets"]["no"]))
     if any(len(v) != r // 2 for v in (gamma, *targets)):
         raise ValueError(f"gamma and the targets must hold r/2 = {r // 2} permutations each")
-    return MultiHPHInstance(r, t, b, k, sigmas, L, M, gamma, targets, d["answer"], d.get("seed"))
+    return MultiHPHInstance(r, t, b, k, sigmas, L, M, gamma, targets, d["answer"], seed)

@@ -7,6 +7,7 @@ docstring in this package speaks one-indexed; tuples index from zero internally.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -198,6 +199,4 @@ def lehmer_unrank(rank: int, m: int) -> Perm:
 
 def all_perms(m: int) -> list[Perm]:
     """All of S_m in Lehmer (lexicographic) order."""
-    import math
-
     return [lehmer_unrank(i, m) for i in range(math.factorial(m))]

@@ -19,6 +19,7 @@ Every tested (m, b) stays within 4 * ceil(log_b m)^2 layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .perms import Partition, Perm, compose, inverse
@@ -195,29 +196,26 @@ def _schedule(ops: list[Group], m: int) -> tuple[tuple[Group, ...], ...]:
     return tuple(full)
 
 
-def build_merge_network(m: int, b: int, pad: bool = False) -> SorterNetwork:
-    """Network of b*b-wide sorters merging b sorted runs of length m/b.
-
-    m must be a power of b; with pad=True a non-power m is padded up and the
-    returned network keeps the padded width (its run structure is that of the
-    padded array, so callers must feed sentinels on the extra wires).
-    """
+def build_merge_network(m: int, b: int) -> SorterNetwork:
+    """Network of b*b-wide sorters merging b sorted runs of length m/b; m
+    must be a power of b."""
     if b < 2:
         raise ValueError("b must be at least 2")
-    M = _next_power(b, m)
-    if M != m and not pad:
-        raise ValueError(f"m={m} is not a power of b={b} (pass pad=True)")
-    ops = _merge_ops(list(range(1, M + 1)), b)
-    return SorterNetwork(M, b * b, _schedule(ops, M))
+    if _next_power(b, m) != m:
+        raise ValueError(f"m={m} is not a power of b={b}")
+    ops = _merge_ops(list(range(1, m + 1)), b)
+    return SorterNetwork(m, b * b, _schedule(ops, m))
 
 
+@lru_cache(maxsize=64)
 def build_sort_network(m: int, b: int) -> SorterNetwork:
     """Network of sorters of width <= b sorting every input on m wires.
 
     For b in {2, 3} this is Batcher's odd-even mergesort with 2-sorters. For
     b >= 4 it is the recursive q-way construction with q = isqrt(b); sorter
     width is q*q, the largest square not exceeding b. Non-power sizes are
-    padded internally and the network restricted back to [m].
+    padded internally and the network restricted back to [m]. Networks are
+    cached per (m, b) and shared: a SorterNetwork is immutable.
     """
     if m < 1:
         raise ValueError(f"m must be at least 1, got m={m}")
@@ -254,8 +252,9 @@ def depth_bound(m: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # decomposition
 
-def decompose(sigma: Perm, b: int, net: SorterNetwork | None = None) -> Decomposition:
-    """Split sigma into one simple permutation per network layer.
+def decompose(sigma: Perm, b: int) -> Decomposition:
+    """Split sigma into one simple permutation per layer of
+    build_sort_network(len(sigma), b).
 
     Feeding the value array sigma through the network and watching positions
     move yields movements g_1..g_d (g_j simple on layer j's partition) with
@@ -263,10 +262,7 @@ def decompose(sigma: Perm, b: int, net: SorterNetwork | None = None) -> Decompos
     compose(gamma_1, compose(gamma_2, ...)) = sigma and gamma_d acts first.
     """
     m = len(sigma)
-    if net is None:
-        net = build_sort_network(m, b)
-    if net.m != m:
-        raise ValueError(f"network width {net.m} does not match m={m}")
+    net = build_sort_network(m, b)
     w = tuple(sigma)
     moves: list[Perm] = []
     for new in net.steps(w):
@@ -275,29 +271,3 @@ def decompose(sigma: Perm, b: int, net: SorterNetwork | None = None) -> Decompos
     if w != tuple(range(1, m + 1)):
         raise RuntimeError("network failed to sort the input permutation")
     return Decomposition(tuple(reversed(net.layers)), tuple(reversed(moves)))
-
-
-# ---------------------------------------------------------------------------
-# dump format: one line per layer, groups separated by ';', wires by ','
-
-def dump_network(net: SorterNetwork) -> str:
-    lines = []
-    for layer in net.layers:
-        lines.append(";".join(",".join(str(w) for w in grp) for grp in layer))
-    return "\n".join(lines) + "\n"
-
-
-def parse_network(text: str, b: int) -> SorterNetwork:
-    layers = []
-    m = 0
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        layer = tuple(
-            tuple(int(w) for w in part.split(",")) for part in line.split(";")
-        )
-        m = max(m, max(w for grp in layer for w in grp))
-        layers.append(layer)
-    net = SorterNetwork(m, b, tuple(layers))
-    net.validate()
-    return net

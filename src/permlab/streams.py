@@ -374,14 +374,6 @@ class AugmentingMatching(GreedyMatching):
         return 8 * (4 + max(2, state["pairs_chars"]) + max(2, state["half_chars"]))
 
 
-def greedy_matching_baseline() -> StreamAlgorithm:
-    return GreedyMatching()
-
-
-def augmenting_baseline(p: int) -> StreamAlgorithm:
-    return GreedyMatching() if p == 1 else AugmentingMatching()
-
-
 class FullMemory(StreamAlgorithm):
     """Unbounded baseline: stores every edge of an instance_to_stream stream
     and outputs the exact maximum matching size."""
@@ -464,7 +456,6 @@ def partitioned_replay(
     stream: EdgeStream,
     alg: StreamAlgorithm,
     p: int = 1,
-    tape_seed: int = 0,
     fake_stream: EdgeStream | None = None,
 ) -> ReplayReport:
     """Replay the stream as a communication protocol: whenever provenance
@@ -473,12 +464,15 @@ def partitioned_replay(
     serialize at each pass end). A charge over the algorithm's s_bits raises
     StreamBudgetError. With fake_stream set, passes
     1..p-1 replay it instead of the real stream (the real referee input is
-    only consumed on the final pass)."""
+    only consumed on the final pass). The tape is random.Random(0), the one
+    run_passes reads by default."""
+    if p < 1:
+        raise ValueError("p must be at least 1")
     if stream.tags is None:
         raise ValueError("partitioned replay needs provenance tags")
     if fake_stream is not None and fake_stream.tags is None:
         raise ValueError("fake stream needs provenance tags")
-    rand = random.Random(tape_seed)
+    rand = random.Random(0)
     state = alg.init()
     bytes_per: dict[str, int] = {}
     handoffs = 0

@@ -36,8 +36,8 @@ from permlab.seeds import rng_for
 from permlab.sortnet import build_sort_network, decompose, depth_bound
 from permlab.streams import (
     FullMemory,
+    GreedyMatching,
     advantage_estimate,
-    greedy_matching_baseline,
     run_passes,
 )
 from test_columnar import instance_of
@@ -139,10 +139,9 @@ def test_c05_sorting_network():
             assert net.apply(vals) == sorted(vals)
     # (b) decompose-recompose on 1000 random permutations of [64]
     rng = rng_for(SEED, "c5")
-    net64 = build_sort_network(64, 4)
     for _ in range(1000):
         sigma = random_perm(64, rng)
-        dec = decompose(sigma, 4, net=net64)
+        dec = decompose(sigma, 4)
         assert dec.recompose() == sigma
         for P, gamma in zip(dec.partitions, dec.gammas):
             assert is_simple(gamma, P)
@@ -282,7 +281,7 @@ def test_c11_harness_sanity():
         ]
         inst = instance_of(adj)
         opt = max_matching(inst).size
-        got = len(run_passes(greedy_matching_baseline(), instance_to_stream(inst), 1).output)
+        got = len(run_passes(GreedyMatching(), instance_to_stream(inst), 1).output)
         assert 2 * got >= opt
     ok(11, "full-memory separates the pair at 1.0, null at chance, greedy 2-approx")
 

@@ -393,7 +393,9 @@ def test_verify_reports_running_out_of_memory_in_extraction(tmp_path, capsys, mo
     ("gamma", [0], "gamma and the targets must hold r/2 = 2 permutations each"),
     ("gamma", [2, 0], "rank 2 outside [0, 2!)"),
     ("gamma", [0, -1], "rank -1 outside [0, 2!)"),
-], ids=["L-past-t", "L-zero", "gamma-short", "rank-2", "rank-minus-1"])
+    ("L", [True, True], "L: true is not a JSON integer"),
+    ("seed", 1.5, "seed: 1.5 is not a JSON integer"),
+], ids=["L-past-t", "L-zero", "gamma-short", "rank-2", "rank-minus-1", "L-booleans", "seed-float"])
 def test_verify_rejects_instance_files_dump_instance_never_writes(tmp_path, capsys, field, value, problem):
     import random
 

@@ -143,6 +143,17 @@ def test_vertex_count_refuses_without_networks(m, b, k, p, monkeypatch):
             assert vertex_count(params, general=False) == _count_simple(m, b, k, p)
 
 
+def test_vertex_count_refuses_an_exact_count_over_the_cap():
+    # m=64 b=2 k=2 p=3 passes the floor (839,424 general, 139,904 simple)
+    # but its exact counts are over the cap
+    params = default_params(64, 2, k=2, p=3)
+    assert _count_floor(64, 2, 3) * depth_floor(64, 2) == 839_424
+    with pytest.raises(ValueError, match=f"^sample would need 3053522048 vertices, cap is {MAX_VERTICES}$"):
+        vertex_count(params, general=True)
+    with pytest.raises(ValueError, match=f"^sample would need 145405568 vertices, cap is {MAX_VERTICES}$"):
+        sample_simple(identity(64), lex_partition(64, 2), params, random.Random(0))
+
+
 def test_nonlex_layer_adds_wrapper():
     params = default_params(8, 2, k=2, p=1)
     rng = random.Random(5)

@@ -137,6 +137,15 @@ MALFORMED = {
     "one matrix short": lambda d: d.update(sigmas=d["sigmas"][:1]),
     "rank b!": lambda d: d.update(gamma=[2, 0]),
     "rank -1": lambda d: d["sigmas"][0][0].__setitem__(0, -1),
+    "row indices true": lambda d: d.update(L=[True, True]),
+    "row index 1.0": lambda d: d.update(L=[1.0, 1]),
+    "t true": lambda d: d.update(t=True),
+    "k 2.0": lambda d: d.update(k=2.0),
+    "column index true": lambda d: d["M"][0].__setitem__(0, True),
+    "rank false": lambda d: d.update(gamma=[False, 0]),
+    "matrix rank true": lambda d: d["sigmas"][0][0].__setitem__(0, True),
+    "target rank 0.0": lambda d: d["targets"]["yes"].__setitem__(0, 0.0),
+    "seed true": lambda d: d.update(seed=True),
 }
 
 

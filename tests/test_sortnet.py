@@ -11,8 +11,6 @@ from permlab.sortnet import (
     build_sort_network,
     decompose,
     depth_bound,
-    dump_network,
-    parse_network,
 )
 
 
@@ -35,10 +33,9 @@ def test_merge_sorts_all_01_runs():
             assert net.apply(vals) == sorted(vals)
 
 
-def test_merge_rejects_nonpower_without_pad():
+def test_merge_rejects_nonpower():
     with pytest.raises(ValueError):
         build_merge_network(12, 2)
-    assert build_merge_network(12, 2, pad=True).m == 16
 
 
 def test_merge_sorted_input_unchanged():
@@ -102,8 +99,19 @@ def test_decompose_small_example():
 
 def test_decompose_layer_count_matches_depth():
     net = build_sort_network(12, 4)
-    d = decompose(random_perm(12, random.Random(0)), 4, net)
+    d = decompose(random_perm(12, random.Random(0)), 4)
     assert len(d.gammas) == net.depth == len(d.partitions)
+
+
+def test_sort_networks_are_built_once_per_size():
+    for m, b in [(1, 2), (12, 2), (12, 4), (64, 4)]:
+        assert build_sort_network(m, b) is build_sort_network(m, b)
+
+
+def test_decompose_runs_on_the_cached_network():
+    for m, b in [(12, 2), (16, 4), (27, 3)]:
+        d = decompose(random_perm(m, random.Random(m)), b)
+        assert d.partitions == tuple(reversed(build_sort_network(m, b).layers))
 
 
 @settings(deadline=None, max_examples=60)
@@ -114,10 +122,3 @@ def test_decompose_recompose_property(sigma, b):
     for P, g in zip(d.partitions, d.gammas):
         assert is_simple(g, P)
         assert sorted(x for grp in P for x in grp) == list(range(1, 13))
-
-
-def test_dump_parse_roundtrip():
-    net = build_sort_network(12, 4)
-    again = parse_network(dump_network(net), 4)
-    assert again.layers == net.layers
-    assert again.m == net.m

@@ -19,10 +19,8 @@ from permlab.streams import (
     StreamAlgorithm,
     StreamBudgetError,
     advantage_estimate,
-    augmenting_baseline,
     dump_stream,
     graph_to_stream,
-    greedy_matching_baseline,
     parse_stream,
     partitioned_replay,
     run_passes,
@@ -41,13 +39,13 @@ def test_counting_algorithm():
 
 def test_greedy_k22_hand_trace():
     k22 = EdgeStream(4, False, [(1, 3), (1, 4), (2, 3), (2, 4)])
-    out = run_passes(greedy_matching_baseline(), k22, 1).output
+    out = run_passes(GreedyMatching(), k22, 1).output
     assert out == [(1, 3), (2, 4)]
 
 
 def test_greedy_takes_whole_perfect_matching():
     pm = EdgeStream(6, False, [(1, 4), (2, 5), (3, 6)])
-    assert len(run_passes(greedy_matching_baseline(), pm, 1).output) == 3
+    assert len(run_passes(GreedyMatching(), pm, 1).output) == 3
 
 
 def test_greedy_output_is_maximal():
@@ -58,7 +56,7 @@ def test_greedy_output_is_maximal():
             tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(n * 2)
         ]
         s = EdgeStream(n, False, edges)
-        out = run_passes(greedy_matching_baseline(), s, 1).output
+        out = run_passes(GreedyMatching(), s, 1).output
         used = {v for e in out for v in e}
         for u, v in edges:
             assert u in used or v in used  # no free-free edge remains
@@ -75,22 +73,14 @@ def test_greedy_at_least_half_of_optimum():
         inst = instance_of(adj)
         opt = max_matching(inst).size
         stream = instance_to_stream(inst)
-        greedy = len(run_passes(greedy_matching_baseline(), stream, 1).output)
+        greedy = len(run_passes(GreedyMatching(), stream, 1).output)
         assert 2 * greedy >= opt
-
-
-def test_augmenting_baseline_degenerate_is_greedy():
-    s = EdgeStream(4, False, [(1, 3), (2, 4)])
-    assert isinstance(augmenting_baseline(1), GreedyMatching)
-    g1 = run_passes(augmenting_baseline(1), s, 1).output
-    g2 = run_passes(greedy_matching_baseline(), s, 1).output
-    assert g1 == g2
 
 
 def test_augmenting_improves_a_trap():
     trap = EdgeStream(6, False, [(2, 5), (1, 5), (2, 6)])
-    assert len(run_passes(augmenting_baseline(1), trap, 1).output) == 1
-    assert len(run_passes(augmenting_baseline(2), trap, 2).output) == 2
+    assert len(run_passes(GreedyMatching(), trap, 1).output) == 1
+    assert len(run_passes(AugmentingMatching(), trap, 2).output) == 2
 
 
 def test_budget_violation_names_element():
@@ -245,6 +235,18 @@ def test_determinism_fixed_tape():
     c = run_passes(Noisy(), s, 2, tape_seed=10).output
     assert a == b
     assert a != c
+    # the replay reads tape 0, the tape run_passes reads by default
+    tagged = EdgeStream(4, False, [(1, 2), (3, 4)], tags=["player:1", "referee"])
+    assert partitioned_replay(tagged, Noisy(), 2).output == run_passes(Noisy(), s, 2).output
+
+
+@pytest.mark.parametrize("p", [0, -1])
+def test_both_drivers_refuse_fewer_than_one_pass(p):
+    s = EdgeStream(4, False, [(1, 2), (3, 4)], tags=["player:1", "referee"])
+    with pytest.raises(ValueError, match="^p must be at least 1$"):
+        run_passes(GreedyMatching(), s, p)
+    with pytest.raises(ValueError, match="^p must be at least 1$"):
+        partitioned_replay(s, GreedyMatching(), p=p)
 
 
 def test_two_pass_snapshot_feeds_second_pass():

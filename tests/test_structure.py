@@ -1,4 +1,4 @@
-"""The package's modules share only public names."""
+"""The package's modules share only public names and import at module level."""
 
 import ast
 from pathlib import Path
@@ -14,3 +14,16 @@ def test_no_module_imports_another_modules_underscore_names():
                 found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                           if alias.name.startswith("_") and alias.name != "__version__"]
     assert found == []
+
+
+def test_functions_import_only_to_break_a_cycle():
+    # streams imports matching at module level, so matching imports
+    # streams' EdgeStream inside instance_to_stream
+    allowed = {"matching.py instance_to_stream"}
+    found = set()
+    for path in sorted(Path(permlab.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name} {fn.name}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(found - allowed) == []
