@@ -82,6 +82,9 @@ def cmd_gen(args) -> int:
         params = default_params(args.m, args.b, k=args.k, p=args.p)
         sigma = _sigma_from_spec(args.sigma, args.m, args.seed)
         vertex_count(params, general=True)
+        if args.shuffle_seed is not None and args.shuffle_seed < 0:
+            # random.Random seeds with |seed|: -3 would write the stream of 3
+            raise ValueError(f"--shuffle-seed must be >= 0, got {args.shuffle_seed}")
         out = _resolve_out(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

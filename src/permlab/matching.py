@@ -122,12 +122,15 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
         return found
 
     def augment(root: int) -> None:
-        # explicit DFS stack: the path's left vertices, an iterator over the
-        # untried edges of each, and the right vertex each path step uses
-        path, untried, via = [root], [iter(nbr[ptr[root]:ptr[root + 1]])], []
+        # explicit DFS stack: the path's left vertices, the offset in nbr of
+        # the next untried edge of each, and the right vertex each path step
+        # uses. Offsets are ints, so the stack holds no containers for the
+        # garbage collector to walk however deep the path gets.
+        path, untried, via = [root], [ptr[root]], []
         while path:
             l = path[-1]
-            for r in untried[-1]:
+            for e in range(untried[-1], ptr[l + 1]):
+                r = nbr[e]
                 nxt = match_r[r]
                 if nxt == -1:
                     via.append(r)
@@ -136,8 +139,9 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
                         match_r[r] = l
                     return
                 if dist[nxt] == dist[l] + 1:
+                    untried[-1] = e + 1
                     path.append(nxt)
-                    untried.append(iter(nbr[ptr[nxt]:ptr[nxt + 1]]))
+                    untried.append(ptr[nxt])
                     via.append(r)
                     break
             else:

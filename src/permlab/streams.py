@@ -28,6 +28,7 @@ import numpy as np
 from .codec import FormatError, expect, format_rows, read_rows, used_tags
 from .graphs import LayeredGraph
 from .matching import BipartiteInstance, max_matching
+from .seeds import shuffled_range
 
 MAGIC = "PHSTREAM v1"
 _LINE = (b"", b" ", b"\n")
@@ -97,16 +98,16 @@ class EdgeStream:
 def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStream:
     """Serialize a layered graph: vertices numbered globally layer by layer,
     canonical order layer-major then provenance-major. A seed applies a
-    uniform shuffle on top (stream order is an experiment parameter)."""
+    uniform shuffle on top (stream order is an experiment parameter): the
+    order random.Random(seed).shuffle leaves of the canonical one, computed
+    by seeds.shuffled_range."""
     gu, gv = g.global_ids()
     names = g.tag_names
     rank = np.empty(len(names), dtype=np.int64)  # position of each name in string order
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.lexsort((gv, gu, rank[g.tag_ids], g.edges[:, 0]))
     if shuffle_seed is not None:
-        shuffled = array("q", range(len(order)))  # shuffle draws the same on any sequence
-        random.Random(shuffle_seed).shuffle(shuffled)
-        order = order[np.frombuffer(shuffled, dtype=np.int64)]
+        order = order[shuffled_range(len(order), shuffle_seed)]
     return EdgeStream.from_columns(g.vertex_count, True, gu[order], gv[order],
                                    g.tag_ids[order], names)
 

@@ -239,6 +239,7 @@ def test_usage_errors_exit_2():
         ["gen", "cross", "--m", "700000", "--b", "2", "--k", "1"],
         ["analyze", "depth", "m=0"],
         ["analyze", "depth", "m=-5"],
+        ["gen", "random", "--m", "8", "--b", "2", "--seed", "1", "--shuffle-seed", "-3"],
     ],
     ids=["gen-b-not-dividing-m", "gen-p-zero", "gen-sigma-wrong-length",
          "analyze-not-key-value", "analyze-b-one", "gen-over-vertex-cap",
@@ -247,7 +248,7 @@ def test_usage_errors_exit_2():
          "analyze-fourier-no-trials", "analyze-decay-negative-trials",
          "gen-p-far-over-vertex-cap", "gen-m-far-over-vertex-cap",
          "analyze-advantage-p-far-over-vertex-cap", "gen-wide-over-general-floor",
-         "analyze-depth-m-zero", "analyze-depth-m-negative"],
+         "analyze-depth-m-zero", "analyze-depth-m-negative", "gen-negative-shuffle-seed"],
 )
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     if argv[0] == "gen":
