@@ -21,10 +21,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, dists
+from .codec import json_int
 from .gen import default_params, gen_general, vertex_count
 from .graphs import ExtractionError, LayeredGraph, extract_permutation
 from .hph import parse_instance, referee_answer
-from .matching import bipartite_of, instance_to_stream, max_matching, sigma_cross, sigma_eq
+from .matching import bipartite_of, dichotomy_size, instance_to_stream, max_matching, sigma_cross, sigma_eq
 from .perms import parse_perm, random_perm
 from .rs import parse_rs, validate_rs
 from .seeds import rng_for
@@ -131,8 +132,10 @@ def cmd_gen(args) -> int:
 def _verify_permgraph(doc: dict, g: LayeredGraph) -> list[str]:
     """Check a permgraph document, read without its graph, against the graph."""
     problems = []
-    m = doc["m"]
-    sigma = tuple(doc["sigma"])
+    m, b, k, p = (json_int(doc[key], key) for key in ("m", "b", "k", "p"))
+    sigma = tuple(json_int(x, "sigma") for x in doc["sigma"])
+    if len(sigma) != m:
+        return [f"sigma acts on [{len(sigma)}] but m={m}"]
     try:
         g.validate()
     except (TypeError, ValueError) as err:
@@ -144,16 +147,14 @@ def _verify_permgraph(doc: dict, g: LayeredGraph) -> list[str]:
     except (ExtractionError, ValueError) as err:
         problems.append(f"extraction failed: {err}")
         return problems
-    want = vertex_count(default_params(m, doc["b"], k=doc["k"], p=doc["p"]), general=True)
+    want = vertex_count(default_params(m, b, k=k, p=p), general=True)
     if g.vertex_count != want:
         problems.append(f"vertex count {g.vertex_count}, expected {want}")
-    # the matching dichotomy is stated for even m only
-    if m % 2 == 0 and sigma in (sigma_eq(m), sigma_cross(m)):
+    want_size = dichotomy_size(sigma, g.vertex_count)
+    if want_size is not None:
         res = max_matching(bipartite_of(g, m))
         if not res.certified:
             problems.append("matching certificate failed")
-        n = g.vertex_count
-        want_size = n + m // 2 if sigma == sigma_eq(m) else n
         if res.size != want_size:
             problems.append(f"max matching {res.size}, expected {want_size}")
     return problems
@@ -301,12 +302,12 @@ def _analyze_advantage(seed, m, b, k, p, trials):
 
         return sample
 
-    n = vertex_count(params, general=True)
+    perfect = dichotomy_size(sigma_eq(m), vertex_count(params, general=True))
     rep = advantage_estimate(
         sampler(sigma_eq(m)),
         sampler(sigma_cross(m)),
         FullMemory,
-        lambda size: 0 if size == n + m // 2 else 1,
+        lambda size: 0 if size == perfect else 1,
         trials,
         p,
         rng,

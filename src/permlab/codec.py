@@ -16,6 +16,7 @@ first separator.
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Sequence
 
@@ -24,6 +25,26 @@ import numpy as np
 CHUNK = 1 << 16  # rows formatted at once, which bounds the temporaries
 WINDOW = 1 << 19  # input bytes read at once, which bounds the reader's temporaries
 TAG = re.compile(r"[A-Za-z0-9_:.-]+")
+
+
+def json_int(v, name: str) -> int:
+    """v, or ValueError unless it is a JSON integer (json reads true and
+    false as bools, which are ints to Python)."""
+    if type(v) is not int:
+        raise ValueError(f"{name}: {json.dumps(v)} is not a JSON integer")
+    return v
+
+
+def tag_table(tags: Sequence[str], dtype: type) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each tag's id, as dtype, into the tag names numbered in order of first
+    appearance, and those names. Raises TypeError for a tag that is no
+    string and ValueError for more names than dtype has ids."""
+    index = {t: i for i, t in enumerate(dict.fromkeys(tags))}
+    if not all(isinstance(t, str) for t in index):
+        raise TypeError("tags must be strings")
+    if len(index) > np.iinfo(dtype).max + 1:
+        raise ValueError(f"at most {np.iinfo(dtype).max + 1} distinct tags")
+    return np.fromiter(map(index.__getitem__, tags), dtype=dtype, count=len(tags)), tuple(index)
 
 
 def used_tags(names: Sequence[str], ids: np.ndarray) -> list[str]:

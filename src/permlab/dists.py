@@ -152,7 +152,13 @@ def convolve(nu1: DistSb, nu2: DistSb) -> DistSb:
 
 
 def parity_biased(b: int, eps: float) -> DistSb:
-    """(1 + sqrt(eps))/b! on even permutations, (1 - sqrt(eps))/b! on odd."""
+    """(1 + sqrt(eps))/b! on even permutations, (1 - sqrt(eps))/b! on odd.
+    Raises ValueError for b < 2, where S_b has no odd permutation to take
+    the excess, and for eps outside [0, 1]."""
+    if b < 2:
+        raise ValueError(f"parity_biased needs b >= 2, got b={b}")
+    if not 0 <= eps <= 1:
+        raise ValueError(f"parity_biased needs eps in [0, 1], got eps={eps}")
     fact = math.factorial(b)
     root = math.sqrt(eps)
     v = np.empty(fact)

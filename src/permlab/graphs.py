@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codec import first_difference, format_rows, read_rows, used_tags
+from .codec import first_difference, format_rows, json_int, read_rows, tag_table, used_tags
 from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
@@ -45,15 +45,9 @@ class LayeredGraph:
         tags = list(tags) or ["fixed"] * len(rows)
         if len(tags) != len(rows):
             raise ValueError("one tag per edge required")
-        index = {t: i for i, t in enumerate(dict.fromkeys(tags))}
-        if not all(isinstance(t, str) for t in index):
-            raise TypeError("tags must be strings")
-        if len(index) > 1 << 16:
-            raise ValueError("at most 65536 distinct tags")
+        self.tag_ids, self.tag_names = tag_table(tags, np.uint16)
         self.layers = list(map(operator.index, layers))
         self.edges = cols.reshape(-1, 3)
-        self.tag_ids = np.fromiter(map(index.__getitem__, tags), dtype=np.uint16, count=len(tags))
-        self.tag_names = tuple(index)
 
     @classmethod
     def from_columns(cls, layers: Sequence[int], edges: np.ndarray, tag_ids: np.ndarray,
@@ -167,7 +161,7 @@ class LayeredGraph:
         if not isinstance(payload, dict) or want != {
                 k: json.dumps(payload[k]) for k in ("edges", "tags") if k in payload}:
             raise ValueError('the "edges" and "tags" arrays must be entries of the graph payload')
-        layers = list(map(operator.index, payload["layers"]))
+        layers = [json_int(size, "layers") for size in payload["layers"]]
         g = cls.from_columns(layers, edges, tag_ids, names)
         return g, ({} if payload is doc else doc)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .blocks import Hypermatching, PermMatrix, check_hypermatching, check_perm_matrix, random_perm_matrix
+from .codec import json_int
 from .perms import (
     PermVector,
     all_perms,
@@ -176,14 +177,6 @@ def dump_instance(inst: MultiHPHInstance) -> str:
     return json.dumps(payload)
 
 
-def _int(v, name: str) -> int:
-    """v, or ValueError unless it is a JSON integer (json reads true and
-    false as bools, which are ints to Python)."""
-    if type(v) is not int:
-        raise ValueError(f"{name}: {json.dumps(v)} is not a JSON integer")
-    return v
-
-
 def parse_instance(text: str) -> MultiHPHInstance:
     """Read dump_instance's text. Raises ValueError for a size, row index,
     column index, rank or seed that is not a JSON integer, a rank outside
@@ -192,11 +185,11 @@ def parse_instance(text: str) -> MultiHPHInstance:
     d = json.loads(text)
     if d.get("schema") != SCHEMA:
         raise ValueError(f"unknown schema {d.get('schema')!r}")
-    r, t, b, k = (_int(d[key], key) for key in ("r", "t", "b", "k"))
-    seed = None if d.get("seed") is None else _int(d["seed"], "seed")
+    r, t, b, k = (json_int(d[key], key) for key in ("r", "t", "b", "k"))
+    seed = None if d.get("seed") is None else json_int(d["seed"], "seed")
 
     def unrank_vec(v):
-        return tuple(lehmer_unrank(_int(x, "rank"), b) for x in v)
+        return tuple(lehmer_unrank(json_int(x, "rank"), b) for x in v)
 
     sigmas = tuple(
         tuple(unrank_vec(row) for row in mat) for mat in d["sigmas"]
@@ -205,10 +198,10 @@ def parse_instance(text: str) -> MultiHPHInstance:
         raise ValueError(f"sigmas must hold {k} matrices, one per player")
     for mat in sigmas:
         check_perm_matrix(mat, t, r, b)
-    L = tuple(_int(x, "L") for x in d["L"])
+    L = tuple(json_int(x, "L") for x in d["L"])
     if len(L) != k or any(not 1 <= x <= t for x in L):
         raise ValueError(f"L must hold {k} row indices in [1, {t}]")
-    M = tuple(tuple(_int(x, "M") for x in row) for row in d["M"])
+    M = tuple(tuple(json_int(x, "M") for x in row) for row in d["M"])
     check_hypermatching(M, k, r)
     gamma = unrank_vec(d["gamma"])
     targets = (unrank_vec(d["targets"]["yes"]), unrank_vec(d["targets"]["no"]))

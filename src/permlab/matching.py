@@ -11,14 +11,12 @@ canonical matching, certified by a Koenig vertex cover.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .gen import GenParams, gen_general, vertex_count
 from .graphs import LayeredGraph
 from .perms import Perm, identity
 
@@ -33,6 +31,21 @@ def sigma_cross(m: int) -> Perm:
         raise ValueError("m must be even")
     half = m // 2
     return tuple(list(range(half + 1, m + 1)) + list(range(1, half + 1)))
+
+
+def dichotomy_size(sigma: Perm, n: int) -> int | None:
+    """The size max_matching must certify on bipartite_of(g, m) when the
+    n-vertex graph g hides sigma on [m]: n + m/2 for sigma_eq(m), n for
+    sigma_cross(m). None for any other sigma and for odd m, where the
+    dichotomy says nothing."""
+    m = len(sigma)
+    if m % 2:
+        return None
+    if sigma == sigma_eq(m):
+        return n + m // 2
+    if sigma == sigma_cross(m):
+        return n
+    return None
 
 
 @dataclass
@@ -168,56 +181,6 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
     covered = (~from_reached | in_cr[inst.indices]).all()
     certified = len(cover_left) + len(cover_right) == size and bool(covered)
     return MatchingResult(size, match_l, cover_left, cover_right, certified)
-
-
-@dataclass
-class DichotomyReport:
-    m: int
-    n: int
-    trials: int
-    sizes_eq: list[int]
-    sizes_cross: list[int]
-    expected_eq: int
-    expected_cross: int
-    eps_implied: float   # 1 - n/(n + m/2), the relative matching-size gap
-    eps_quarter: float   # the m/(4n) parameterization
-    holds: bool
-
-
-def dichotomy_check(params: GenParams, trials: int, rng: random.Random) -> DichotomyReport:
-    m = params.m
-    n = vertex_count(params, general=True)
-    sizes_eq = []
-    sizes_cross = []
-    for sigma, sizes in ((sigma_eq(m), sizes_eq), (sigma_cross(m), sizes_cross)):
-        for _ in range(trials):
-            g = gen_general(sigma, params, rng)
-            res = max_matching(bipartite_of(g, m))
-            if not res.certified:
-                raise RuntimeError("matching certificate failed")
-            sizes.append(res.size)
-    expected_eq = n + m // 2
-    expected_cross = n
-    holds = all(s == expected_eq for s in sizes_eq) and all(
-        s == expected_cross for s in sizes_cross
-    )
-    if not holds:
-        raise RuntimeError(
-            f"dichotomy violated: eq sizes {sorted(set(sizes_eq))}, "
-            f"cross sizes {sorted(set(sizes_cross))}, expected {expected_eq}/{expected_cross}"
-        )
-    return DichotomyReport(
-        m=m,
-        n=n,
-        trials=trials,
-        sizes_eq=sizes_eq,
-        sizes_cross=sizes_cross,
-        expected_eq=expected_eq,
-        expected_cross=expected_cross,
-        eps_implied=1 - n / (n + m / 2),
-        eps_quarter=m / (4 * n),
-        holds=holds,
-    )
 
 
 def instance_to_stream(inst: BipartiteInstance):

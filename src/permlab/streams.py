@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codec import FormatError, expect, format_rows, read_rows, used_tags
+from .codec import FormatError, expect, format_rows, read_rows, tag_table, used_tags
 from .graphs import LayeredGraph
 from .matching import BipartiteInstance, max_matching
 from .seeds import shuffled_range
@@ -51,9 +51,7 @@ class EdgeStream:
             tags = list(tags)
             if len(tags) != len(rows):
                 raise ValueError("tags must parallel edges")
-            index = {t: i for i, t in enumerate(dict.fromkeys(tags))}
-            tag_ids = np.fromiter(map(index.__getitem__, tags), dtype=np.uint32, count=len(tags))
-            names = tuple(index)
+            tag_ids, names = tag_table(tags, np.uint32)
         self._adopt(n, directed, ids[:, 0], ids[:, 1], tag_ids, names)
 
     @classmethod

@@ -16,7 +16,7 @@ from permlab.graphs import extract_permutation
 from permlab.hph import sample_instance, referee_answer, zero_info_guess
 from permlab.matching import (
     bipartite_of,
-    dichotomy_check,
+    dichotomy_size,
     instance_to_stream,
     max_matching,
     sigma_cross,
@@ -120,10 +120,14 @@ def test_c04_matching_dichotomy():
     for m in (4, 8):
         for p in (1, 2):
             params = default_params(m, 2, k=2, p=p)
-            rep = dichotomy_check(params, trials=20, rng=rng)
-            assert rep.holds
-            assert set(rep.sizes_eq) == {rep.n + m // 2}
-            assert set(rep.sizes_cross) == {rep.n}
+            n = vertex_count(params, general=True)
+            assert dichotomy_size(sigma_eq(m), n) == n + m // 2
+            assert dichotomy_size(sigma_cross(m), n) == n
+            for sigma in (sigma_eq(m), sigma_cross(m)):
+                for _ in range(20):
+                    res = max_matching(bipartite_of(gen_general(sigma, params, rng), m))
+                    assert res.certified
+                    assert res.size == dichotomy_size(sigma, n)
     elapsed = time.monotonic() - start
     assert elapsed < 120
     ok(4, "max matching splits n+m/2 vs n exactly, 20+20 samples at four scales")

@@ -207,6 +207,13 @@ def test_analyze_trials_flag_merges(capsys):
     assert json.loads(out)[0]["trials"] == 31
 
 
+def test_analyze_decay_refuses_b_below_two(capsys):
+    assert main(["analyze", "decay", "b=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parity_biased needs b >= 2, got b=1\n"
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["analyze", "nonsense"])
@@ -335,6 +342,66 @@ def test_verify_reports_wrongly_typed_field(tmp_path, capsys, field, value):
     assert code == 1
     (problem,) = json.loads(out)["violations"][str(path)]
     assert problem.startswith("unreadable:")
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("sigma", [True, 2, 3, 4], "sigma: true is not a JSON integer"),
+    ("sigma", [1, 2.0, 3, 4], "sigma: 2.0 is not a JSON integer"),
+    ("k", 2.0, "k: 2.0 is not a JSON integer"),
+    ("p", True, "p: true is not a JSON integer"),
+    ("m", 4.0, "m: 4.0 is not a JSON integer"),
+    ("layers", True, "layers: true is not a JSON integer"),
+], ids=["sigma-boolean", "sigma-float", "k-float", "p-boolean", "m-float", "layer-boolean"])
+def test_verify_reads_header_numbers_only_as_json_integers(tmp_path, capsys, field, value, problem):
+    code, _ = run(["gen", "id", "--m", "4", "--b", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "graph.json").read_text())
+    if field == "layers":
+        doc["graph"]["layers"][1] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {str(path): [f"unreadable: {problem}"]}
+
+
+def test_verify_refuses_a_sigma_on_another_range(tmp_path, capsys):
+    code, _ = run(["gen", "cross", "--m", "4", "--b", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    doc = json.loads((tmp_path / "graph.json").read_text())
+    doc["sigma"] = [2, 1]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {str(path): ["sigma acts on [2] but m=4"]}
+
+
+def test_verify_runs_the_oracle_exactly_on_id_and_cross(tmp_path, capsys, monkeypatch):
+    from permlab.matching import max_matching
+
+    sizes = []
+
+    def counted(inst):
+        res = max_matching(inst)
+        sizes.append((inst.n, res.size))
+        return res
+
+    monkeypatch.setattr("permlab.cli.max_matching", counted)
+    for spec, half in (("id", 2), ("cross", 0), ("random", None), ("2,1,3,4", None)):
+        out = tmp_path / spec
+        code, _ = run(["gen", spec, "--m", "4", "--b", "2", "--out", str(out)], capsys)
+        assert code == 0
+        code, report = run(["verify", str(out / "graph.json")], capsys)
+        assert code == 0, report
+        if half is None:
+            assert sizes == []
+        else:
+            ((n, size),) = sizes
+            assert size == n + half
+        sizes.clear()
 
 
 def test_verify_refuses_params_far_over_the_cap(tmp_path, capsys):

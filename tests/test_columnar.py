@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from permlab.blocks import EdgeTuple, edge_pick, encoded_rs
 from permlab.gen import _layer_plan, _pieces, default_params, gen_general
-from permlab.codec import CHUNK, WINDOW, format_rows
+from permlab.codec import CHUNK, WINDOW, format_rows, tag_table
 from permlab.graphs import (
     ExtractionError,
     GroupLayeredGraph,
@@ -766,6 +766,23 @@ def test_stream_constructor_errors():
         EdgeStream(4, False, [(1, 2, 3), (1,)])
     with pytest.raises(ValueError, match="int32"):
         EdgeStream(2**31, False, [])
+
+
+def test_list_constructors_build_one_tag_table():
+    # names are numbered in order of first appearance
+    ids, names = tag_table(["b", "a", "b", "c"], np.uint8)
+    assert ids.tolist() == [0, 1, 0, 2] and ids.dtype == np.uint8 and names == ("b", "a", "c")
+    assert EdgeStream(3, True, [(1, 2), (2, 3)], ["b", "a"]).tag_names == ("b", "a")
+    with pytest.raises(ValueError, match="^at most 256 distinct tags$"):
+        tag_table([f"t{i}" for i in range(257)], np.uint8)
+    assert len(tag_table([f"t{i}" for i in range(256)], np.uint8)[1]) == 256
+    with pytest.raises(ValueError, match="^at most 65536 distinct tags$"):
+        LayeredGraph([1, 1], [(1, 1, 1)] * (1 << 16 | 1), [f"t{i}" for i in range(1 << 16 | 1)])
+    for bad in (5, None, b"a"):
+        with pytest.raises(TypeError, match="^tags must be strings$"):
+            EdgeStream(3, True, [(1, 2)], [bad])
+        with pytest.raises(TypeError, match="^tags must be strings$"):
+            LayeredGraph([1, 1], [(1, 1, 1)], [bad])
 
 
 # ---------------------------------------------------------------------------

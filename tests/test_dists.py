@@ -69,6 +69,17 @@ def test_parity_family_values():
     assert np.allclose(conv.probs, [0.625, 0.375])
 
 
+def test_parity_family_refuses_b_below_two_and_eps_outside_unit():
+    for b in (1, 0):
+        with pytest.raises(ValueError, match=f"^parity_biased needs b >= 2, got b={b}$"):
+            D.parity_biased(b, 0.25)
+    for eps in (-0.01, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"^parity_biased needs eps in \[0, 1\], got eps="):
+            D.parity_biased(3, eps)
+    for eps in (0.0, 1.0):
+        assert D.parity_biased(2, eps).probs.sum() == pytest.approx(1)
+
+
 def test_parity_tightness_exact():
     for b in (2, 3, 4):
         for eps in (0.25, 1 / 9, 1 / 16):

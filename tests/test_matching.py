@@ -3,11 +3,11 @@ import sys
 
 import pytest
 
-from permlab.gen import default_params, gen_general
+from permlab.gen import default_params, gen_general, vertex_count
 from permlab.graphs import basic
 from permlab.matching import (
     bipartite_of,
-    dichotomy_check,
+    dichotomy_size,
     max_matching,
     sigma_cross,
     sigma_eq,
@@ -110,15 +110,21 @@ def test_generated_instances_match_oracle():
         assert res.size == want
 
 
-def test_dichotomy_small():
+def test_dichotomy_size():
     params = default_params(4, 2, k=2, p=1)
-    rep = dichotomy_check(params, trials=3, rng=random.Random(2))
-    assert rep.holds
-    assert rep.n == 344
-    assert rep.expected_eq == 346 and rep.expected_cross == 344
-    assert set(rep.sizes_eq) == {346} and set(rep.sizes_cross) == {344}
-    assert rep.eps_implied == pytest.approx(1 - 344 / 346)
-    assert rep.eps_quarter == pytest.approx(4 / (4 * 344))
+    n = vertex_count(params, general=True)
+    assert n == 344
+    assert dichotomy_size(sigma_eq(4), n) == 346 and dichotomy_size(sigma_cross(4), n) == 344
+    rng = random.Random(2)
+    for sigma, want in ((sigma_eq(4), 346), (sigma_cross(4), 344)):
+        for _ in range(3):
+            res = max_matching(bipartite_of(gen_general(sigma, params, rng), 4))
+            assert res.certified and res.size == want
+    # the dichotomy says nothing of any other sigma, nor at odd m
+    assert dichotomy_size((2, 1, 3, 4), n) is None
+    assert dichotomy_size((1, 3, 2, 4), n) is None
+    assert dichotomy_size(identity(3), n) is None
+    assert dichotomy_size((2, 3, 1), n) is None
 
 
 def test_matching_is_valid_matching():

@@ -27,3 +27,16 @@ def test_functions_import_only_to_break_a_cycle():
                 found |= {f"{path.name} {fn.name}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(found - allowed) == []
+
+
+def test_the_oracle_imports_no_generator_module():
+    # matching checks what gen writes, so it must not share gen's code
+    path = Path(permlab.__file__).parent / "matching.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[-1] for alias in node.names}
+    assert imported & {"gen", "blocks", "hph", "sortnet", "rs"} == set()
