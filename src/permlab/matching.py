@@ -11,9 +11,8 @@ canonical matching, certified by a Koenig vertex cover.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,17 +52,28 @@ class BipartiteInstance:
     n: int                      # graph vertices copied to each side
     half: int                   # extra terminals per side (m/2)
     indptr: np.ndarray          # int64 CSR offsets: left l's right neighbours (0-based,
-    indices: np.ndarray         # in edge order) are indices[indptr[l]:indptr[l + 1]]
-    canonical: Sequence[int]    # vertices v whose copy edge (v, v) seeds the matching
+    indices: np.ndarray         # int32, in edge order) are indices[indptr[l]:indptr[l + 1]]
+    canonical: np.ndarray       # int32 vertices v whose copy edge (v, v) seeds the matching
 
     @classmethod
     def from_edges(cls, n: int, half: int, left, right, canonical) -> "BipartiteInstance":
-        """Group the edges (left[e], right[e]) by left vertex, stably."""
-        left = np.asarray(left, dtype=np.int64)
-        indptr = np.zeros(n + half + 1, dtype=np.int64)
-        np.cumsum(np.bincount(left, minlength=n + half), out=indptr[1:])
-        indices = np.asarray(right, dtype=np.int64)[np.argsort(left, kind="stable")]
-        return cls(n, half, indptr, indices, canonical)
+        """Group the edges (left[e], right[e]) by left vertex, stably. Raise
+        ValueError on the first edge with an end outside [0, n + half) and on
+        any canonical vertex outside [0, n)."""
+        side = n + half
+        left, right, canonical = np.asarray(left), np.asarray(right), np.asarray(canonical)
+        outside = (left < 0) | (left >= side) | (right < 0) | (right >= side)
+        if outside.any():
+            e = int(outside.argmax())
+            raise ValueError(f"edge {e} ({left[e]}, {right[e]}) has an end outside [0, {side})")
+        outside = (canonical < 0) | (canonical >= n)
+        if outside.any():
+            raise ValueError(f"canonical vertex {canonical[outside.argmax()]} is outside [0, {n})")
+        left = left.astype(np.int32, copy=False)
+        indptr = np.zeros(side + 1, dtype=np.int64)
+        np.cumsum(np.bincount(left, minlength=side), out=indptr[1:])
+        indices = right.astype(np.int32, copy=False)[np.argsort(left, kind="stable")]
+        return cls(n, half, indptr, indices, canonical.astype(np.int32, copy=False))
 
     @property
     def side(self) -> int:
@@ -82,20 +92,24 @@ def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
         raise ValueError("boundary layers smaller than m/2")
     gu, gv = g.global_ids()
     n = g.vertex_count
-    copies, terminals = np.arange(n), np.arange(n, n + half)
-    sinks = np.arange(half) + n - g.last_size()
-    # graph edges, canonical copy edges, terminal to source copy, sink copy to terminal
-    left = np.concatenate([gu - 1, copies, terminals, sinks])
-    right = np.concatenate([gv - 1, copies, copies[:half], terminals])
-    return BipartiteInstance.from_edges(n, half, left, right, range(n))
+    copies = np.arange(n, dtype=np.int32)
+    terminals = np.arange(n, n + half, dtype=np.int32)
+    sinks = np.arange(half, dtype=np.int32) + (n - g.last_size())
+    # graph edges, canonical copy edges, terminal to source copy, sink copy to terminal.
+    # From int32 edge columns, an edge that leaves the graph's vertices casts to
+    # an id below 0 or past n + half at worst, which from_edges rejects.
+    left = np.concatenate([gu - 1, copies, terminals, sinks], dtype=np.int32)
+    right = np.concatenate([gv - 1, copies, copies[:half], terminals], dtype=np.int32)
+    del gu, gv
+    return BipartiteInstance.from_edges(n, half, left, right, copies)
 
 
 @dataclass
 class MatchingResult:
     size: int
-    match_left: list[int]    # left index -> right index or -1
-    cover_left: list[int]
-    cover_right: list[int]
+    match_left: array           # array("i"): left index -> right index or -1
+    cover_left: np.ndarray
+    cover_right: np.ndarray
     certified: bool
 
 
@@ -103,28 +117,29 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
     """Exact maximum matching by Hopcroft-Karp phases from the canonical seed,
     certified by a minimum vertex cover of equal size read off the last
     phase's search. Augmenting paths are walked with an explicit stack, so
-    their length is bounded by memory, not by the recursion limit."""
+    their length is bounded by memory, not by the recursion limit. The state
+    lives in C int arrays, and each phase touches only the free left vertices
+    and what its search reaches, never every vertex."""
     side = inst.side
-    ptr, nbr = inst.indptr.tolist(), inst.indices.tolist()
-    match_l = [-1] * side
-    match_r = [-1] * side
-    for v in inst.canonical:
-        match_l[v] = v
-        match_r[v] = v
+    ptr, nbr = array("q", inst.indptr.tobytes()), array("i", inst.indices.tobytes())
+    seed = np.full(side, -1, dtype=np.int32)
+    seed[inst.canonical] = inst.canonical
+    match_l, match_r = array("i", seed.tobytes()), array("i", seed.tobytes())
+    free = np.flatnonzero(seed == -1).tolist()   # ascending, the order phases visit them in
+    del seed
     INF = side + 1
-    dist = [INF] * side
+    dist = array("i", [INF]) * side
+    q = array("i")              # the last search's queue: every left vertex it set dist for
 
     def bfs() -> bool:
-        q = deque()
-        for l in range(side):
-            if match_l[l] == -1:
-                dist[l] = 0
-                q.append(l)
-            else:
-                dist[l] = INF
+        nonlocal q
+        for l in q:
+            dist[l] = INF
+        q = array("i", free)
+        for l in free:
+            dist[l] = 0
         found = False
-        while q:
-            l = q.popleft()
+        for l in q:             # also visits what the loop appends
             for r in nbr[ptr[l]:ptr[l + 1]]:
                 nxt = match_r[r]
                 if nxt == -1:
@@ -165,19 +180,21 @@ def max_matching(inst: BipartiteInstance) -> MatchingResult:
                     via.pop()
 
     while bfs():
-        for l in range(side):
-            if match_l[l] == -1:
-                augment(l)
+        for l in free:
+            augment(l)
+        free = [l for l in free if match_l[l] == -1]
+    del ptr, nbr, q
 
-    size = side - match_l.count(-1)
+    size = side - len(free)
 
     # Koenig cover from the final search, which found no augmenting path:
     # left vertices it did not reach stay in the cover, right neighbours of
     # those it reached join it. Every edge must have an endpoint in it.
-    reached = np.array(dist) != INF
+    reached = np.frombuffer(dist, dtype=np.int32) != INF
     from_reached = np.repeat(reached, np.diff(inst.indptr))   # per edge, in indices order
-    in_cr = np.bincount(inst.indices[from_reached], minlength=side) > 0
-    cover_left, cover_right = np.flatnonzero(~reached).tolist(), np.flatnonzero(in_cr).tolist()
+    in_cr = np.zeros(side, dtype=bool)
+    in_cr[inst.indices[from_reached]] = True
+    cover_left, cover_right = np.flatnonzero(~reached), np.flatnonzero(in_cr)
     covered = (~from_reached | in_cr[inst.indices]).all()
     certified = len(cover_left) + len(cover_right) == size and bool(covered)
     return MatchingResult(size, match_l, cover_left, cover_right, certified)

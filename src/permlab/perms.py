@@ -53,10 +53,6 @@ def parse_perm(text: str) -> Perm:
     return p
 
 
-def format_perm(p: Perm) -> str:
-    return " ".join(str(v) for v in p)
-
-
 # ---------------------------------------------------------------------------
 # partitions and simple permutations
 
@@ -65,12 +61,6 @@ def lex_partition(m: int, b: int) -> Partition:
     if m % b:
         raise ValueError(f"b={b} does not divide m={m}")
     return tuple(tuple(range(i * b + 1, (i + 1) * b + 1)) for i in range(m // b))
-
-
-def check_partition(P: Partition, m: int) -> None:
-    seen = sorted(x for grp in P for x in grp)
-    if seen != list(range(1, m + 1)):
-        raise ValueError("groups do not cover [m] exactly")
 
 
 def is_simple(sigma: Perm, P: Partition) -> bool:

@@ -242,6 +242,12 @@ def adjacency(inst):
     return [inst.indices[a:b].tolist() for a, b in zip(inst.indptr[:-1], inst.indptr[1:])]
 
 
+def matching_lists(res):
+    """A MatchingResult as ref_max_matching's tuple, its arrays as lists."""
+    return (res.size, res.match_left.tolist(), res.cover_left.tolist(),
+            res.cover_right.tolist(), res.certified)
+
+
 def ref_instance_to_stream(side, adj):
     edges = []
     for l in range(side):
@@ -465,7 +471,7 @@ def test_bipartite_of_matches_reference(g):
     inst = bipartite_of(g, 2)
     want = ref_bipartite_adj(g.layers, [tuple(e) for e in g.edges.tolist()], 2)
     assert adjacency(inst) == want
-    assert inst.indptr.dtype == inst.indices.dtype == np.int64
+    assert inst.indptr.dtype == np.int64 and inst.indices.dtype == np.int32
     assert len(inst.indptr) == inst.side + 1 and inst.edge_count == sum(map(len, want))
 
 
@@ -478,10 +484,8 @@ def test_matching_identical_on_reordered_edges(mg):
     ref_adj = ref_bipartite_adj(g.layers, [tuple(e) for e in g.edges.tolist()], m)
     res = max_matching(inst)
     ref = max_matching(instance_of(ref_adj, inst.half, inst.canonical))
-    assert (res.size, res.match_left, res.cover_left, res.cover_right) == (
-        ref.size, ref.match_left, ref.cover_left, ref.cover_right)
-    assert (res.size, res.match_left, res.cover_left, res.cover_right, res.certified) == (
-        ref_max_matching(inst.side, ref_adj, inst.canonical))
+    assert matching_lists(res)[:4] == matching_lists(ref)[:4]
+    assert matching_lists(res) == ref_max_matching(inst.side, ref_adj, inst.canonical.tolist())
 
 
 @st.composite
@@ -511,8 +515,7 @@ def test_max_matching_matches_list_reference(case):
     inst = instance_of(adj, half, canonical)
     assert adjacency(inst) == adj
     res = max_matching(inst)
-    assert (res.size, res.match_left, res.cover_left, res.cover_right, res.certified) == (
-        ref_max_matching(inst.side, adj, canonical))
+    assert matching_lists(res) == ref_max_matching(inst.side, adj, canonical)
     assert res.certified
 
 

@@ -1,11 +1,16 @@
 import random
+import re
 import sys
+import tracemalloc
+from array import array
 
+import numpy as np
 import pytest
 
 from permlab.gen import default_params, gen_general, vertex_count
 from permlab.graphs import basic
 from permlab.matching import (
+    BipartiteInstance,
     bipartite_of,
     dichotomy_size,
     max_matching,
@@ -145,7 +150,7 @@ def test_long_augmenting_path():
     adj = [[i, i + 1] for i in range(n)] + [[0]]
     res = max_matching(instance_of(adj, half=1, canonical=range(n)))
     assert res.certified and res.size == n + 1
-    assert res.match_left == [*range(1, n + 1), 0]
+    assert res.match_left.tolist() == [*range(1, n + 1), 0]
 
 
 def test_max_matching_leaves_recursion_limit_alone(monkeypatch):
@@ -156,3 +161,37 @@ def test_max_matching_leaves_recursion_limit_alone(monkeypatch):
     g = gen_general(sigma_eq(4), default_params(4, 2, k=1, p=1), random.Random(1))
     res = max_matching(bipartite_of(g, 4))
     assert res.certified and res.size == g.vertex_count + 2
+
+
+@pytest.mark.parametrize("left, right, canonical, message", [
+    ([0, 3], [0, 1], [], "edge 1 (3, 1) has an end outside [0, 3)"),
+    ([0, 1], [1, 5], [], "edge 1 (1, 5) has an end outside [0, 3)"),
+    ([0, -1], [0, 0], [], "edge 1 (-1, 0) has an end outside [0, 3)"),
+    ([-1, 7], [9, 0], [], "edge 0 (-1, 9) has an end outside [0, 3)"),
+    # would wrap to a valid-looking vertex if cast to int32 unchecked
+    (np.array([0, 2**31], dtype=np.int64), [0, 0], [], "edge 1 (2147483648, 0)"),
+    ([0, 1], np.array([0, 2**31 + 1], dtype=np.int64), [], "edge 1 (1, 2147483649)"),
+    ([0, 1], [0, 1], [0, 2], "canonical vertex 2 is outside [0, 2)"),   # a terminal
+    ([0, 1], [0, 1], [-1], "canonical vertex -1 is outside [0, 2)"),
+], ids=["left", "right", "negative", "first", "left_2**31", "right_2**31",
+        "canonical_terminal", "canonical_negative"])
+def test_from_edges_rejects_out_of_range_vertices(left, right, canonical, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BipartiteInstance.from_edges(2, 1, left, right, canonical)
+
+
+@pytest.mark.parametrize("sigma", [sigma_eq(128), sigma_cross(128)], ids=["id", "cross"])
+def test_max_matching_memory_per_vertex_and_edge(sigma):
+    # the oracle's own allocations, its result included, over the instance it
+    # reads: state in C int arrays, not in lists of int objects
+    g = gen_general(sigma, default_params(128, 4, k=2, p=1), random.Random(3))
+    inst = bipartite_of(g, 128)
+    tracemalloc.start()
+    try:
+        res = max_matching(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.certified and res.size == dichotomy_size(sigma, inst.n)
+    assert isinstance(res.match_left, array) and res.match_left.typecode == "i"
+    assert peak <= 24 * (inst.side + inst.edge_count)

@@ -5,10 +5,8 @@ from hypothesis import given, strategies as st
 
 from permlab.perms import (
     all_perms,
-    check_partition,
     compose,
     extend,
-    format_perm,
     identity,
     inverse,
     is_perm,
@@ -26,6 +24,18 @@ from permlab.perms import (
 )
 
 perm_of = lambda m: st.permutations(range(1, m + 1)).map(tuple)
+
+
+def format_perm(p):
+    """The text parse_perm reads back as p."""
+    return " ".join(str(v) for v in p)
+
+
+def check_partition(P, m):
+    """Raise ValueError unless the groups of P cover [m] exactly once."""
+    seen = sorted(x for grp in P for x in grp)
+    if seen != list(range(1, m + 1)):
+        raise ValueError("groups do not cover [m] exactly")
 
 
 def test_compose_convention():
