@@ -61,3 +61,35 @@ def test_gen_artifacts_match_golden_digests(case, tmp_path, capsys):
         for name in ("graph.json", "stream.txt", "manifest.json")
     )
     assert got == GOLDEN[case]
+
+
+# Points off m=8 b=2 k=2 whose decompositions have non-Lex pieces: `gen`
+# arguments -> sha256 of graph.json, stream.txt, manifest.json
+GOLDEN_WIDER = {
+    "random:3 --m 12 --b 3 --k 1 --p 2 --seed 6 --shuffle-seed 2": (
+        "13c8bb5fc54880c559768b356aca2296f0910573282b1a081a3caeebc56e78a6",
+        "79edc136fdd8135e327ff22ddc4cf72817de897af840c98e3125074a465b3a69",
+        "8cd629c977ab75578e6b58aefcb2434f726d011767d4f1e9daf4823a2a385df2",
+    ),
+    "id --m 16 --b 4 --k 3 --p 1 --seed 7": (
+        "816adaa39eb12a97549170948af81736d39c66f99f4088acad05ee4d3baba2a8",
+        "b860741f8607c43413c970e8efaf14e95cdddd139a31302f04846e3a760fcf40",
+        "e73e13338614dbf13a19df288dd21270ac3d17f01b8519224642c331fe5df2ed",
+    ),
+    "cross --m 8 --b 2 --k 1 --p 2 --seed 8 --shuffle-seed 3": (
+        "eec7c4308007c80ab22f5035d4fd54be5af8606709d38624b47025e5576812bb",
+        "0b92349faa9a61dcdcc407b290084b8bed6ce7a7043a055c24bd0bf587a6c3db",
+        "3f6cdb5526ce2d3892f90ff3b2db5ce9d1c6b5397e19f0c445e5b0fd9ee39363",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN_WIDER))
+def test_gen_artifacts_match_golden_digests_off_m8(args, tmp_path, capsys):
+    assert main(["gen", *args.split(), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("graph.json", "stream.txt", "manifest.json")
+    )
+    assert got == GOLDEN_WIDER[args]
