@@ -5,10 +5,11 @@ the picked edges, giving a permutation graph whose action on the first
 (r/2)*b positions is determined by one row of the hidden permutation matrix.
 A multi-block chains k of them. Each routing gadget is built by a
 route(sigma) callable: the default basic_route is the plain two-layer graph
-of sigma (a 6-layer block), and the p-pass generator passes one that samples
-a (p-1)-pass hiding graph instead. Within a block the left gadget is routed
-before the right, so a route that draws randomness sees a fixed order.
-Routes, blocks and multi-blocks return parts; the sampler joins them once.
+of sigma (a 6-layer block). Within a block the left gadget is routed before
+the right, so a route that draws randomness sees a fixed order. Routes,
+blocks and multi-blocks return parts, which concat_all joins; tests and
+replay experiments build them here for any family, while gen writes the same
+gadgets for its one-matching family straight into its sample's buffer.
 
 Provenance: encoded layers carry the owning player's tag, routing gadgets
 carry "referee", junctions stay "fixed".
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 # concat_all is unused here, but perfbench/tracing.py looks the name up on this module
 from .graphs import GroupLayeredGraph, LayeredGraph, basic, concat_all
-from .perms import Perm, compose, extend, match_aligned, random_perm
+from .perms import Perm, extend, match_aligned, random_perm
 from .rs import RSGraph
 
 PermMatrix = tuple[tuple[Perm, ...], ...]  # t rows, r columns, entries in S_b
@@ -135,13 +136,3 @@ def multi_block(
     check_hypermatching(M, k, grs.r)
     return [part for a in range(k)
             for part in block(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b, f"player:{a + 1}", route)]
-
-
-def multi_block_rho(
-    grs: RSGraph, sigs: Sequence[PermMatrix], L: Sequence[int], M: Hypermatching, b: int
-) -> Perm:
-    out = None
-    for a in range(len(sigs)):
-        rho = block_rho(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b)
-        out = rho if out is None else compose(out, rho)
-    return out

@@ -19,7 +19,10 @@ The sampling order inside one call is fixed: player matrices, row indices,
 hypermatching, then any recursive samples, with the shift computed (never
 drawn). The number of random draws therefore never depends on the hidden
 permutation, so matched seeds give identical player edges for different
-hidden permutations.
+hidden permutations. Nor does the sequence of gadgets the draws produce, so
+the draw order also fixes the layout: where every gadget's edges go depends
+on (m, b, k, p) alone, is planned once, and each sample writes its edges
+once, into one buffer.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ from itertools import islice
 
 import numpy as np
 
-from .blocks import basic_route, multi_block
+from .blocks import EdgeTuple, edge_pick, multi_block
 from .graphs import LayeredGraph, basic, concat_all
 from .hph import force_gamma, recompute_gamma_star, sample_core
 from .perms import (
     Partition,
     Perm,
     compose,
+    extend,
     identity,
     inverse,
     is_simple,
@@ -49,7 +53,8 @@ from .perms import (
 from .rs import RSGraph, trivial_rs
 from .sortnet import decompose, depth_floor
 
-# an alias kept because perfbench/tracing.py looks this name up on this module
+# multi_block, p_multi_block_sample and concat_all are not used here, but
+# perfbench/tracing.py looks these names up on this module
 p_multi_block_sample = multi_block
 
 MAX_VERTICES = 20_000_000
@@ -90,13 +95,15 @@ def default_params(m: int, b: int, k: int = 2, p: int = 1) -> GenParams:
 # active groups into m/b bins of capacity b (first-fit decreasing), top the
 # bins up with idle wires, and push groups that do not fit into a fresh
 # sub-layer. Placement looks at group sizes only, so the split is the same
-# for every permutation decomposed over the same network.
+# for every permutation decomposed over the same network, and is cached.
 
-def _regularize(P: Partition, gamma: Perm, b: int, m: int) -> list[tuple[Partition, Perm]]:
+def _regularize(P: Partition, b: int, m: int) -> list[tuple[Partition, frozenset[int]]]:
+    """The exact-b partitions layer P is split into, each with the wires
+    whose moves it takes (the rest it fixes)."""
     pending = sorted((g for g in P if len(g) >= 2), key=lambda g: (-len(g), g[0]))
-    out: list[tuple[Partition, Perm]] = []
+    out: list[tuple[Partition, frozenset[int]]] = []
     if not pending:
-        return [(lex_partition(m, b), identity(m))]
+        return [(lex_partition(m, b), frozenset())]
     while pending:
         bins: list[list[int]] = [[] for _ in range(m // b)]
         deferred = []
@@ -107,29 +114,49 @@ def _regularize(P: Partition, gamma: Perm, b: int, m: int) -> list[tuple[Partiti
                     break
             else:
                 deferred.append(g)
-        placed = {x for cell in bins for x in cell}
+        placed = frozenset(x for cell in bins for x in cell)
         idle = iter(x for x in range(1, m + 1) if x not in placed)
         for cell in bins:
             cell.extend(islice(idle, b - len(cell)))
         part = tuple(sorted((tuple(sorted(cell)) for cell in bins), key=lambda g: g[0]))
-        sub = tuple(gamma[x - 1] if x in placed else x for x in range(1, m + 1))
-        out.append((part, sub))
+        out.append((part, placed))
         pending = deferred
     return out
+
+
+@lru_cache(maxsize=64)
+def _splits(m: int, b: int) -> tuple[tuple[tuple[Partition, frozenset[int]], ...], ...]:
+    """_regularize of every layer of the decomposition, in its order."""
+    return tuple(tuple(_regularize(P, b, m)) for P in decompose(identity(m), b).partitions)
 
 
 def _pieces(sigma: Perm, b: int) -> list[tuple[Partition, Perm]]:
     """The simple factors gen_general hides, each with its exact-b partition:
     decompose sigma along the sorting network, then regularize every layer."""
     m = len(sigma)
-    d = decompose(sigma, b)
-    return [piece for part, g in zip(d.partitions, d.gammas) for piece in _regularize(part, g, b, m)]
+    return [(part, tuple(g[x - 1] if x in placed else x for x in range(1, m + 1)))
+            for split, g in zip(_splits(m, b), decompose(sigma, b).gammas)
+            for part, placed in split]
 
 
 @lru_cache(maxsize=64)
 def _layer_plan(m: int, b: int) -> tuple[Partition, ...]:
     """Exact-b partitions of the regularized decomposition, permutation-free."""
-    return tuple(part for part, _ in _pieces(identity(m), b))
+    return tuple(part for split in _splits(m, b) for part, _ in split)
+
+
+def _swap(part: Partition, m: int, b: int) -> tuple[Perm, Perm] | None:
+    """None for Lex, else the relabeling s carrying part onto Lex, and s^-1."""
+    if part == lex_partition(m, b):
+        return None
+    s = swap_perm(part)
+    return s, inverse(s)
+
+
+@lru_cache(maxsize=64)
+def _swaps(m: int, b: int) -> tuple[tuple[Perm, Perm] | None, ...]:
+    """_swap of every piece of _layer_plan."""
+    return tuple(_swap(part, m, b) for part in _layer_plan(m, b))
 
 
 # ---------------------------------------------------------------------------
@@ -189,70 +216,205 @@ def vertex_count(params: GenParams, general: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# plan-then-fill. A sample is a chain of gadgets, each the two-layer graph of
+# a permutation of its layer: a routing gadget at p = 1, a player's encoded RS
+# layers (the family is one matching j -> j, so these are the gadget of the
+# join of the matrix's row), or a fixed non-Lex wrapper. Consecutive gadgets
+# are joined by identity junctions, as concat_all joins its parts, so the
+# layout depends on (m, b, k, p) alone. The plan records it once; a sample
+# allocates one buffer, draws, and writes each gadget's permutation into its
+# slice as soon as it is known. Gadgets are written in draw order, which is
+# not layer order: pieces are drawn first-to-last but traversed last-first,
+# and so are the blocks of a simple sample, whose shift gadget is drawn last
+# and traversed first.
 
-def _retag_referee(g: LayeredGraph) -> LayeredGraph:
-    # recursively sampled gadgets hide referee inputs; their player tags are
-    # an artifact of reusing the same builder and must not leak upward
-    retag = np.array([t != "fixed" for t in g.tag_names], dtype=np.uint16)
-    return LayeredGraph.from_columns(g.layers, g.edges, retag[g.tag_ids], ("fixed", "referee"))
+FIXED, REFEREE = 0, 1  # tag ids; player a has id a + 1
 
 
-def sample_simple(
-    rho: Perm, P: Partition, params: GenParams, rng: random.Random
-) -> tuple[list[LayeredGraph], dict]:
-    """gen_simple's parts plus the sampled communication core, for replay experiments."""
-    m, b, k, p = params.m, params.b, params.k, params.p
+def _tag_names(k: int) -> tuple[str, ...]:
+    return ("fixed", "referee", *(f"player:{a}" for a in range(1, k + 1)))
+
+
+def _kind(swap) -> str:
+    """The shape of a simple sample whose piece has this entry of _swaps."""
+    return "lex" if swap is None else "wrapped"
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """The gadgets of a sample: sizes and tag ids in layer order, and
+    emit[i], the layer-order index of the i-th gadget the fill writes."""
+
+    sizes: np.ndarray
+    tags: np.ndarray
+    emit: np.ndarray
+
+
+def _gadget(size: int, tag: int) -> _Shape:
+    return _Shape(np.array([size]), np.array([tag], dtype=np.uint16), np.zeros(1, dtype=np.int64))
+
+
+def _chain(written: list[_Shape], layer_order) -> _Shape:
+    """The shapes in written, filled in that order and laid out in
+    layer_order (indices into written)."""
+    first = dict(zip(layer_order, np.cumsum([0, *(len(written[c].sizes) for c in layer_order)]).tolist()))
+    return _Shape(np.concatenate([written[c].sizes for c in layer_order]),
+                  np.concatenate([written[c].tags for c in layer_order]),
+                  np.concatenate([s.emit + first[c] for c, s in enumerate(written)]))
+
+
+@lru_cache(maxsize=256)
+def _shape(m: int, b: int, k: int, p: int, kind: str) -> _Shape:
+    """kind "general" is a gen_general sample, "lex" a simple sample over
+    Lex and "wrapped" one over another partition. The fill order is
+    _fill_simple's and _fill_general's."""
+    if kind == "general":
+        pieces = [_shape(m, b, k, p, _kind(swap)) for swap in _swaps(m, b)]
+        return _chain(pieces, range(len(pieces))[::-1])
+    if kind == "wrapped":  # written s, s^-1, inner; traversed s, inner, s^-1
+        wrapper = _gadget(m, FIXED)
+        return _chain([wrapper, wrapper, _shape(m, b, k, p, "lex")], [0, 2, 1])
+    # written left route, encoded layers, right route of blocks 1..k, then
+    # the shift; traversed shift first, then blocks k..1
+    wide, shift = _route(2 * m, b, k, p), _route(m, b, k, p)
+    written = [part for a in range(k) for part in (wide, _gadget(2 * m, a + 2), wide)] + [shift]
+    return _chain(written, [3 * k, *(3 * a + i for a in reversed(range(k)) for i in range(3))])
+
+
+def _route(size: int, b: int, k: int, p: int) -> _Shape:
+    """A routing gadget; at p >= 2 a (p-1)-pass sample, whose player tags
+    become "referee": it hides referee inputs."""
+    if p == 1:
+        return _gadget(size, REFEREE)
+    sub = _shape(size, b, k, p - 1, "general")
+    return _Shape(sub.sizes, np.minimum(sub.tags, REFEREE), sub.emit)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A shape laid out as edge runs: gadget 0, junction 0, gadget 1, ...
+    (gadget i is layer 2i+1's edges, junction i layer 2i+2's)."""
+
+    layers: list[int]
+    runs: np.ndarray       # edges per run
+    starts: np.ndarray     # first edge of each run
+    run_tags: np.ndarray   # tag id of each run
+    slots: list[int]       # first edge of each gadget, in fill order
+    tag_names: tuple[str, ...]
+
+
+@lru_cache(maxsize=64)
+def _plan(m: int, b: int, k: int, p: int, kind: str) -> _Plan:
+    shape = _shape(m, b, k, p, kind)
+    runs = np.empty(2 * len(shape.sizes) - 1, dtype=np.int64)
+    runs[0::2] = shape.sizes
+    runs[1::2] = np.minimum(shape.sizes[:-1], shape.sizes[1:])
+    starts = np.cumsum(runs) - runs
+    run_tags = np.zeros(len(runs), dtype=np.uint16)
+    run_tags[0::2] = shape.tags
+    return _Plan(np.repeat(shape.sizes, 2).tolist(), runs, starts, run_tags,
+                 starts[0::2][shape.emit].tolist(), _tag_names(k))
+
+
+def _filled(plan: _Plan, fill) -> LayeredGraph:
+    """One edge buffer laid out by plan. fill(put) calls put(perm) once per
+    gadget, in fill order; put writes perm as the gadget's v column."""
+    edges = np.empty((int(plan.runs.sum()), 3), dtype=np.int32)
+    layer, u, v = edges.T
+    layer.fill(0)
+    layer[plan.starts] = 1
+    np.cumsum(layer, dtype=np.int32, out=layer)   # run r is layer r + 1
+    u.fill(1)
+    u[plan.starts[1:]] -= plan.runs[:-1]
+    np.cumsum(u, dtype=np.int32, out=u)           # 1, 2, ... within each run
+    v[:] = u   # junctions are identity matchings; each gadget overwrites its run
+    slots = iter(plan.slots)
+
+    def put(perm):
+        at = next(slots)
+        v[at:at + len(perm)] = perm
+
+    fill(put)
+    return LayeredGraph.from_columns(plan.layers, edges, np.repeat(plan.run_tags, plan.runs),
+                                     plan.tag_names)
+
+
+def _fill_general(sigma: Perm, params: GenParams, rng: random.Random, put) -> None:
+    for (_, gamma), swap in zip(_pieces(sigma, params.b), _swaps(params.m, params.b)):
+        _fill_simple(gamma, swap, params, rng, put)
+
+
+def _fill_simple(rho: Perm, swap, params: GenParams, rng: random.Random, put) -> dict:
+    """Draw a simple sample hiding rho, which is simple on Lex, or on the
+    partition swap = (s, s^-1) carries onto Lex; put its gadgets; return
+    the sampled communication core."""
+    b, k, p = params.b, params.k, params.p
+    if swap is not None:
+        s, s_inv = swap
+        put(s)
+        put(s_inv)
+        rho = compose(s, compose(rho, s_inv))
+    grs = params.family
+    sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
+    gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(rho, b))
+    if p == 1:
+        route = put
+    else:
+        def route(s: Perm) -> None:
+            _fill_general(s, replace(params, m=len(s), p=p - 1), rng, put)
+
+    # rng draw order: blocks a = 1..k (left gadget before right), shift last
+    for a in range(k):
+        left, right = edge_pick(grs, EdgeTuple(L[a], M[a]))
+        route(extend(left, b))
+        put(join(sigmas[a][0]))
+        route(extend(right, b))
+    route(join(gamma))
+    return {"sigmas": sigmas, "L": L, "M": M, "gamma": gamma}
+
+
+def _simple_swap(rho: Perm, P: Partition, params: GenParams):
+    """Check a simple sample's inputs; None if P is Lex, else (s, s^-1)."""
+    m, b = params.m, params.b
     if len(rho) != m:
         raise ValueError(f"rho acts on [{len(rho)}], params say m={m}")
     canon = tuple(sorted((tuple(sorted(g)) for g in P), key=lambda g: g[0]))
     if not is_simple(rho, canon):
         raise ValueError("rho is not simple on the given partition")
-    lex = lex_partition(m, b)
-    if canon != lex:
-        s = swap_perm(canon)
-        inner, core = sample_simple(compose(s, compose(rho, inverse(s))), lex, params, rng)
-        return [basic(inverse(s), "fixed"), *inner, basic(s, "fixed")], core
-
-    grs = params.family
     vertex_count(params, general=False)
-    target = vec(rho, b)
-    sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
-    gamma = force_gamma(recompute_gamma_star(sigmas, L, M), target)
-    core = {"sigmas": sigmas, "L": L, "M": M, "gamma": gamma}
-    if p == 1:
-        route = basic_route
-    else:
-        def route(s: Perm) -> list[LayeredGraph]:
-            return [_retag_referee(gen_general(s, replace(params, m=len(s), p=p - 1), rng))]
+    return _swap(canon, m, b)
 
-    # rng draw order: blocks a = 1..k (left gadget before right), shift last
-    return [*multi_block(grs, sigmas, L, M, b, route), *route(join(gamma))], core
+
+def sample_simple(
+    rho: Perm, P: Partition, params: GenParams, rng: random.Random
+) -> tuple[list[LayeredGraph], dict]:
+    """gen_simple's gadgets as two-layer parts in concat_all's order (the
+    last is traversed first), plus the sampled communication core, for
+    replay experiments."""
+    swap = _simple_swap(rho, P, params)
+    shape = _shape(params.m, params.b, params.k, params.p, _kind(swap))
+    names = _tag_names(params.k)
+    parts: list[LayeredGraph] = [None] * len(shape.sizes)
+    slots = iter(shape.emit.tolist())
+
+    def put(perm):
+        at = next(slots)
+        parts[-1 - at] = basic(perm, names[shape.tags[at]])
+
+    return parts, _fill_simple(rho, swap, params, rng, put)
 
 
 def gen_simple(rho: Perm, P: Partition, params: GenParams, rng: random.Random) -> LayeredGraph:
-    return concat_all(sample_simple(rho, P, params, rng)[0])
+    swap = _simple_swap(rho, P, params)
+    plan = _plan(params.m, params.b, params.k, params.p, _kind(swap))
+    return _filled(plan, lambda put: _fill_simple(rho, swap, params, rng, put))
 
 
 def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGraph:
     """Hide an arbitrary permutation: decompose along the sorting network,
-    regularize each layer to exact-b groups, hide every factor, concatenate."""
+    regularize each layer to exact-b groups, hide every factor, chained."""
     if len(sigma) != params.m:
         raise ValueError(f"sigma acts on [{len(sigma)}], params say m={params.m}")
     vertex_count(params, general=True)
-    return concat_all([g for part, gamma in _pieces(sigma, params.b)
-                       for g in sample_simple(gamma, part, params, rng)[0]])
-
-
-# ---------------------------------------------------------------------------
-# replay support: the same player matrices with the lexicographically first
-# referee inputs (all row indices 1, matching columns 1..r/2, identity shift)
-
-def fake_simple_from_core(sigmas, params: GenParams) -> LayeredGraph:
-    if params.p != 1:
-        raise ValueError("fake replay is built for one-pass instances")
-    b, k = params.b, params.k
-    grs = params.family
-    L = tuple(1 for _ in range(k))
-    M = tuple(tuple(range(1, grs.r // 2 + 1)) for _ in range(k))
-    return concat_all([*multi_block(grs, sigmas, L, M, b), *basic_route(identity(params.m))])
+    plan = _plan(params.m, params.b, params.k, params.p, "general")
+    return _filled(plan, lambda put: _fill_general(sigma, params, rng, put))

@@ -6,7 +6,9 @@ layer, vertices are indexed 1..size. A graph "realizes" sigma when source i
 layer, j <= m) exactly when sigma(i) = j.
 
 Every edge carries a provenance tag naming which input produced it; junction
-matchings added by concatenation are tagged "fixed".
+matchings added by concatenation are tagged "fixed". basic, concat_all and
+GroupLayeredGraph.expand build graphs from parts for tests and replay
+experiments; the generator lays its samples out in one buffer without them.
 
 Edges are stored as columns: an (E, 3) int32 array of (layer, u, v) rows and
 a uint16 tag id per edge indexing a small table of tag names. Every builder

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -26,7 +27,7 @@ def compose(f: Perm, g: Perm) -> Perm:
     """Return f after g: x -> f(g(x))."""
     if len(f) != len(g):
         raise ValueError(f"domain mismatch: {len(f)} vs {len(g)}")
-    return tuple(f[g[x] - 1] for x in range(len(f)))
+    return tuple([f[y - 1] for y in g])
 
 
 def inverse(f: Perm) -> Perm:
@@ -103,10 +104,10 @@ def join(gamma: PermVector) -> Perm:
         return ()
     b = len(gamma[0])
     out = []
-    for i, g in enumerate(gamma):
+    for base, g in zip(range(0, b * len(gamma), b), gamma):
         if len(g) != b:
             raise ValueError("entries of a PermVector must share b")
-        out.extend(i * b + v for v in g)
+        out.extend([base + v for v in g])
     return tuple(out)
 
 
@@ -131,11 +132,7 @@ def match_aligned(pairs: Iterable[tuple[int, int]], m: int) -> Perm:
 
 def extend(sigma: Perm, b: int) -> Perm:
     """Blow up sigma on [w] to [w*b]: (x-1)b + j -> (sigma(x)-1)b + j."""
-    out = []
-    for x in range(len(sigma)):
-        base = (sigma[x] - 1) * b
-        out.extend(base + j for j in range(1, b + 1))
-    return tuple(out)
+    return tuple(chain.from_iterable(range((s - 1) * b + 1, s * b + 1) for s in sigma))
 
 
 def swap_perm(P: Partition) -> Perm:

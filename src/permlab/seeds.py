@@ -93,7 +93,7 @@ def _apply_swaps(j: np.ndarray) -> np.ndarray:
     n = len(j)
     # steps grouped by target, ascending within a group (a stable sort), so
     # the step after another in its group is the one that ran just before it
-    step = np.argsort(j, kind="stable").astype(np.int32)
+    step = _stable_order(j)
     target = j[step]
     opens = np.empty(n, dtype=bool)   # a group starts here
     opens[:1] = True
@@ -125,3 +125,14 @@ def _apply_swaps(j: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=np.int32)
     out[step] = vals
     return out
+
+
+def _stable_order(j: np.ndarray) -> np.ndarray:
+    """np.argsort(j, kind="stable") as int32, for int32 j in [0, 2**31).
+    numpy sorts 16-bit keys stably by radix sort, so this sorts by the low
+    half, then stably by the high half (one pass while n <= 2**16)."""
+    low = np.argsort(j.astype(np.uint16), kind="stable").astype(np.int32)
+    if len(j) <= 1 << 16:
+        return low
+    high = np.argsort((j >> 16).astype(np.uint16)[low], kind="stable").astype(np.int32)
+    return low[high]

@@ -196,17 +196,6 @@ def _schedule(ops: list[Group], m: int) -> tuple[tuple[Group, ...], ...]:
     return tuple(full)
 
 
-def build_merge_network(m: int, b: int) -> SorterNetwork:
-    """Network of b*b-wide sorters merging b sorted runs of length m/b; m
-    must be a power of b."""
-    if b < 2:
-        raise ValueError("b must be at least 2")
-    if _next_power(b, m) != m:
-        raise ValueError(f"m={m} is not a power of b={b}")
-    ops = _merge_ops(list(range(1, m + 1)), b)
-    return SorterNetwork(m, b * b, _schedule(ops, m))
-
-
 @lru_cache(maxsize=64)
 def build_sort_network(m: int, b: int) -> SorterNetwork:
     """Network of sorters of width <= b sorting every input on m wires.

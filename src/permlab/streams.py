@@ -103,11 +103,27 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
     names = g.tag_names
     rank = np.empty(len(names), dtype=np.int64)  # position of each name in string order
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    order = np.lexsort((gv, gu, rank[g.tag_ids], g.edges[:, 0]))
+    keys = (g.edges[:, 0], rank[g.tag_ids], gu, gv)
+    # None stands for the identity, which the stable lexsort returns when the
+    # rows are already in order, as gen writes them
+    order = None if _in_order(keys) else np.lexsort(keys[::-1])
     if shuffle_seed is not None:
-        order = order[shuffled_range(len(order), shuffle_seed)]
-    return EdgeStream.from_columns(g.vertex_count, True, gu[order], gv[order],
-                                   g.tag_ids[order], names)
+        shuffled = shuffled_range(len(gu), shuffle_seed)
+        order = shuffled if order is None else order[shuffled]
+    tag_ids = g.tag_ids
+    if order is not None:
+        gu, gv, tag_ids = gu[order], gv[order], tag_ids[order]
+    return EdgeStream.from_columns(g.vertex_count, True, gu, gv, tag_ids, names)
+
+
+def _in_order(keys: tuple[np.ndarray, ...]) -> bool:
+    """Whether the rows (keys[0][e], keys[1][e], ...) never decrease."""
+    tied = np.ones(max(len(keys[0]) - 1, 0), dtype=bool)  # rows e, e+1 equal so far
+    for key in keys:
+        if (tied & (key[1:] < key[:-1])).any():
+            return False
+        tied &= key[1:] == key[:-1]
+    return True
 
 
 def dump_stream(stream: EdgeStream) -> str:

@@ -10,13 +10,21 @@ from permlab.blocks import (
     edge_pick,
     encoded_rs,
     multi_block,
-    multi_block_rho,
     random_perm_matrix,
 )
 from permlab.graphs import GroupLayeredGraph, basic, concat_all, extract_permutation
 from permlab.hph import recompute_gamma_star, sample_core
 from permlab.perms import compose, extend, identity, join, match_aligned, random_perm
 from permlab.rs import RSGraph, trivial_rs
+
+
+def multi_block_rho(grs, sigs, L, M, b):
+    """Reference: the fold of the per-block closed forms, block 1 outermost."""
+    out = None
+    for a in range(len(sigs)):
+        rho = block_rho(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b)
+        out = rho if out is None else compose(out, rho)
+    return out
 
 
 def test_encoded_rs_tiny():

@@ -20,7 +20,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permlab.blocks import EdgeTuple, edge_pick, encoded_rs
-from permlab.gen import _layer_plan, _pieces, default_params, gen_general
+from permlab.gen import (
+    _layer_plan,
+    _pieces,
+    _plan,
+    default_params,
+    gen_general,
+    gen_simple,
+    sample_simple,
+    vertex_count,
+)
 from permlab.codec import CHUNK, WINDOW, format_rows, tag_table
 from permlab.graphs import (
     ExtractionError,
@@ -46,10 +55,11 @@ from permlab.perms import (
     join,
     lex_partition,
     random_perm,
+    random_simple,
     swap_perm,
     vec,
 )
-from permlab.streams import MAGIC, EdgeStream, dump_stream, graph_to_stream, parse_stream
+from permlab.streams import MAGIC, EdgeStream, _in_order, dump_stream, graph_to_stream, parse_stream
 
 TAGS = ("fixed", "referee", *(f"player:{i}" for i in range(1, 13)))
 
@@ -418,18 +428,44 @@ def test_gen_general_matches_nested_reference(b, k, p):
         assert listed(g) == ref_gen_general(sigma, params, random.Random(7))
 
 
-def test_gen_general_concatenates_once(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("m, b, k, p", [(4, 2, 2, 1), (6, 3, 1, 2), (16, 4, 3, 1), (8, 2, 1, 2)])
+def test_plan_matches_nested_reference(m, b, k, p):
+    # the layout is fixed before the first draw: every sigma's graph has the
+    # plan's layers and edge count, and its vertex total is vertex_count
+    params = default_params(m, b, k=k, p=p)
+    plan = _plan(m, b, k, p, "general")
+    assert sum(plan.layers) == vertex_count(params, general=True)
+    for sigma in (identity(m), sigma_cross(m), random_perm(m, random.Random(m + p))):
+        layers, edges, _ = ref_gen_general(sigma, params, random.Random(5))
+        assert plan.layers == layers and plan.runs.sum() == len(edges)
+        g = gen_general(sigma, params, random.Random(5))
+        assert g.layers == plan.layers and len(g.edges) == plan.runs.sum()
 
-    def counted(parts):
-        calls.append(len(parts))
-        return concat_all(parts)
 
-    monkeypatch.setattr("permlab.gen.concat_all", counted)
-    monkeypatch.setattr("permlab.blocks.concat_all", counted)
-    params = default_params(8, 2, k=2, p=1)
+@pytest.mark.parametrize("p", [1, 2])
+def test_sample_simple_parts_join_to_gen_simple(p):
+    params = default_params(8, 2, k=2, p=p)
+    for P in (lex_partition(8, 2), ((1, 5), (2, 6), (3, 7), (4, 8))):
+        rho = random_simple(P, random.Random(p))
+        parts, core = sample_simple(rho, P, params, random.Random(3))
+        g = gen_simple(rho, P, params, random.Random(3))
+        assert listed(concat_all(parts)) == listed(g)
+        assert extract_permutation(g, 8) == rho
+        assert len(core["sigmas"]) == 2 and len(core["gamma"]) == 4
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_gen_general_never_concatenates(p, monkeypatch):
+    # each edge is written once, into the sample's one buffer: no part is
+    # built as a graph of its own and no graphs are joined
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or joined a part while sampling")
+
+    for name in ("gen.concat_all", "blocks.concat_all", "graphs.concat_all", "gen.basic",
+                 "graphs.basic", "graphs.GroupLayeredGraph.expand"):
+        monkeypatch.setattr(f"permlab.{name}", refuse)
+    params = default_params(8, 2, k=2, p=p)
     g = gen_general(sigma_cross(8), params, random.Random(1))
-    assert len(calls) == 1
     assert extract_permutation(g, 8) == sigma_cross(8)
 
 
@@ -453,6 +489,30 @@ def test_stream_order_matches_reference(g, shuffle_seed):
     assert (stream.edges, stream.tags) == ref_stream(layers, edges, tags, shuffle_seed)
     assert all(type(x) is int for e in stream.edges for x in e)
     assert stream.us.dtype == stream.vs.dtype == np.int32
+
+
+@pytest.mark.parametrize("m, b, k, p", [(16, 4, 2, 2), (128, 4, 2, 1), (12, 3, 1, 2)])
+def test_gen_writes_rows_in_stream_order(m, b, k, p):
+    # the fill writes layer after layer, one gadget (one tag) per layer, each
+    # gadget's and junction's rows by ascending u, so the sort is the identity
+    g = gen_general(random_perm(m, random.Random(m)), default_params(m, b, k=k, p=p),
+                    random.Random(2))
+    gu, gv = g.global_ids()
+    rank = np.argsort(np.argsort(np.array(g.tag_names)))
+    keys = (g.edges[:, 0], rank[g.tag_ids], gu, gv)
+    assert np.array_equal(np.lexsort(keys[::-1]), np.arange(len(gu)))
+    assert _in_order(keys)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)), max_size=12),
+       st.booleans())
+def test_in_order_agrees_with_lexsort(rows, sort):
+    if sort:
+        rows.sort()
+    keys = tuple(np.array(col, dtype=np.int64).reshape(-1) for col in zip(*rows)) or (
+        np.zeros(0, dtype=np.int64),)
+    assert _in_order(keys) == np.array_equal(np.lexsort(keys[::-1]), np.arange(len(rows)))
 
 
 def test_stream_orders_tags_as_strings():

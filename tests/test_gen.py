@@ -4,6 +4,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permlab.blocks import basic_route, multi_block
 from permlab.gen import (
     MAX_VERTICES,
     GenParams,
@@ -13,7 +14,6 @@ from permlab.gen import (
     _layer_plan,
     _pieces,
     default_params,
-    fake_simple_from_core,
     gen_general,
     gen_simple,
     sample_simple,
@@ -33,6 +33,18 @@ from permlab.perms import (
     vec,
 )
 from permlab.sortnet import depth_floor
+
+
+def fake_simple_from_core(sigmas, params):
+    """Replay reference: the same player matrices with the lexicographically
+    first referee inputs (all row indices 1, matching columns 1..r/2,
+    identity shift)."""
+    if params.p != 1:
+        raise ValueError("fake replay is built for one-pass instances")
+    grs = params.family
+    L = tuple(1 for _ in range(params.k))
+    M = tuple(tuple(range(1, grs.r // 2 + 1)) for _ in range(params.k))
+    return concat_all([*multi_block(grs, sigmas, L, M, params.b), *basic_route(identity(params.m))])
 
 
 def player_edges(g):

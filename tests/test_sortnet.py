@@ -7,11 +7,23 @@ from hypothesis import given, settings, strategies as st
 from permlab.perms import identity, is_simple, random_perm
 from permlab.sortnet import (
     SorterNetwork,
-    build_merge_network,
+    _merge_ops,
+    _next_power,
+    _schedule,
     build_sort_network,
     decompose,
     depth_bound,
 )
+
+
+def build_merge_network(m, b):
+    """Reference: the network of b*b-wide sorters merging b sorted runs of
+    length m/b that build_sort_network uses inside; m must be a power of b."""
+    if b < 2:
+        raise ValueError("b must be at least 2")
+    if _next_power(b, m) != m:
+        raise ValueError(f"m={m} is not a power of b={b}")
+    return SorterNetwork(m, b * b, _schedule(_merge_ops(list(range(1, m + 1)), b), m))
 
 
 def test_merge_single_sorter_at_b_squared():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permlab.gen import default_params, gen_general, gen_simple, sample_simple, fake_simple_from_core
+from permlab.gen import default_params, gen_general, gen_simple, sample_simple
 from permlab.graphs import basic, concat_all
 from permlab.matching import bipartite_of, instance_to_stream, max_matching, sigma_eq
 from permlab.perms import identity, lex_partition, random_simple
@@ -26,6 +26,7 @@ from permlab.streams import (
     run_passes,
 )
 from test_columnar import instance_of
+from test_gen import fake_simple_from_core
 
 
 def test_counting_algorithm():
