@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +31,15 @@ from .perms import parse_perm, random_perm
 from .rs import parse_rs, validate_rs
 from .seeds import rng_for
 from .sortnet import build_sort_network, depth_bound
-from .streams import FullMemory, advantage_estimate, dump_stream, graph_to_stream, parse_stream
+# dump_stream is not used here, but perfbench/tracing.py looks the name up on this module
+from .streams import (
+    FullMemory,
+    advantage_estimate,
+    dump_stream,
+    graph_to_stream,
+    parse_stream,
+    stream_text,
+)
 
 OUT_ENV = "PERMLAB_OUT"
 
@@ -47,7 +56,7 @@ class RunManifest:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
-def _write(path: str, pieces: list[bytes]) -> str:
+def _write(path: str, pieces: Iterable[bytes]) -> str:
     """Write the pieces to path in order; the sha256 of what was written."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -108,8 +117,7 @@ def cmd_gen(args) -> int:
                                         [head, g.to_json(), tail, b"\n"])}
         stream = graph_to_stream(g, shuffle_seed=args.shuffle_seed)
         del g  # the graph's columns go before the stream's text is formatted
-        outputs["stream.txt"] = _write(os.path.join(out, "stream.txt"),
-                                       [dump_stream(stream).encode()])
+        outputs["stream.txt"] = _write(os.path.join(out, "stream.txt"), stream_text(stream))
     except MemoryError as err:
         print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 1

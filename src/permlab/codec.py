@@ -2,12 +2,12 @@
 
 All three are rows of fields between fixed separators: int32 fields as
 str(int) prints them, then at most one tag field. format_rows writes rows
-from columns. read_rows reads them back into columns, window by window: it
-parses optimistically, then proves the parse exact by formatting the
-parsed columns again and comparing the bytes with the input. Equality
-leaves no room for floats, signs such as "+", leading zeros, stray tokens,
-int32 overflow or rows of the wrong shape, so the parsing needs no grammar
-of its own.
+from columns (format_chunks the same bytes a chunk at a time). read_rows
+reads them back into columns, window by window: it parses optimistically,
+then proves the parse exact by formatting the parsed columns again and
+comparing the bytes with the input. Equality leaves no room for floats,
+signs such as "+", leading zeros, stray tokens, int32 overflow or rows of
+the wrong shape, so the parsing needs no grammar of its own.
 
 A tag is a non-empty run of ASCII letters, digits and "_:.-". It needs no
 JSON escaping and holds no separator byte, so a tag field ends at the
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -84,13 +84,18 @@ def format_rows(seps: Sequence[bytes], cols: Sequence[np.ndarray],
     """Rows seps[0] f0 seps[1] f1 ... seps[-1], concatenated. The fields are
     the int columns, each value as str(int) prints it, then, when ids is
     given, table[ids[row]]."""
+    return b"".join(format_chunks(seps, cols, ids, table))
+
+
+def format_chunks(seps: Sequence[bytes], cols: Sequence[np.ndarray],
+                  ids: np.ndarray | None = None, table: Sequence[bytes] = ()) -> Iterator[bytes]:
+    """format_rows's bytes, CHUNK rows at a time."""
     n = len(cols[0]) if cols else len(ids)
     if ids is not None:
         lens = np.array([len(t) for t in table], dtype=np.int64)
         names = np.zeros((len(table), int(lens.max(initial=0))), dtype=np.uint8)
         for row, name in zip(names, table):
             row[:len(name)] = np.frombuffer(name, dtype=np.uint8)
-    out = []
     for lo in range(0, n, CHUNK):
         fields = [_decimal(col[lo:lo + CHUNK]) for col in cols]
         if ids is not None:
@@ -104,8 +109,7 @@ def format_rows(seps: Sequence[bytes], cols: Sequence[np.ndarray],
             if field is not None:
                 pieces.append(field)
         chars, keep = zip(*pieces)
-        out.append(np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)].tobytes())
-    return b"".join(out)
+        yield np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)].tobytes()
 
 
 class FormatError(ValueError):

@@ -21,11 +21,11 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .codec import FormatError, expect, format_rows, read_rows, tag_table, used_tags
+from .codec import FormatError, expect, format_chunks, read_rows, tag_table, used_tags
 from .graphs import LayeredGraph
 from .matching import BipartiteInstance, max_matching
 from .seeds import shuffled_range
@@ -99,21 +99,22 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
     uniform shuffle on top (stream order is an experiment parameter): the
     order random.Random(seed).shuffle leaves of the canonical one, computed
     by seeds.shuffled_range."""
-    gu, gv = g.global_ids()
     names = g.tag_names
     rank = np.empty(len(names), dtype=np.int64)  # position of each name in string order
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    keys = (g.edges[:, 0], rank[g.tag_ids], gu, gv)
+    # within a layer, global ids order as (u, v) do
+    keys = (g.edges[:, 0], rank[g.tag_ids], g.edges[:, 1], g.edges[:, 2])
     # None stands for the identity, which the stable lexsort returns when the
     # rows are already in order, as gen writes them
     order = None if _in_order(keys) else np.lexsort(keys[::-1])
+    del keys  # the rank column, before the shuffle's temporaries
     if shuffle_seed is not None:
-        shuffled = shuffled_range(len(gu), shuffle_seed)
+        shuffled = shuffled_range(len(g.edges), shuffle_seed)
         order = shuffled if order is None else order[shuffled]
-    tag_ids = g.tag_ids
     if order is not None:
-        gu, gv, tag_ids = gu[order], gv[order], tag_ids[order]
-    return EdgeStream.from_columns(g.vertex_count, True, gu, gv, tag_ids, names)
+        g = LayeredGraph.from_columns(g.layers, g.edges[order], g.tag_ids[order], names)
+    gu, gv = g.global_ids()
+    return EdgeStream.from_columns(g.vertex_count, True, gu, gv, g.tag_ids, names)
 
 
 def _in_order(keys: tuple[np.ndarray, ...]) -> bool:
@@ -130,15 +131,19 @@ def dump_stream(stream: EdgeStream) -> str:
     """The stream as text. Raises ValueError for a used tag that is not a
     non-empty run of ASCII letters, digits and _:.-, which parse_stream
     reads back as one field."""
-    head = f"{MAGIC}\n{stream.n} {len(stream)} {1 if stream.directed else 0}\n"
+    return b"".join(stream_text(stream)).decode()
+
+
+def stream_text(stream: EdgeStream) -> Iterator[bytes]:
+    """dump_stream's text as bytes: the header, then the edge lines a
+    codec.CHUNK at a time, each formatted when it is reached. The tags are
+    checked first, as dump_stream checks them."""
+    head = f"{MAGIC}\n{stream.n} {len(stream)} {1 if stream.directed else 0}\n".encode()
     if stream.tag_ids is None:
-        body = format_rows(_LINE, [stream.us, stream.vs])
-    else:
-        used_tags(stream.tag_names, stream.tag_ids)
-        table = [name.encode() for name in stream.tag_names]
-        body = format_rows(_TAGGED_LINE, [stream.us, stream.vs], stream.tag_ids, table)
-    body = body.decode()  # rebound, so the bytes go before the header is joined
-    return head + body
+        return chain([head], format_chunks(_LINE, [stream.us, stream.vs]))
+    used_tags(stream.tag_names, stream.tag_ids)
+    table = [name.encode() for name in stream.tag_names]
+    return chain([head], format_chunks(_TAGGED_LINE, [stream.us, stream.vs], stream.tag_ids, table))
 
 
 def parse_stream(data: str | bytes) -> EdgeStream:

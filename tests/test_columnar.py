@@ -59,7 +59,15 @@ from permlab.perms import (
     swap_perm,
     vec,
 )
-from permlab.streams import MAGIC, EdgeStream, _in_order, dump_stream, graph_to_stream, parse_stream
+from permlab.streams import (
+    MAGIC,
+    EdgeStream,
+    _in_order,
+    dump_stream,
+    graph_to_stream,
+    parse_stream,
+    stream_text,
+)
 
 TAGS = ("fixed", "referee", *(f"player:{i}" for i in range(1, 13)))
 
@@ -741,6 +749,8 @@ def test_writers_match_reference_across_chunks():
     us, vs = (rng.integers(1, n, rows, endpoint=True) for _ in range(2))
     stream = EdgeStream.from_columns(n, True, us, vs, g.tag_ids, g.tag_names)
     assert dump_stream(stream) == ref_dump_stream(stream)
+    pieces = list(stream_text(stream))  # the header, then a piece per chunk
+    assert len(pieces) == 3 and b"".join(pieces).decode() == ref_dump_stream(stream)
 
 
 @st.composite
@@ -773,6 +783,8 @@ def test_dump_stream_rejects_tags_it_cannot_read_back(tags):
     bad = next(t for t in tags if t.split() != [t])
     with pytest.raises(ValueError, match=f"^tag {re.escape(repr(bad))} "):
         dump_stream(stream)
+    with pytest.raises(ValueError, match=f"^tag {re.escape(repr(bad))} "):
+        stream_text(stream)  # before a byte is written
 
 
 BAD_TAGS = {"non-ASCII": "ñ", "quote": '"', "backslash": "\\", "comma": ",", "bracket": "]",
