@@ -111,10 +111,11 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
     if shuffle_seed is not None:
         shuffled = shuffled_range(len(g.edges), shuffle_seed)
         order = shuffled if order is None else order[shuffled]
-    if order is not None:
-        g = LayeredGraph.from_columns(g.layers, g.edges[order], g.tag_ids[order], names)
     gu, gv = g.global_ids()
-    return EdgeStream.from_columns(g.vertex_count, True, gu, gv, g.tag_ids, names)
+    tag_ids = g.tag_ids
+    if order is not None:
+        gu, gv, tag_ids = gu[order], gv[order], tag_ids[order]
+    return EdgeStream.from_columns(g.vertex_count, True, gu, gv, tag_ids, names)
 
 
 def _in_order(keys: tuple[np.ndarray, ...]) -> bool:
