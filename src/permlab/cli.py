@@ -32,14 +32,7 @@ from .rs import parse_rs, validate_rs
 from .seeds import rng_for
 from .sortnet import build_sort_network, depth_bound
 # dump_stream is not used here, but perfbench/tracing.py looks the name up on this module
-from .streams import (
-    FullMemory,
-    advantage_estimate,
-    dump_stream,
-    graph_to_stream,
-    parse_stream,
-    stream_text,
-)
+from .streams import FullMemory, advantage_estimate, dump_stream, graph_to_stream, parse_stream, stream_text
 
 OUT_ENV = "PERMLAB_OUT"
 
