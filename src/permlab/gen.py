@@ -19,18 +19,17 @@ The sampling order inside one call is fixed: player matrices, row indices,
 hypermatching, then any recursive samples, with the shift computed (never
 drawn). The number of random draws therefore never depends on the hidden
 permutation, so matched seeds give identical player edges for different
-hidden permutations. Nor does the sequence of gadgets the draws produce, so
-the draw order also fixes the layout: where every gadget's edges go depends
-on (m, b, k, p) alone, is planned once, and each sample writes its edges
-once, into one buffer.
+hidden permutations. Each sample is drawn as its chain of gadgets, in layer
+order, and then written into one edge buffer.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -216,161 +215,88 @@ def vertex_count(params: GenParams, general: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# plan-then-fill. A sample is a chain of gadgets, each the two-layer graph of
-# a permutation of its layer: a routing gadget at p = 1, a player's encoded RS
+# the fill. A sample is a chain of gadgets, each the two-layer graph of a
+# permutation of its layer: a routing gadget at p = 1, a player's encoded RS
 # layers (the family is one matching j -> j, so these are the gadget of the
-# join of the matrix's row), or a fixed non-Lex wrapper. Consecutive gadgets
-# are joined by identity junctions, as concat_all joins its parts, so the
-# layout depends on (m, b, k, p) alone. The plan records it once; a sample
-# allocates one buffer, draws, and writes each gadget's permutation into its
-# slice as soon as it is known. Gadgets are written in draw order, which is
-# not layer order: pieces are drawn first-to-last but traversed last-first,
-# and so are the blocks of a simple sample, whose shift gadget is drawn last
-# and traversed first.
+# join of the matrix's row), or a fixed non-Lex wrapper. _fill_simple and
+# _fill_general draw a sample and return its gadgets as (permutation, tag id)
+# pairs in layer order, which is not draw order. _filled then writes the
+# chain into one edge buffer, joining consecutive gadgets by identity
+# junctions, as concat_all joins its parts.
 
 FIXED, REFEREE = 0, 1  # tag ids; player a has id a + 1
+
+Gadgets = list[tuple[array, int]]  # int32 permutations and their tag ids
 
 
 def _tag_names(k: int) -> tuple[str, ...]:
     return ("fixed", "referee", *(f"player:{a}" for a in range(1, k + 1)))
 
 
-def _kind(swap) -> str:
-    """The shape of a simple sample whose piece has this entry of _swaps."""
-    return "lex" if swap is None else "wrapped"
-
-
-@dataclass(frozen=True)
-class _Shape:
-    """The gadgets of a sample: sizes and tag ids in layer order, and
-    emit[i], the layer-order index of the i-th gadget the fill writes."""
-
-    sizes: np.ndarray
-    tags: np.ndarray
-    emit: np.ndarray
-
-
-def _gadget(size: int, tag: int) -> _Shape:
-    return _Shape(np.array([size]), np.array([tag], dtype=np.uint16), np.zeros(1, dtype=np.int64))
-
-
-def _chain(written: list[_Shape], layer_order) -> _Shape:
-    """The shapes in written, filled in that order and laid out in
-    layer_order (indices into written)."""
-    first = dict(zip(layer_order, np.cumsum([0, *(len(written[c].sizes) for c in layer_order)]).tolist()))
-    return _Shape(np.concatenate([written[c].sizes for c in layer_order]),
-                  np.concatenate([written[c].tags for c in layer_order]),
-                  np.concatenate([s.emit + first[c] for c, s in enumerate(written)]))
-
-
-@lru_cache(maxsize=256)
-def _shape(m: int, b: int, k: int, p: int, kind: str) -> _Shape:
-    """kind "general" is a gen_general sample, "lex" a simple sample over
-    Lex and "wrapped" one over another partition. The fill order is
-    _fill_simple's and _fill_general's."""
-    if kind == "general":
-        pieces = [_shape(m, b, k, p, _kind(swap)) for swap in _swaps(m, b)]
-        return _chain(pieces, range(len(pieces))[::-1])
-    if kind == "wrapped":  # written s, s^-1, inner; traversed s, inner, s^-1
-        wrapper = _gadget(m, FIXED)
-        return _chain([wrapper, wrapper, _shape(m, b, k, p, "lex")], [0, 2, 1])
-    # written left route, encoded layers, right route of blocks 1..k, then
-    # the shift; traversed shift first, then blocks k..1
-    wide, shift = _route(2 * m, b, k, p), _route(m, b, k, p)
-    written = [part for a in range(k) for part in (wide, _gadget(2 * m, a + 2), wide)] + [shift]
-    return _chain(written, [3 * k, *(3 * a + i for a in reversed(range(k)) for i in range(3))])
-
-
-def _route(size: int, b: int, k: int, p: int) -> _Shape:
-    """A routing gadget; at p >= 2 a (p-1)-pass sample, whose player tags
-    become "referee": it hides referee inputs."""
-    if p == 1:
-        return _gadget(size, REFEREE)
-    sub = _shape(size, b, k, p - 1, "general")
-    return _Shape(sub.sizes, np.minimum(sub.tags, REFEREE), sub.emit)
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """A shape laid out as edge runs: gadget 0, junction 0, gadget 1, ...
-    (gadget i is layer 2i+1's edges, junction i layer 2i+2's)."""
-
-    layers: list[int]
-    runs: np.ndarray       # edges per run
-    starts: np.ndarray     # first edge of each run
-    run_tags: np.ndarray   # tag id of each run
-    slots: list[int]       # first edge of each gadget, in fill order
-    tag_names: tuple[str, ...]
-
-
-@lru_cache(maxsize=64)
-def _plan(m: int, b: int, k: int, p: int, kind: str) -> _Plan:
-    shape = _shape(m, b, k, p, kind)
-    runs = np.empty(2 * len(shape.sizes) - 1, dtype=np.int64)
-    runs[0::2] = shape.sizes
-    runs[1::2] = np.minimum(shape.sizes[:-1], shape.sizes[1:])
+def _filled(gadgets: Gadgets, k: int) -> LayeredGraph:
+    """The chain of gadgets as one graph: edge run 2i is gadget i (layer
+    2i + 1), run 2i + 1 the junction after it (layer 2i + 2)."""
+    perms, tags = zip(*gadgets)
+    sizes = np.fromiter(map(len, perms), dtype=np.int64, count=len(perms))
+    runs = np.empty(2 * len(sizes) - 1, dtype=np.int64)
+    runs[0::2] = sizes
+    runs[1::2] = np.minimum(sizes[:-1], sizes[1:])
     starts = np.cumsum(runs) - runs
-    run_tags = np.zeros(len(runs), dtype=np.uint16)
-    run_tags[0::2] = shape.tags
-    return _Plan(np.repeat(shape.sizes, 2).tolist(), runs, starts, run_tags,
-                 starts[0::2][shape.emit].tolist(), _tag_names(k))
-
-
-def _filled(plan: _Plan, fill) -> LayeredGraph:
-    """One edge buffer laid out by plan. fill(put) calls put(perm) once per
-    gadget, in fill order; put writes perm as the gadget's v column."""
-    edges = np.empty((int(plan.runs.sum()), 3), dtype=np.int32)
+    edges = np.empty((int(runs.sum()), 3), dtype=np.int32)
     layer, u, v = edges.T
     layer.fill(0)
-    layer[plan.starts] = 1
+    layer[starts] = 1
     np.cumsum(layer, dtype=np.int32, out=layer)   # run r is layer r + 1
     u.fill(1)
-    u[plan.starts[1:]] -= plan.runs[:-1]
+    u[starts[1:]] -= runs[:-1]
     np.cumsum(u, dtype=np.int32, out=u)           # 1, 2, ... within each run
-    v[:] = u   # junctions are identity matchings; each gadget overwrites its run
-    slots = iter(plan.slots)
-
-    def put(perm):
-        at = next(slots)
-        v[at:at + len(perm)] = perm
-
-    fill(put)
-    return LayeredGraph.from_columns(plan.layers, edges, np.repeat(plan.run_tags, plan.runs),
-                                     plan.tag_names)
+    v[:] = u                                      # junctions are identity matchings
+    v[np.repeat(np.arange(len(runs)) % 2 == 0, runs)] = np.frombuffer(b"".join(perms), dtype=np.int32)
+    run_tags = np.zeros(len(runs), dtype=np.uint16)
+    run_tags[0::2] = tags
+    return LayeredGraph.from_columns(np.repeat(sizes, 2).tolist(), edges, np.repeat(run_tags, runs),
+                                     _tag_names(k))
 
 
-def _fill_general(sigma: Perm, params: GenParams, rng: random.Random, put) -> None:
-    for (_, gamma), swap in zip(_pieces(sigma, params.b), _swaps(params.m, params.b)):
-        _fill_simple(gamma, swap, params, rng, put)
+def _fill_general(sigma: Perm, params: GenParams, rng: random.Random) -> Gadgets:
+    """Draw a general sample hiding sigma: its pieces' gadgets, the piece
+    drawn last traversed first."""
+    samples = [_fill_simple(gamma, swap, params, rng)[0]
+               for (_, gamma), swap in zip(_pieces(sigma, params.b), _swaps(params.m, params.b))]
+    return [gadget for sample in reversed(samples) for gadget in sample]
 
 
-def _fill_simple(rho: Perm, swap, params: GenParams, rng: random.Random, put) -> dict:
+def _fill_simple(rho: Perm, swap, params: GenParams, rng: random.Random) -> tuple[Gadgets, dict]:
     """Draw a simple sample hiding rho, which is simple on Lex, or on the
-    partition swap = (s, s^-1) carries onto Lex; put its gadgets; return
-    the sampled communication core."""
+    partition swap = (s, s^-1) carries onto Lex: its gadgets, and the
+    sampled communication core."""
     b, k, p = params.b, params.k, params.p
     if swap is not None:
         s, s_inv = swap
-        put(s)
-        put(s_inv)
         rho = compose(s, compose(rho, s_inv))
     grs = params.family
     sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
     gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(rho, b))
-    if p == 1:
-        route = put
-    else:
-        def route(s: Perm) -> None:
-            _fill_general(s, replace(params, m=len(s), p=p - 1), rng, put)
 
-    # rng draw order: blocks a = 1..k (left gadget before right), shift last
+    def route(sigma: Perm) -> Gadgets:
+        """A routing gadget; at p >= 2 a (p-1)-pass sample, whose player
+        tags become "referee": it hides referee inputs."""
+        if p == 1:
+            return [(array("i", sigma), REFEREE)]
+        sub = _fill_general(sigma, replace(params, m=len(sigma), p=p - 1), rng)
+        return [(perm, min(tag, REFEREE)) for perm, tag in sub]
+
+    # rng draw order: blocks a = 1..k (left route before right), shift last;
+    # layer order: shift, blocks k..1, each left route, encoded layer, right route
+    blocks = []
     for a in range(k):
         left, right = edge_pick(grs, EdgeTuple(L[a], M[a]))
-        route(extend(left, b))
-        put(join(sigmas[a][0]))
-        route(extend(right, b))
-    route(join(gamma))
-    return {"sigmas": sigmas, "L": L, "M": M, "gamma": gamma}
+        blocks.append([*route(extend(left, b)), (array("i", join(sigmas[a][0])), a + 2),
+                       *route(extend(right, b))])
+    gadgets = [*route(join(gamma)), *chain.from_iterable(reversed(blocks))]
+    if swap is not None:
+        gadgets = [(array("i", s), FIXED), *gadgets, (array("i", s_inv), FIXED)]
+    return gadgets, {"sigmas": sigmas, "L": L, "M": M, "gamma": gamma}
 
 
 def _simple_swap(rho: Perm, P: Partition, params: GenParams):
@@ -391,23 +317,14 @@ def sample_simple(
     """gen_simple's gadgets as two-layer parts in concat_all's order (the
     last is traversed first), plus the sampled communication core, for
     replay experiments."""
-    swap = _simple_swap(rho, P, params)
-    shape = _shape(params.m, params.b, params.k, params.p, _kind(swap))
+    gadgets, core = _fill_simple(rho, _simple_swap(rho, P, params), params, rng)
     names = _tag_names(params.k)
-    parts: list[LayeredGraph] = [None] * len(shape.sizes)
-    slots = iter(shape.emit.tolist())
-
-    def put(perm):
-        at = next(slots)
-        parts[-1 - at] = basic(perm, names[shape.tags[at]])
-
-    return parts, _fill_simple(rho, swap, params, rng, put)
+    return [basic(perm, names[tag]) for perm, tag in reversed(gadgets)], core
 
 
 def gen_simple(rho: Perm, P: Partition, params: GenParams, rng: random.Random) -> LayeredGraph:
-    swap = _simple_swap(rho, P, params)
-    plan = _plan(params.m, params.b, params.k, params.p, _kind(swap))
-    return _filled(plan, lambda put: _fill_simple(rho, swap, params, rng, put))
+    gadgets, _ = _fill_simple(rho, _simple_swap(rho, P, params), params, rng)
+    return _filled(gadgets, params.k)
 
 
 def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGraph:
@@ -416,5 +333,4 @@ def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGr
     if len(sigma) != params.m:
         raise ValueError(f"sigma acts on [{len(sigma)}], params say m={params.m}")
     vertex_count(params, general=True)
-    plan = _plan(params.m, params.b, params.k, params.p, "general")
-    return _filled(plan, lambda put: _fill_general(sigma, params, rng, put))
+    return _filled(_fill_general(sigma, params, rng), params.k)

@@ -65,8 +65,10 @@ class EdgeStream:
         return stream
 
     def _adopt(self, n, directed, us, vs, tag_ids, tag_names) -> None:
-        """Raise ValueError naming the first edge, in edge order, with an
-        endpoint outside [1, n]; otherwise keep the columns."""
+        """Raise ValueError for a negative n, or naming the first edge, in
+        edge order, with an endpoint outside [1, n]; otherwise keep the columns."""
+        if n < 0:
+            raise ValueError(f"n={n} is negative")
         bad = (us < 1) | (us > n) | (vs < 1) | (vs > n)
         if bad.any():
             first = int(bad.argmax())

@@ -329,6 +329,14 @@ def test_verify_stream_without_count_line(tmp_path, capsys):
     assert problem.startswith("unreadable:")
 
 
+def test_verify_stream_with_negative_vertex_count(tmp_path, capsys):
+    path = tmp_path / "stream.txt"
+    path.write_text("PHSTREAM v1\n-1 0 1\n")
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {str(path): ["unreadable: n=-1 is negative"]}
+
+
 @pytest.mark.parametrize("field, value", [("b", "2"), ("sigma", 5), ("graph", [])],
                          ids=["b", "sigma", "graph"])
 def test_verify_reports_wrongly_typed_field(tmp_path, capsys, field, value):

@@ -23,7 +23,6 @@ from permlab.blocks import EdgeTuple, edge_pick, encoded_rs
 from permlab.gen import (
     _layer_plan,
     _pieces,
-    _plan,
     default_params,
     gen_general,
     gen_simple,
@@ -438,16 +437,17 @@ def test_gen_general_matches_nested_reference(b, k, p):
 
 @pytest.mark.parametrize("m, b, k, p", [(4, 2, 2, 1), (6, 3, 1, 2), (16, 4, 3, 1), (8, 2, 1, 2)])
 def test_plan_matches_nested_reference(m, b, k, p):
-    # the layout is fixed before the first draw: every sigma's graph has the
-    # plan's layers and edge count, and its vertex total is vertex_count
+    # the layout depends on (m, b, k, p) alone: every sigma's graph has the
+    # nested reference's layers and edge count, and its vertex total is vertex_count
     params = default_params(m, b, k=k, p=p)
-    plan = _plan(m, b, k, p, "general")
-    assert sum(plan.layers) == vertex_count(params, general=True)
+    shapes = set()
     for sigma in (identity(m), sigma_cross(m), random_perm(m, random.Random(m + p))):
         layers, edges, _ = ref_gen_general(sigma, params, random.Random(5))
-        assert plan.layers == layers and plan.runs.sum() == len(edges)
         g = gen_general(sigma, params, random.Random(5))
-        assert g.layers == plan.layers and len(g.edges) == plan.runs.sum()
+        assert g.layers == layers and len(g.edges) == len(edges)
+        shapes.add((tuple(g.layers), len(g.edges)))
+    (shape,) = shapes
+    assert sum(shape[0]) == vertex_count(params, general=True)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -841,6 +841,8 @@ def test_stream_constructor_errors():
         EdgeStream(4, False, [(1, 2, 3), (1,)])
     with pytest.raises(ValueError, match="int32"):
         EdgeStream(2**31, False, [])
+    with pytest.raises(ValueError, match=r"^n=-1 is negative$"):
+        EdgeStream(-1, False, [])
 
 
 def test_list_constructors_build_one_tag_table():
