@@ -3,13 +3,12 @@
 A block sandwiches an encoded RS graph between two routing gadgets chosen by
 the picked edges, giving a permutation graph whose action on the first
 (r/2)*b positions is determined by one row of the hidden permutation matrix.
-A multi-block chains k of them. Each routing gadget is built by a
-route(sigma) callable: the default basic_route is the plain two-layer graph
-of sigma (a 6-layer block). Within a block the left gadget is routed before
-the right, so a route that draws randomness sees a fixed order. Routes,
-blocks and multi-blocks return parts, which concat_all joins; tests and
-replay experiments build them here for any family, while gen writes the same
-gadgets for its one-matching family straight into its sample's buffer.
+A multi-block chains k of them. Each routing gadget is the plain two-layer
+graph of its permutation, so a block has six layers. Blocks and
+multi-blocks return parts, which concat_all joins; tests and replay
+experiments build them here for any family, while gen writes the same
+gadgets for its one-matching family straight into its sample's buffer, and
+at p >= 2 routes them through its own recursive samples.
 
 Provenance: encoded layers carry the owning player's tag, routing gadgets
 carry "referee", junctions stay "fixed".
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 # concat_all is unused here, but perfbench/tracing.py looks the name up on this module
 from .graphs import GroupLayeredGraph, LayeredGraph, basic, concat_all
@@ -84,28 +83,13 @@ def block_rho(grs: RSGraph, sig: PermMatrix, e: EdgeTuple, b: int) -> Perm:
     return tuple(out)
 
 
-Route = Callable[[Perm], list[LayeredGraph]]  # parts of a routing gadget realizing sigma
-
-
-def basic_route(sigma: Perm) -> list[LayeredGraph]:
-    return [basic(sigma, "referee")]
-
-
-def block(
-    grs: RSGraph,
-    sig: PermMatrix,
-    e: EdgeTuple,
-    b: int,
-    player_tag: str = "player:1",
-    route: Route = basic_route,
-) -> list[LayeredGraph]:
-    """Encoded RS layers between two routed gadgets, realizing block_rho on the
-    first (r/2)*b positions (six layers of n_rs*b vertices with basic_route)."""
+def block(grs: RSGraph, sig: PermMatrix, e: EdgeTuple, b: int,
+          player_tag: str = "player:1") -> list[LayeredGraph]:
+    """Encoded RS layers between two routing gadgets, realizing block_rho on
+    the first (r/2)*b positions (six layers of n_rs*b vertices)."""
     sl, sr = edge_pick(grs, e)
     enc = encoded_rs(grs, sig, b).expand(tag=player_tag)
-    left = route(extend(sl, b))
-    right = route(extend(sr, b))
-    return [*right, enc, *left]
+    return [basic(extend(sr, b), "referee"), enc, basic(extend(sl, b), "referee")]
 
 
 Hypermatching = tuple[tuple[int, ...], ...]  # k rows of r/2 distinct indices
@@ -121,18 +105,11 @@ def check_hypermatching(M: Hypermatching, k: int, r: int) -> None:
             raise ValueError(f"row {a} is not a set of distinct indices in [{r}]")
 
 
-def multi_block(
-    grs: RSGraph,
-    sigs: Sequence[PermMatrix],
-    L: Sequence[int],
-    M: Hypermatching,
-    b: int,
-    route: Route = basic_route,
-) -> list[LayeredGraph]:
+def multi_block(grs: RSGraph, sigs: Sequence[PermMatrix], L: Sequence[int], M: Hypermatching,
+                b: int) -> list[LayeredGraph]:
     """Chain of k blocks, the k-th traversed first; realizes the fold of the
-    per-block permutations (= join of the hidden gamma-star vector). Blocks
-    are built, and routed, in order a = 1..k."""
+    per-block permutations (= join of the hidden gamma-star vector)."""
     k = len(sigs)
     check_hypermatching(M, k, grs.r)
     return [part for a in range(k)
-            for part in block(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b, f"player:{a + 1}", route)]
+            for part in block(grs, sigs[a], EdgeTuple(L[a], tuple(M[a])), b, f"player:{a + 1}")]

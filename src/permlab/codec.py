@@ -35,16 +35,16 @@ def json_int(v, name: str) -> int:
     return v
 
 
-def tag_table(tags: Sequence[str], dtype: type) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Each tag's id, as dtype, into the tag names numbered in order of first
+def tag_table(tags: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each tag's uint16 id into the tag names numbered in order of first
     appearance, and those names. Raises TypeError for a tag that is no
-    string and ValueError for more names than dtype has ids."""
+    string and ValueError for more than 65536 names."""
     index = {t: i for i, t in enumerate(dict.fromkeys(tags))}
     if not all(isinstance(t, str) for t in index):
         raise TypeError("tags must be strings")
-    if len(index) > np.iinfo(dtype).max + 1:
-        raise ValueError(f"at most {np.iinfo(dtype).max + 1} distinct tags")
-    return np.fromiter(map(index.__getitem__, tags), dtype=dtype, count=len(tags)), tuple(index)
+    if len(index) > 1 << 16:
+        raise ValueError("at most 65536 distinct tags")
+    return np.fromiter(map(index.__getitem__, tags), dtype=np.uint16, count=len(tags)), tuple(index)
 
 
 def used_tags(names: Sequence[str], ids: np.ndarray) -> list[str]:

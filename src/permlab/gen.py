@@ -41,7 +41,6 @@ from .perms import (
     Perm,
     compose,
     extend,
-    identity,
     inverse,
     is_simple,
     join,
@@ -50,13 +49,16 @@ from .perms import (
     vec,
 )
 from .rs import RSGraph, trivial_rs
-from .sortnet import decompose, depth_floor
+from .sortnet import build_sort_network, decompose, depth_floor
 
 # multi_block, p_multi_block_sample and concat_all are not used here, but
 # perfbench/tracing.py looks these names up on this module
 p_multi_block_sample = multi_block
 
 MAX_VERTICES = 20_000_000
+MAX_K = (1 << 16) - 2  # the k + 2 tag names of _tag_names need uint16 ids
+
+Swap = tuple[Perm, Perm] | None  # a relabeling onto Lex and its inverse, None for Lex
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,8 @@ class GenParams:
             raise ValueError(f"hiding needs b | m, got m={self.m}, b={self.b}")
         if self.k < 1 or self.p < 1:
             raise ValueError("k and p must be at least 1")
+        if self.k > MAX_K:
+            raise ValueError(f"k must be at most {MAX_K} (one uint16 tag id per player), got k={self.k}")
 
     @property
     def family(self) -> RSGraph:
@@ -123,28 +127,7 @@ def _regularize(P: Partition, b: int, m: int) -> list[tuple[Partition, frozenset
     return out
 
 
-@lru_cache(maxsize=64)
-def _splits(m: int, b: int) -> tuple[tuple[tuple[Partition, frozenset[int]], ...], ...]:
-    """_regularize of every layer of the decomposition, in its order."""
-    return tuple(tuple(_regularize(P, b, m)) for P in decompose(identity(m), b).partitions)
-
-
-def _pieces(sigma: Perm, b: int) -> list[tuple[Partition, Perm]]:
-    """The simple factors gen_general hides, each with its exact-b partition:
-    decompose sigma along the sorting network, then regularize every layer."""
-    m = len(sigma)
-    return [(part, tuple(g[x - 1] if x in placed else x for x in range(1, m + 1)))
-            for split, g in zip(_splits(m, b), decompose(sigma, b).gammas)
-            for part, placed in split]
-
-
-@lru_cache(maxsize=64)
-def _layer_plan(m: int, b: int) -> tuple[Partition, ...]:
-    """Exact-b partitions of the regularized decomposition, permutation-free."""
-    return tuple(part for split in _splits(m, b) for part, _ in split)
-
-
-def _swap(part: Partition, m: int, b: int) -> tuple[Perm, Perm] | None:
+def _swap(part: Partition, m: int, b: int) -> Swap:
     """None for Lex, else the relabeling s carrying part onto Lex, and s^-1."""
     if part == lex_partition(m, b):
         return None
@@ -153,9 +136,24 @@ def _swap(part: Partition, m: int, b: int) -> tuple[Perm, Perm] | None:
 
 
 @lru_cache(maxsize=64)
-def _swaps(m: int, b: int) -> tuple[tuple[Perm, Perm] | None, ...]:
-    """_swap of every piece of _layer_plan."""
-    return tuple(_swap(part, m, b) for part in _layer_plan(m, b))
+def _layer_plan(m: int, b: int) -> tuple[tuple[int, Partition, frozenset[int], Swap], ...]:
+    """The pieces gen_general hides, in order, read off the sorting network
+    alone: each piece's layer index in decompose's order (the network's
+    layers reversed), its exact-b partition, the wires whose moves it takes,
+    and _swap of its partition."""
+    layers = reversed(build_sort_network(m, b).layers)
+    return tuple((i, part, placed, _swap(part, m, b))
+                 for i, P in enumerate(layers) for part, placed in _regularize(P, b, m))
+
+
+def _pieces(sigma: Perm, b: int) -> list[tuple[Partition, Swap, Perm]]:
+    """The simple factors gen_general hides, each with its exact-b partition
+    and that partition's swap: decompose sigma along the sorting network,
+    and split every layer's move as _layer_plan splits the layer."""
+    m = len(sigma)
+    gammas = decompose(sigma, b).gammas
+    return [(part, swap, tuple(gammas[i][x - 1] if x in placed else x for x in range(1, m + 1)))
+            for i, part, placed, swap in _layer_plan(m, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +171,8 @@ def _count_simple(m: int, b: int, k: int, p: int) -> int:
 
 @lru_cache(maxsize=256)
 def _count_general(m: int, b: int, k: int, p: int) -> int:
-    lex = lex_partition(m, b)
     plan = _layer_plan(m, b)
-    return len(plan) * _count_simple(m, b, k, p) + 4 * m * sum(part != lex for part in plan)
+    return len(plan) * _count_simple(m, b, k, p) + 4 * m * sum(swap is not None for *_, swap in plan)
 
 
 def _count_floor(m: int, k: int, p: int) -> int:
@@ -261,8 +258,7 @@ def _filled(gadgets: Gadgets, k: int) -> LayeredGraph:
 def _fill_general(sigma: Perm, params: GenParams, rng: random.Random) -> Gadgets:
     """Draw a general sample hiding sigma: its pieces' gadgets, the piece
     drawn last traversed first."""
-    samples = [_fill_simple(gamma, swap, params, rng)[0]
-               for (_, gamma), swap in zip(_pieces(sigma, params.b), _swaps(params.m, params.b))]
+    samples = [_fill_simple(gamma, swap, params, rng)[0] for _, swap, gamma in _pieces(sigma, params.b)]
     return [gadget for sample in reversed(samples) for gadget in sample]
 
 

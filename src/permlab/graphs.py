@@ -47,7 +47,7 @@ class LayeredGraph:
         tags = list(tags) or ["fixed"] * len(rows)
         if len(tags) != len(rows):
             raise ValueError("one tag per edge required")
-        self.tag_ids, self.tag_names = tag_table(tags, np.uint16)
+        self.tag_ids, self.tag_names = tag_table(tags)
         self.layers = list(map(operator.index, layers))
         self.edges = cols.reshape(-1, 3)
 
@@ -86,8 +86,13 @@ class LayeredGraph:
         return start[li - 1] + self.edges[:, 1], start[li] + self.edges[:, 2]
 
     def validate(self) -> None:
-        """Raise ValueError naming the first edge, in edge order, that has a
-        layer outside [1, depth-1] or an endpoint outside its layer."""
+        """Raise ValueError for a graph with no layers or a layer of negative
+        size, else naming the first edge, in edge order, that has a layer
+        outside [1, depth-1] or an endpoint outside its layer."""
+        if not self.layers:
+            raise ValueError("graph has no layers")
+        if min(self.layers) < 0:
+            raise ValueError(f"negative layer size {min(self.layers)}")
         li, u, v = self.edges.T
         bad_layer = (li < 1) | (li > self.depth - 1)
         sizes = np.array([0, *self.layers, 0], dtype=np.int64)

@@ -51,7 +51,7 @@ class EdgeStream:
             tags = list(tags)
             if len(tags) != len(rows):
                 raise ValueError("tags must parallel edges")
-            tag_ids, names = tag_table(tags, np.uint32)
+            tag_ids, names = tag_table(tags)
         self._adopt(n, directed, ids[:, 0], ids[:, 1], tag_ids, names)
 
     @classmethod
@@ -174,7 +174,7 @@ def parse_stream(data: str | bytes) -> EdgeStream:
     eol = data.find(b"\n", len(header))
     tagged = len(data[len(header):eol if eol >= 0 else len(data)].split()) == 3
     us, vs = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
-    tag_ids = np.empty(count, dtype=np.uint32) if tagged else None
+    tag_ids = np.empty(count, dtype=np.uint16) if tagged else None
     try:
         names = read_rows(data, len(header), len(data), _TAGGED_LINE if tagged else _LINE,
                           [us, vs], tag_ids)

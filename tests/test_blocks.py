@@ -4,7 +4,6 @@ import pytest
 
 from permlab.blocks import (
     EdgeTuple,
-    basic_route,
     block,
     block_rho,
     edge_pick,
@@ -12,9 +11,9 @@ from permlab.blocks import (
     multi_block,
     random_perm_matrix,
 )
-from permlab.graphs import GroupLayeredGraph, basic, concat_all, extract_permutation
+from permlab.graphs import GroupLayeredGraph, concat_all, extract_permutation
 from permlab.hph import recompute_gamma_star, sample_core
-from permlab.perms import compose, extend, identity, join, match_aligned, random_perm
+from permlab.perms import compose, identity, join, match_aligned
 from permlab.rs import RSGraph, trivial_rs
 
 
@@ -184,39 +183,6 @@ def test_multi_block_realizes_join_of_gamma_star():
         assert extract_permutation(g, m) == join(recompute_gamma_star(sigs, L, M))
 
 
-def test_p_block_hide_required_and_used():
-    grs = trivial_rs(4, 2)
-    rng = random.Random(7)
-    sig = random_perm_matrix(grs.t, grs.r, 2, rng)
-    e = EdgeTuple(1, (1,))
-    # plugging a transparent route keeps the realized permutation
-    hide_calls = []
-
-    def hide(sigma):
-        hide_calls.append(sigma)
-        return [basic(sigma, tag="referee")]
-
-    g = concat_all(block(grs, sig, e, 2, route=hide))
-    sl, sr = edge_pick(grs, e)
-    assert hide_calls == [extend(sl, 2), extend(sr, 2)]  # left routed first
-    m = (grs.r // 2) * 2
-    assert extract_permutation(g, m) == block_rho(grs, sig, e, 2)
-
-
-def test_p_multi_block_matches_plain_rho():
-    grs = trivial_rs(4, 4)
-    b, k = 2, 2
-    rng = random.Random(8)
-    sigs, L, M = sample_core(grs.r, grs.t, b, k, rng)
-
-    def hide(sigma):
-        return [basic(sigma, tag="referee")]
-
-    g = concat_all(multi_block(grs, sigs, L, M, b, route=hide))
-    m = (grs.r // 2) * b
-    assert extract_permutation(g, m) == multi_block_rho(grs, sigs, L, M, b)
-
-
 def test_edge_tuple_validation():
     grs = trivial_rs(4, 2)
     with pytest.raises(ValueError):
@@ -237,7 +203,7 @@ def test_p1_sample_is_plain_block():
         tuples = [(1, i, sigma[i - 1], identity(2)) for i in range(1, len(sigma) + 1)]
         return GroupLayeredGraph(len(sigma), 2, 2, tuples).expand(tag="referee")
 
-    g1 = concat_all(block(grs, sig, e, 2, route=basic_route))
+    g1 = concat_all(block(grs, sig, e, 2))
     sl, sr = edge_pick(grs, e)
     enc = encoded_rs(grs, sig, 2).expand(tag="player:1")
     g2 = concat_all([routed(sr), enc, routed(sl)])

@@ -247,6 +247,7 @@ def test_usage_errors_exit_2():
         ["analyze", "depth", "m=0"],
         ["analyze", "depth", "m=-5"],
         ["gen", "random", "--m", "8", "--b", "2", "--seed", "1", "--shuffle-seed", "-3"],
+        ["gen", "id", "--m", "2", "--b", "2", "--k", "65535"],
     ],
     ids=["gen-b-not-dividing-m", "gen-p-zero", "gen-sigma-wrong-length",
          "analyze-not-key-value", "analyze-b-one", "gen-over-vertex-cap",
@@ -255,7 +256,8 @@ def test_usage_errors_exit_2():
          "analyze-fourier-no-trials", "analyze-decay-negative-trials",
          "gen-p-far-over-vertex-cap", "gen-m-far-over-vertex-cap",
          "analyze-advantage-p-far-over-vertex-cap", "gen-wide-over-general-floor",
-         "analyze-depth-m-zero", "analyze-depth-m-negative", "gen-negative-shuffle-seed"],
+         "analyze-depth-m-zero", "analyze-depth-m-negative", "gen-negative-shuffle-seed",
+         "gen-k-over-tag-ids"],
 )
 def test_bad_values_exit_2(argv, tmp_path, capsys):
     if argv[0] == "gen":
@@ -318,6 +320,20 @@ def test_verify_rejects_edge_outside_its_layers(tmp_path, capsys):
     assert json.loads(out)["violations"] == {
         str(path): ["invalid graph: edge (1,0,2) leaves its layers"]
     }
+
+
+@pytest.mark.parametrize("layers, problem", [([], "graph has no layers"),
+                                             ([2, -1, 2], "negative layer size -1")])
+def test_verify_rejects_layer_lists_no_graph_has(tmp_path, capsys, layers, problem):
+    doc = {
+        "kind": "permgraph", "m": 2, "b": 2, "k": 1, "p": 1, "sigma": [1, 2],
+        "graph": {"layers": layers, "edges": []},
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {str(path): [f"invalid graph: {problem}"]}
 
 
 def test_verify_stream_without_count_line(tmp_path, capsys):

@@ -139,7 +139,7 @@ def ref_sample_simple(rho, P, params, rng):
 
 def ref_gen_general(sigma, params, rng):
     return ref_concat_all([ref_sample_simple(g, part, params, rng)
-                           for part, g in _pieces(sigma, params.b)])
+                           for part, _, g in _pieces(sigma, params.b)])
 
 
 def ref_expand(gg, tag):
@@ -428,7 +428,7 @@ def test_concat_all_matches_reference(parts):
 @pytest.mark.parametrize("b, k, p", [(b, k, p) for b in (2, 3) for k in (1, 2) for p in (1, 2)])
 def test_gen_general_matches_nested_reference(b, k, p):
     m = 2 * b
-    assert any(part != lex_partition(m, b) for part in _layer_plan(m, b))  # non-Lex pieces
+    assert any(swap is not None for *_, swap in _layer_plan(m, b))  # non-Lex pieces
     params = default_params(m, b, k=k, p=p)
     for sigma in (identity(m), sigma_cross(m), random_perm(m, random.Random(b + k + p))):
         g = gen_general(sigma, params, random.Random(7))
@@ -813,7 +813,7 @@ def test_tags_outside_the_alphabet_are_neither_written_nor_read(bad):
 
 def test_dump_stream_ignores_unused_tag_names():
     one = np.array([1, 2], dtype=np.int32)
-    stream = EdgeStream.from_columns(3, True, one, one + 1, np.zeros(2, dtype=np.uint32),
+    stream = EdgeStream.from_columns(3, True, one, one + 1, np.zeros(2, dtype=np.uint16),
                                      ("a", "b c", ""))
     assert dump_stream(stream) == f"{MAGIC}\n3 2 1\n1 2 a\n2 3 a\n"
 
@@ -846,20 +846,35 @@ def test_stream_constructor_errors():
 
 
 def test_list_constructors_build_one_tag_table():
-    # names are numbered in order of first appearance
-    ids, names = tag_table(["b", "a", "b", "c"], np.uint8)
-    assert ids.tolist() == [0, 1, 0, 2] and ids.dtype == np.uint8 and names == ("b", "a", "c")
-    assert EdgeStream(3, True, [(1, 2), (2, 3)], ["b", "a"]).tag_names == ("b", "a")
-    with pytest.raises(ValueError, match="^at most 256 distinct tags$"):
-        tag_table([f"t{i}" for i in range(257)], np.uint8)
-    assert len(tag_table([f"t{i}" for i in range(256)], np.uint8)[1]) == 256
+    # names are numbered in order of first appearance, ids are uint16
+    ids, names = tag_table(["b", "a", "b", "c"])
+    assert ids.tolist() == [0, 1, 0, 2] and ids.dtype == np.uint16 and names == ("b", "a", "c")
+    stream = EdgeStream(3, True, [(1, 2), (2, 3)], ["b", "a"])
+    assert stream.tag_names == ("b", "a") and stream.tag_ids.dtype == np.uint16
+    many = [f"t{i}" for i in range(1 << 16 | 1)]
+    assert len(tag_table(many[:-1])[1]) == 1 << 16
     with pytest.raises(ValueError, match="^at most 65536 distinct tags$"):
-        LayeredGraph([1, 1], [(1, 1, 1)] * (1 << 16 | 1), [f"t{i}" for i in range(1 << 16 | 1)])
+        tag_table(many)
+    with pytest.raises(ValueError, match="^at most 65536 distinct tags$"):
+        LayeredGraph([1, 1], [(1, 1, 1)] * len(many), many)
+    with pytest.raises(ValueError, match="^at most 65536 distinct tags$"):
+        EdgeStream(1, True, [(1, 1)] * len(many), many)
     for bad in (5, None, b"a"):
         with pytest.raises(TypeError, match="^tags must be strings$"):
             EdgeStream(3, True, [(1, 2)], [bad])
         with pytest.raises(TypeError, match="^tags must be strings$"):
             LayeredGraph([1, 1], [(1, 1, 1)], [bad])
+
+
+def test_parse_stream_reads_at_most_65536_tags():
+    # stream tag ids are uint16, as in every graph; gen never writes more names
+    def text(tags):
+        return f"{MAGIC}\n1 {tags} 1\n".encode() + b"".join(b"1 1 t%d\n" % i for i in range(tags))
+
+    stream = parse_stream(text(1 << 16))
+    assert stream.tag_ids.dtype == np.uint16 and stream.tag_names[-1] == "t65535"
+    with pytest.raises(ValueError, match="^at most 65536 distinct tags$"):
+        parse_stream(text(1 << 16 | 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 import random
+from array import array
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permlab.blocks import basic_route, multi_block
+from permlab.blocks import multi_block
 from permlab.gen import (
+    MAX_K,
     MAX_VERTICES,
     GenParams,
     _count_floor,
     _count_general,
     _count_simple,
+    _filled,
     _layer_plan,
     _pieces,
     default_params,
@@ -19,7 +22,7 @@ from permlab.gen import (
     sample_simple,
     vertex_count,
 )
-from permlab.graphs import concat_all, extract_permutation
+from permlab.graphs import basic, concat_all, extract_permutation
 from permlab.perms import (
     compose,
     identity,
@@ -32,7 +35,7 @@ from permlab.perms import (
     swap_perm,
     vec,
 )
-from permlab.sortnet import depth_floor
+from permlab.sortnet import build_sort_network, depth_floor
 
 
 def fake_simple_from_core(sigmas, params):
@@ -44,7 +47,7 @@ def fake_simple_from_core(sigmas, params):
     grs = params.family
     L = tuple(1 for _ in range(params.k))
     M = tuple(tuple(range(1, grs.r // 2 + 1)) for _ in range(params.k))
-    return concat_all([*multi_block(grs, sigmas, L, M, params.b), *basic_route(identity(params.m))])
+    return concat_all([*multi_block(grs, sigmas, L, M, params.b), basic(identity(params.m), "referee")])
 
 
 def player_edges(g):
@@ -140,12 +143,16 @@ def test_count_floor_is_a_lower_bound():
 
 
 @pytest.mark.parametrize("m, b, k, p", [(8, 2, 2, 40), (8, 2, 2, 10**9), (10**6, 2, 2, 1),
-                                        (4, 2, 10**9, 1), (700_000, 2, 1, 1)])
+                                        (4, 2, 10**9, 1), (64, 2, MAX_K, 1), (700_000, 2, 1, 1)])
 def test_vertex_count_refuses_without_networks(m, b, k, p, monkeypatch):
     def refuse(*args):
         raise AssertionError("layer plan built")
 
     monkeypatch.setattr("permlab.gen._layer_plan", refuse)
+    if k > MAX_K:  # more players than tag ids: refused as the parameters are built
+        with pytest.raises(ValueError, match=f"k must be at most {MAX_K}"):
+            default_params(m, b, k=k, p=p)
+        return
     for general in (False, True):
         params = default_params(m, b, k=k, p=p)
         if general or _count_floor(m, k, p) > MAX_VERTICES:
@@ -232,6 +239,11 @@ def test_param_validation():
         GenParams(m=0, b=2, k=2, p=1)
     with pytest.raises(ValueError, match="m must be at least 1"):
         GenParams(m=-4, b=2, k=2, p=1)
+    # k + 2 tag names, each with a uint16 id
+    with pytest.raises(ValueError, match=f"^k must be at most 65534 .*, got k=65535$"):
+        GenParams(m=2, b=2, k=MAX_K + 1, p=1)
+    g = _filled([(array("i", (2, 1)), MAX_K + 1)], MAX_K)  # the last player's gadget
+    assert len(g.tag_names) == 1 << 16 and g.tags == [f"player:{MAX_K}"] * 2
 
 
 def test_budget_enforced():
@@ -249,9 +261,35 @@ def test_piece_split_does_not_depend_on_sigma(case):
     (m, b), sigma = case
     sigma = tuple(sigma)
     pieces = _pieces(sigma, b)
-    assert [part for part, _ in pieces] == list(_layer_plan(m, b))
-    assert all(is_simple(g, part) for part, g in pieces)
-    assert reduce(compose, [g for _, g in pieces]) == sigma
+    assert [(part, swap) for part, swap, _ in pieces] == [(part, swap) for _, part, _, swap in _layer_plan(m, b)]
+    assert all(is_simple(g, part) for part, _, g in pieces)
+    assert reduce(compose, [g for _, _, g in pieces]) == sigma
+
+
+@pytest.mark.parametrize("m, b", [(16, 4), (12, 3)])
+def test_layer_plan_reads_the_network_alone(m, b, monkeypatch):
+    # the plan is built from the sorting network's layers; no permutation
+    # is decomposed for it
+    def refuse(*args):
+        raise AssertionError("decompose called")
+
+    _layer_plan.cache_clear()
+    monkeypatch.setattr("permlab.gen.decompose", refuse)
+    plan = _layer_plan(m, b)
+    monkeypatch.undo()
+    layers = build_sort_network(m, b).layers[::-1]  # decompose's order, as test_sortnet pins
+    assert sorted({i for i, *_ in plan}) == list(range(len(layers)))
+    assert [i for i, *_ in plan] == sorted(i for i, *_ in plan)  # layer order kept
+    for i, part, placed, swap in plan:
+        # each piece takes whole groups of its layer, in exact-b groups
+        assert {len(g) for g in part} == {b} and sorted(x for g in part for x in g) == list(range(1, m + 1))
+        assert all(set(g) <= placed or not set(g) & placed for g in layers[i])
+        assert (swap is None) == (part == lex_partition(m, b))
+        if swap is not None:
+            assert swap == (swap_perm(part), inverse(swap_perm(part)))
+    for i, layer in enumerate(layers):  # the pieces of a layer share out its moving wires
+        wires = [x for j, _, placed, _ in plan if j == i for x in placed]
+        assert sorted(wires) == sorted(x for g in layer if len(g) >= 2 for x in g)
 
 
 def test_target_vec_consistency():
