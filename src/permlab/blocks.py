@@ -16,13 +16,12 @@ carry "referee", junctions stay "fixed".
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
 # concat_all is unused here, but perfbench/tracing.py looks the name up on this module
 from .graphs import GroupLayeredGraph, LayeredGraph, basic, concat_all
-from .perms import Perm, extend, match_aligned, random_perm
+from .perms import Perm, extend, match_aligned
 from .rs import RSGraph
 
 PermMatrix = tuple[tuple[Perm, ...], ...]  # t rows, r columns, entries in S_b
@@ -47,10 +46,6 @@ def check_perm_matrix(sig: PermMatrix, t: int, r: int, b: int) -> None:
         raise ValueError(f"permutation matrix must be {t}x{r}")
     if any(len(p) != b for row in sig for p in row):
         raise ValueError(f"matrix entries must act on [{b}]")
-
-
-def random_perm_matrix(t: int, r: int, b: int, rng: random.Random) -> PermMatrix:
-    return tuple(tuple(random_perm(b, rng) for _ in range(r)) for _ in range(t))
 
 
 def encoded_rs(grs: RSGraph, sig: PermMatrix, b: int) -> GroupLayeredGraph:

@@ -16,7 +16,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -107,7 +108,7 @@ def cmd_gen(args) -> int:
     try:
         g = gen_general(sigma, params, rng_for(args.seed, "gen"))
         outputs = {"graph.json": _write(os.path.join(out, "graph.json"),
-                                        [head, g.to_json(), tail, b"\n"])}
+                                        chain([head], g.json_chunks(), [tail, b"\n"]))}
         stream = graph_to_stream(g, shuffle_seed=args.shuffle_seed)
         del g  # the graph's columns go before the stream's text is formatted
         outputs["stream.txt"] = _write(os.path.join(out, "stream.txt"), stream_text(stream))
@@ -161,6 +162,28 @@ def _verify_permgraph(doc: dict, g: LayeredGraph) -> list[str]:
     return problems
 
 
+def _verify_manifest(manifest: RunManifest, folder: str) -> list[str]:
+    """Hash again each output the manifest lists, in its folder."""
+    if not isinstance(manifest.outputs, dict):
+        return ["manifest outputs must map file names to sha256 digests"]
+    problems = []
+    for name, want in sorted(manifest.outputs.items()):
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            problems.append(f"output {name!r} is not a file name")
+            continue
+        digest = hashlib.sha256()
+        try:
+            with open(os.path.join(folder, name), "rb") as fh:
+                while block := fh.read(1 << 20):
+                    digest.update(block)
+        except FileNotFoundError:
+            problems.append(f"{name}: missing")
+            continue
+        if digest.hexdigest() != want:
+            problems.append(f"{name}: sha256 {digest.hexdigest()}, manifest says {want}")
+    return problems
+
+
 def _verify_file(path: str) -> list[str]:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -173,6 +196,8 @@ def _verify_file(path: str) -> list[str]:
                 return [f"unrecognized JSON document in {path}"]
             return _verify_permgraph(doc, g)
         doc = json.loads(data)
+        if doc.keys() == {field.name for field in fields(RunManifest)}:
+            return _verify_manifest(RunManifest(**doc), os.path.dirname(path))
         schema = doc.get("schema")
         if isinstance(schema, str) and schema.startswith("multi-hph"):
             inst = parse_instance(data.decode())

@@ -17,41 +17,33 @@ has a single matching (t = 1).
 
 The sampling order inside one call is fixed: player matrices, row indices,
 hypermatching, then any recursive samples, with the shift computed (never
-drawn). The number of random draws therefore never depends on the hidden
-permutation, so matched seeds give identical player edges for different
-hidden permutations. Each sample is drawn as its chain of gadgets, in layer
-order, and then written into one edge buffer.
+drawn). The number of random draws, and the bound of each, therefore never
+depend on the hidden permutation, so matched seeds give identical player
+edges for different hidden permutations. A sample's draws are decoded in
+bulk, in that order and bit for bit as one random call per draw would give
+them; its gadgets are then built as arrays, a recursion level at a time,
+and written into one edge buffer.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
-from .blocks import EdgeTuple, edge_pick, multi_block
+from .blocks import multi_block
 from .graphs import LayeredGraph, basic, concat_all
-from .hph import force_gamma, recompute_gamma_star, sample_core
-from .perms import (
-    Partition,
-    Perm,
-    compose,
-    extend,
-    inverse,
-    is_simple,
-    join,
-    lex_partition,
-    swap_perm,
-    vec,
-)
+from .hph import core_bounds, cores_from_draws, force_gamma, recompute_gamma_star, sample_core
+from .perms import Partition, Perm, identity, inverse, is_simple, lex_partition, swap_perm
 from .rs import RSGraph, trivial_rs
-from .sortnet import build_sort_network, decompose, depth_floor
+from .seeds import randbelow_many
+from .sortnet import build_sort_network, decompose, decompose_many, depth_floor
 
-# multi_block, p_multi_block_sample and concat_all are not used here, but
+# decompose, multi_block, p_multi_block_sample, concat_all, sample_core,
+# recompute_gamma_star and force_gamma are not used here, but
 # perfbench/tracing.py looks these names up on this module
 p_multi_block_sample = multi_block
 
@@ -146,14 +138,37 @@ def _layer_plan(m: int, b: int) -> tuple[tuple[int, Partition, frozenset[int], S
                  for i, P in enumerate(layers) for part, placed in _regularize(P, b, m))
 
 
-def _pieces(sigma: Perm, b: int) -> list[tuple[Partition, Swap, Perm]]:
-    """The simple factors gen_general hides, each with its exact-b partition
-    and that partition's swap: decompose sigma along the sorting network,
-    and split every layer's move as _layer_plan splits the layer."""
-    m = len(sigma)
-    gammas = decompose(sigma, b).gammas
-    return [(part, swap, tuple(gammas[i][x - 1] if x in placed else x for x in range(1, m + 1)))
-            for i, part, placed, swap in _layer_plan(m, b)]
+def _factors(sigmas: np.ndarray, b: int) -> np.ndarray:
+    """The simple factors gen_general hides for each row of sigmas, as an
+    (n, pieces, m) array: decompose the rows along the sorting network, and
+    split every layer's move as _layer_plan splits the layer."""
+    m = sigmas.shape[1]
+    layer, moving, *_ = _piece_arrays(m, b)
+    return np.where(moving, decompose_many(sigmas, b)[:, layer], np.arange(1, m + 1, dtype=np.int32))
+
+
+@lru_cache(maxsize=64)
+def _piece_arrays(m: int, b: int) -> tuple[np.ndarray, ...]:
+    """_layer_plan as arrays, one row per piece: its layer index, the wires
+    whose moves it takes (a mask), its swap's relabeling onto Lex and the
+    inverse (the identity for Lex pieces), and whether it has a swap."""
+    plan = _layer_plan(m, b)
+    moving = np.array([[x in placed for x in range(1, m + 1)] for _, _, placed, _ in plan])
+    return _read_only(np.array([i for i, *_ in plan]), moving, *_swap_arrays([swap for *_, swap in plan], m))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: caches hand the same ones to every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _swap_arrays(swaps: list[Swap], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ident = identity(m)
+    s = np.array([ident if swap is None else swap[0] for swap in swaps], dtype=np.int32)
+    s_inv = np.array([ident if swap is None else swap[1] for swap in swaps], dtype=np.int32)
+    return s, s_inv, np.array([swap is not None for swap in swaps])
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +230,24 @@ def vertex_count(params: GenParams, general: bool) -> int:
 # the fill. A sample is a chain of gadgets, each the two-layer graph of a
 # permutation of its layer: a routing gadget at p = 1, a player's encoded RS
 # layers (the family is one matching j -> j, so these are the gadget of the
-# join of the matrix's row), or a fixed non-Lex wrapper. _fill_simple and
-# _fill_general draw a sample and return its gadgets as (permutation, tag id)
-# pairs in layer order, which is not draw order. _filled then writes the
-# chain into one edge buffer, joining consecutive gadgets by identity
-# junctions, as concat_all joins its parts.
+# join of the matrix's row), or a fixed non-Lex wrapper. _fill decodes the
+# sample's draws at once, then builds its gadgets a recursion level at a
+# time, every core of a size together, each reading its draws and writing
+# its gadgets at offsets that depend on the parameters alone. _filled then
+# writes the chain into one edge buffer, joining consecutive gadgets by
+# identity junctions, as concat_all joins its parts.
 
 FIXED, REFEREE = 0, 1  # tag ids; player a has id a + 1
-
-Gadgets = list[tuple[array, int]]  # int32 permutations and their tag ids
 
 
 def _tag_names(k: int) -> tuple[str, ...]:
     return ("fixed", "referee", *(f"player:{a}" for a in range(1, k + 1)))
 
 
-def _filled(gadgets: Gadgets, k: int) -> LayeredGraph:
-    """The chain of gadgets as one graph: edge run 2i is gadget i (layer
+def _filled(perms: np.ndarray, sizes: np.ndarray, tags: np.ndarray, k: int) -> LayeredGraph:
+    """The chain of gadgets as one graph: gadget i has sizes[i] entries of
+    perms, in order, and tag id tags[i]; edge run 2i is gadget i (layer
     2i + 1), run 2i + 1 the junction after it (layer 2i + 2)."""
-    perms, tags = zip(*gadgets)
-    sizes = np.fromiter(map(len, perms), dtype=np.int64, count=len(perms))
     runs = np.empty(2 * len(sizes) - 1, dtype=np.int64)
     runs[0::2] = sizes
     runs[1::2] = np.minimum(sizes[:-1], sizes[1:])
@@ -248,51 +261,165 @@ def _filled(gadgets: Gadgets, k: int) -> LayeredGraph:
     u[starts[1:]] -= runs[:-1]
     np.cumsum(u, dtype=np.int32, out=u)           # 1, 2, ... within each run
     v[:] = u                                      # junctions are identity matchings
-    v[np.repeat(np.arange(len(runs)) % 2 == 0, runs)] = np.frombuffer(b"".join(perms), dtype=np.int32)
+    v[np.repeat(np.arange(len(runs)) % 2 == 0, runs)] = perms
     run_tags = np.zeros(len(runs), dtype=np.uint16)
     run_tags[0::2] = tags
     return LayeredGraph.from_columns(np.repeat(sizes, 2).tolist(), edges, np.repeat(run_tags, runs),
                                      _tag_names(k))
 
 
-def _fill_general(sigma: Perm, params: GenParams, rng: random.Random) -> Gadgets:
-    """Draw a general sample hiding sigma: its pieces' gadgets, the piece
-    drawn last traversed first."""
-    samples = [_fill_simple(gamma, swap, params, rng)[0] for _, swap, gamma in _pieces(sigma, params.b)]
-    return [gadget for sample in reversed(samples) for gadget in sample]
+@lru_cache(maxsize=64)
+def _bounds(m: int, b: int, k: int, p: int, general: bool) -> np.ndarray:
+    """The bounds of a sample's draws, in draw order: a simple sample's core
+    (player matrices, row indices, hypermatching), then at p >= 2 its
+    routes' (p-1)-pass samples, blocks a = 1..k with the left route before
+    the right, the shift gadget last; a general sample draws the simple
+    samples of its pieces in turn."""
+    parts = [core_bounds(2 * m // b, 1, b, k)]
+    if p > 1:
+        parts += [_bounds(2 * m, b, k, p - 1, True)] * (2 * k) + [_bounds(m, b, k, p - 1, True)]
+    simple = np.concatenate(parts)
+    return _read_only(np.tile(simple, len(_layer_plan(m, b))) if general else simple)[0]
 
 
-def _fill_simple(rho: Perm, swap, params: GenParams, rng: random.Random) -> tuple[Gadgets, dict]:
-    """Draw a simple sample hiding rho, which is simple on Lex, or on the
-    partition swap = (s, s^-1) carries onto Lex: its gadgets, and the
-    sampled communication core."""
-    b, k, p = params.b, params.k, params.p
-    if swap is not None:
-        s, s_inv = swap
-        rho = compose(s, compose(rho, s_inv))
-    grs = params.family
-    sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
-    gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(rho, b))
+def _span(m: int, b: int, k: int, p: int, general: bool) -> int:
+    """Entries of a sample's gadgets, half its vertices (a simple one on Lex)."""
+    return (_count_general if general else _count_simple)(m, b, k, p) // 2
 
-    def route(sigma: Perm) -> Gadgets:
-        """A routing gadget; at p >= 2 a (p-1)-pass sample, whose player
-        tags become "referee": it hides referee inputs."""
+
+def _inverse(perms: np.ndarray) -> np.ndarray:
+    """The inverses of one-indexed permutations along the last axis."""
+    out = np.empty_like(perms)
+    np.put_along_axis(out, perms - 1, np.arange(1, perms.shape[-1] + 1, dtype=perms.dtype), axis=-1)
+    return out
+
+
+def _extend(perms: np.ndarray, b: int) -> np.ndarray:
+    """perms.extend(b) along the last axis: (x-1)b + j -> (perm(x)-1)b + j."""
+    return (((perms - 1) * b)[..., None] + np.arange(1, b + 1)).reshape(*perms.shape[:-1], -1)
+
+
+class _Sample:
+    """One sample's fill: its draws, and its gadgets as they are placed."""
+
+    def __init__(self, params: GenParams, rng: random.Random, general: bool, total: int):
+        self.b, self.k = params.b, params.k
+        self.draws = randbelow_many(_bounds(params.m, params.b, params.k, params.p, general), rng)
+        self.perms = np.empty(total, dtype=np.int32)   # the gadgets' entries, in layer order
+        self.placed: list[tuple[np.ndarray, int, object]] = []   # offsets, size, tag id or ids
+
+    def place(self, at: np.ndarray, perms: np.ndarray, tag) -> None:
+        at = at.ravel()
+        size = perms.shape[-1]
+        self.perms[at[:, None] + np.arange(size)] = perms.reshape(len(at), size)
+        self.placed.append((at, size, tag))
+
+    def pieces(self, m: int, p: int, sigmas: np.ndarray, drawn: np.ndarray, at: np.ndarray):
+        """General samples hiding each row of sigmas, their draws starting at
+        drawn and their gadgets at at: their pieces' simple samples, each
+        piece's factor carried onto Lex, in draw order, the last piece
+        traversed first."""
+        _, _, s, s_inv, wrapped = _piece_arrays(m, self.b)
+        piece = np.arange(len(s))[:, None]
+        rho = s[piece, _factors(sigmas, self.b)[:, piece, s_inv - 1] - 1]   # s o factor o s^-1
+        spans = _span(m, self.b, self.k, p, False) + 2 * m * wrapped
+        after = spans.sum() - np.cumsum(spans)
+        drawn = drawn[:, None] + np.arange(len(s)) * len(_bounds(m, self.b, self.k, p, False))
+        n = len(sigmas)
+        return (rho.reshape(n * len(s), m), drawn.ravel(), (at[:, None] + after).ravel(),
+                np.tile(np.arange(len(s)), n), (s, s_inv, wrapped))
+
+    def cores(self, m: int, p: int, rho: np.ndarray, drawn: np.ndarray, at: np.ndarray,
+              piece: np.ndarray, swaps, top: bool, routes: dict) -> tuple:
+        """Simple samples hiding each row of rho (Lex-simple; wrapped by its
+        piece's swap if it has one): place their gadgets, add their routes'
+        samples to routes at p >= 2, and return the cores' arrays."""
+        b, k = self.b, self.k
+        r, half, width = 2 * m // b, m // b, 2 * m
+        n = len(rho)
+        bounds = len(core_bounds(r, 1, b, k))
+        sig, L, M = cores_from_draws(self.draws[drawn[:, None] + np.arange(bounds)], r, 1, b, k)
+        row = sig[:, :, 0]   # t = 1: every row index is 1
+        # gamma = force_gamma(recompute_gamma_star(...), vec(rho)): the picked
+        # entries composed over the players, inverted, then rho's blocks
+        picked = np.take_along_axis(row, (M - 1)[..., None], axis=2)
+        gstar = picked[:, 0]
+        for a in range(1, k):
+            gstar = np.take_along_axis(gstar, picked[:, a] - 1, axis=2)
+        base = np.arange(0, m, b)[:, None]
+        gamma = np.take_along_axis(_inverse(gstar), rho.reshape(n, half, b) - base - 1, axis=2)
+        shift = (gamma + base).reshape(n, m)
+        # edge_pick: sigma_L sends i to the i-th picked index, then the
+        # unpicked ones in order; sigma_R is its inverse
+        free = np.ones((n, k, r), dtype=bool)
+        np.put_along_axis(free, M - 1, False, axis=2)
+        left = np.concatenate((M, np.nonzero(free)[2].reshape(n, k, half) + 1), axis=2)
+        left, right = _extend(left, b), _extend(_inverse(left), b)
+        encoded = (row + (np.arange(r) * b)[:, None]).reshape(n, k, width)
+
+        # layer order: [s], the shift, blocks k..1 (left route, encoded
+        # layer, right route), [s^-1]
+        s, s_inv, wrapped = swaps
+        wrap = wrapped[piece]
+        head = at + m * wrap
+        shift_span = m if p == 1 else _span(m, b, k, p - 1, True)
+        route_span = width if p == 1 else _span(width, b, k, p - 1, True)
+        block = head[:, None] + shift_span + (k - 1 - np.arange(k)) * (2 * route_span + width)
+        self.place(block + route_span, encoded, np.tile(np.arange(2, k + 2), n) if top else REFEREE)
+        self.place(at[wrap], s[piece[wrap]], FIXED)
+        self.place(head[wrap] + shift_span + k * (2 * route_span + width), s_inv[piece[wrap]], FIXED)
+        right_at = block + route_span + width
         if p == 1:
-            return [(array("i", sigma), REFEREE)]
-        sub = _fill_general(sigma, replace(params, m=len(sigma), p=p - 1), rng)
-        return [(perm, min(tag, REFEREE)) for perm, tag in sub]
+            for gadget_at, perms in ((head, shift), (block, left), (right_at, right)):
+                self.place(gadget_at, perms, REFEREE)
+        else:
+            after = drawn + bounds
+            each = len(_bounds(width, b, k, p - 1, True))
+            left_drawn = after[:, None] + 2 * np.arange(k) * each
+            routes.setdefault(width, []).extend([
+                (left.reshape(n * k, width), left_drawn.ravel(), block.ravel()),
+                (right.reshape(n * k, width), (left_drawn + each).ravel(), right_at.ravel()),
+            ])
+            routes.setdefault(m, []).append((shift, after + 2 * k * each, head))
+        return sig, L, M, gamma
 
-    # rng draw order: blocks a = 1..k (left route before right), shift last;
-    # layer order: shift, blocks k..1, each left route, encoded layer, right route
-    blocks = []
-    for a in range(k):
-        left, right = edge_pick(grs, EdgeTuple(L[a], M[a]))
-        blocks.append([*route(extend(left, b)), (array("i", join(sigmas[a][0])), a + 2),
-                       *route(extend(right, b))])
-    gadgets = [*route(join(gamma)), *chain.from_iterable(reversed(blocks))]
-    if swap is not None:
-        gadgets = [(array("i", s), FIXED), *gadgets, (array("i", s_inv), FIXED)]
-    return gadgets, {"sigmas": sigmas, "L": L, "M": M, "gamma": gamma}
+    def gadgets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The placed gadgets in layer order: their permutations in one
+        buffer, their sizes and their tag ids."""
+        order = np.argsort(np.concatenate([at for at, _, _ in self.placed]))
+        sizes = np.concatenate([np.full(len(at), size) for at, size, _ in self.placed])
+        tags = np.concatenate([np.broadcast_to(np.uint16(tag), at.shape) for at, _, tag in self.placed])
+        return self.perms, sizes[order], tags[order]
+
+
+def _fill(sigma: Perm, swap: Swap, params: GenParams, rng: random.Random, general: bool):
+    """Draw a sample hiding sigma: a general sample, or a simple one if
+    sigma is simple on Lex, or on the partition swap = (s, s^-1) carries
+    onto Lex. Returns its gadgets (perms, sizes, tag ids) in layer order
+    and its top core's matrices, row indices, hypermatching and shift
+    (those of a simple sample)."""
+    m, b, k, p = params.m, params.b, params.k, params.p
+    wrappers = 0 if general or swap is None else 2 * m
+    fill = _Sample(params, rng, general, _span(m, b, k, p, general) + wrappers)
+    zero = np.zeros(1, dtype=np.int64)
+    sigma = np.array([sigma], dtype=np.int32)
+    if general:
+        samples = {m: [(sigma, zero, zero)]}   # general samples: permutations, draw and buffer offsets
+    else:
+        swaps = _swap_arrays([swap], m)
+        s, s_inv, _ = swaps
+        simple = {m: [(s[:, sigma[0, s_inv[0] - 1] - 1], zero, zero, np.zeros(1, dtype=np.int64), swaps)]}
+    core = None
+    for level in range(p):
+        if general or level:
+            simple = {size: [fill.pieces(size, p - level, *map(np.concatenate, zip(*parts)))]
+                      for size, parts in samples.items()}
+        samples = {}
+        for size, parts in simple.items():
+            for part in parts:
+                made = fill.cores(size, p - level, *part, top=level == 0, routes=samples)
+                core = made if core is None else core
+    return fill.gadgets(), core
 
 
 def _simple_swap(rho: Perm, P: Partition, params: GenParams):
@@ -313,14 +440,19 @@ def sample_simple(
     """gen_simple's gadgets as two-layer parts in concat_all's order (the
     last is traversed first), plus the sampled communication core, for
     replay experiments."""
-    gadgets, core = _fill_simple(rho, _simple_swap(rho, P, params), params, rng)
+    (perms, sizes, tags), (sig, L, M, gamma) = _fill(rho, _simple_swap(rho, P, params), params, rng, False)
     names = _tag_names(params.k)
-    return [basic(perm, names[tag]) for perm, tag in reversed(gadgets)], core
+    parts = [basic(tuple(perm), names[tag])
+             for perm, tag in zip(np.split(perms, np.cumsum(sizes)[:-1]), tags.tolist())]
+    core = {"sigmas": tuple(tuple(tuple(map(tuple, row)) for row in mat) for mat in sig[0].tolist()),
+            "L": tuple(L[0].tolist()), "M": tuple(map(tuple, M[0].tolist())),
+            "gamma": tuple(map(tuple, gamma[0].tolist()))}
+    return parts[::-1], core
 
 
 def gen_simple(rho: Perm, P: Partition, params: GenParams, rng: random.Random) -> LayeredGraph:
-    gadgets, _ = _fill_simple(rho, _simple_swap(rho, P, params), params, rng)
-    return _filled(gadgets, params.k)
+    gadgets, _ = _fill(rho, _simple_swap(rho, P, params), params, rng, False)
+    return _filled(*gadgets, params.k)
 
 
 def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGraph:
@@ -329,4 +461,5 @@ def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGr
     if len(sigma) != params.m:
         raise ValueError(f"sigma acts on [{len(sigma)}], params say m={params.m}")
     vertex_count(params, general=True)
-    return _filled(_fill_general(sigma, params, rng), params.k)
+    gadgets, _ = _fill(sigma, None, params, rng, True)
+    return _filled(*gadgets, params.k)

@@ -22,11 +22,11 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codec import first_difference, format_rows, json_int, read_rows, tag_table, used_tags
+from .codec import first_difference, format_chunks, json_int, read_rows, tag_table, used_tags
 from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
@@ -110,12 +110,24 @@ class LayeredGraph:
         would write it: layers, edges as [layer, u, v] lists, and one tag per
         edge unless every edge is tagged "fixed". Formatted from the columns.
         Raises ValueError for a used tag outside codec.TAG's alphabet."""
-        edges = format_rows(_EDGE_ROW, list(self.edges.T))[:-2]
-        parts = [b'{"edges": [', edges, b'], "layers": ', json.dumps(self.layers).encode()]
-        if set(used_tags(self.tag_names, self.tag_ids)) - {"fixed"}:
+        return b"".join(self.json_chunks())
+
+    def json_chunks(self) -> Iterator[bytes]:
+        """to_json's bytes, a codec.CHUNK of edge or tag rows at a time. The
+        tags are checked before the first chunk is made."""
+        tagged = bool(set(used_tags(self.tag_names, self.tag_ids)) - {"fixed"})
+        return self._json_chunks(tagged)
+
+    def _json_chunks(self, tagged: bool) -> Iterator[bytes]:
+        yield b'{"edges": ['
+        yield from _trimmed(format_chunks(_EDGE_ROW, list(self.edges.T)))
+        yield b'], "layers": ' + json.dumps(self.layers).encode()
+        if tagged:
+            yield b', "tags": ['
             table = [name.encode() for name in self.tag_names]
-            parts += [b', "tags": [', format_rows(_TAG_ROW, [], self.tag_ids, table)[:-2], b"]"]
-        return b"".join([*parts, b"}"])
+            yield from _trimmed(format_chunks(_TAG_ROW, [], self.tag_ids, table))
+            yield b"]"
+        yield b"}"
 
     @classmethod
     def from_json(cls, data: str | bytes) -> tuple["LayeredGraph", dict]:
@@ -176,6 +188,18 @@ class LayeredGraph:
 
 _EDGE_ROW = (b"[", b", ", b", ", b"], ")
 _TAG_ROW = (b'"', b'", ')
+
+
+def _trimmed(chunks: Iterator[bytes]) -> Iterator[bytes]:
+    """The chunks of rows less the two bytes of the last row's trailing
+    separator, which the JSON array does not have."""
+    last = None
+    for chunk in chunks:
+        if last is not None:
+            yield last
+        last = chunk
+    if last is not None:
+        yield last[:-2]
 
 
 def _load_skeleton(data: bytes, cuts: list[tuple[int, int, bytes]]) -> dict:

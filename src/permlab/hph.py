@@ -15,7 +15,9 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .blocks import Hypermatching, PermMatrix, check_hypermatching, check_perm_matrix, random_perm_matrix
+import numpy as np
+
+from .blocks import Hypermatching, PermMatrix, check_hypermatching, check_perm_matrix
 from .codec import json_int
 from .perms import (
     PermVector,
@@ -25,6 +27,7 @@ from .perms import (
     lehmer_rank,
     lehmer_unrank,
 )
+from .seeds import randbelow_many
 
 Targets = tuple[PermVector, PermVector]  # (yes tuple, no tuple), each length r/2
 
@@ -56,10 +59,47 @@ def sample_core(
     """
     if r % 2:
         raise ValueError("r must be even")
-    sigmas = tuple(random_perm_matrix(t, r, b, rng) for _ in range(k))
-    L = tuple(rng.randrange(1, t + 1) for _ in range(k))
-    M = tuple(tuple(rng.sample(range(1, r + 1), r // 2)) for _ in range(k))
-    return sigmas, L, M
+    sig, L, M = cores_from_draws(randbelow_many(core_bounds(r, t, b, k), rng)[None], r, t, b, k)
+    sigmas = tuple(tuple(tuple(map(tuple, row)) for row in mat) for mat in sig[0].tolist())
+    return sigmas, tuple(L[0].tolist()), tuple(map(tuple, M[0].tolist()))
+
+
+def core_bounds(r: int, t: int, b: int, k: int) -> np.ndarray:
+    """The bounds of sample_core's draws, in its order: each entry of the k
+    matrices is random.shuffle of [b], which draws below b, b-1, ..., 2;
+    each row index is randrange(1, t + 1), one draw below t; each
+    hypermatching row is random.sample(range(1, r + 1), r // 2), which
+    draws below r, r-1, ..., r/2 + 1 (its pool method, the one it takes
+    whenever it picks half of at most setsize items, so for every even r)."""
+    return np.concatenate((np.tile(np.arange(b, 1, -1), k * t * r), np.full(k, t),
+                           np.tile(np.arange(r, r // 2, -1), k)))
+
+
+def cores_from_draws(draws: np.ndarray, r: int, t: int, b: int, k: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sample_core's results for each row of draws (core_bounds' draws):
+    matrices (n, k, t, r, b), row indices (n, k) and hypermatching rows
+    (n, k, r/2), built by the shuffle's b - 1 swap steps and the pool
+    method's r/2 steps over all of them at once."""
+    n, e = len(draws), k * t * r
+    steps = draws[:, :e * (b - 1)].reshape(n * e, b - 1)
+    perms = np.tile(np.arange(1, b + 1), (n * e, 1))
+    rows = np.arange(n * e)
+    for s, i in enumerate(range(b - 1, 0, -1)):   # step i swaps entry i with a drawn j <= i
+        j = steps[:, s]
+        held = perms[:, i].copy()
+        perms[:, i] = perms[rows, j]
+        perms[rows, j] = held
+    L = draws[:, e * (b - 1):e * (b - 1) + k] + 1
+    picks = draws[:, e * (b - 1) + k:].reshape(n * k, r // 2)
+    pool = np.tile(np.arange(1, r + 1), (n * k, 1))
+    M = np.empty_like(picks)
+    rows = np.arange(n * k)
+    for i in range(r // 2):   # take the drawn entry, move the pool's last live one there
+        j = picks[:, i]
+        M[:, i] = pool[rows, j]
+        pool[rows, j] = pool[:, r - i - 1]
+    return perms.reshape(n, k, t, r, b), L, M.reshape(n, k, r // 2)
 
 
 def recompute_gamma_star(

@@ -4,7 +4,11 @@ first 8 bytes. Labels are plain strings, so the derivation is documented,
 stable, and collision-resistant for any practical label set.
 
 shuffled_range is the exact numpy form of a seeded shuffle: the order
-random.Random(seed).shuffle leaves, computed without its swap loop."""
+random.Random(seed).shuffle leaves, computed without its swap loop.
+randbelow_many is the same for a list of bounded draws: what a caller's
+generator gives for rng._randbelow(n) at each n in turn, decided from bulk
+Mersenne Twister words, after which the generator is where those calls
+leave it."""
 
 from __future__ import annotations
 
@@ -54,9 +58,7 @@ def _swap_targets(n: int, rng: random.Random) -> np.ndarray:
         # temporaries few, so numpy's cache of small freed blocks stays small.
         w = 1 << (4 + k // 2)
         if len(words) < w:
-            more = w - len(words)
-            fresh = np.frombuffer(rng.getrandbits(32 * more).to_bytes(4 * more, "little"), dtype="<u4")
-            words = np.concatenate((words, fresh))
+            words = np.concatenate((words, _words(rng, w - len(words))))
         r = (words[:w] >> (32 - k)).astype(np.int64)
         # Word t meets a bound between b - t (every earlier word accepted)
         # and b, so it is accepted for sure below b - t and rejected for sure
@@ -81,6 +83,78 @@ def _swap_targets(n: int, rng: random.Random) -> np.ndarray:
         j[b - len(taken):b] = r[taken][::-1]
         b -= len(taken)
     return j
+
+
+def _words(rng: random.Random, n: int) -> np.ndarray:
+    """The next n 32-bit words of rng. getrandbits of a multiple of 32 bits
+    is the next words, least significant first."""
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), dtype="<u4")
+
+
+def randbelow_many(bounds, rng: random.Random) -> np.ndarray:
+    """[rng._randbelow(n) for n in bounds] as an int64 array, every n in
+    [1, 2**32), leaving rng in the state those calls leave it in.
+
+    _randbelow(n) takes 32-bit words until one, shifted down to
+    n.bit_length() bits, is below n; that is, until a word is below the
+    limit n << (32 - n.bit_length()), which is at least 2**31. So a word
+    below 2**31 is taken by whichever draw reads it, and a draw whose n is
+    a power of two (limit 2**31) takes exactly the next such word: runs of
+    those draws are read off the list of low words. Only the other draws
+    look at the high words between, one draw at a time. The words are read
+    from a copy of rng's state, and rng then skips exactly the words used."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if len(bounds) and not (bounds.min() >= 1 and bounds.max() < 1 << 32):
+        raise ValueError("randbelow_many needs bounds in [1, 2**32)")
+    bits = np.frexp(bounds)[1]   # n.bit_length(), exact below 2**53
+    limit = bounds << (32 - bits)
+    other = np.flatnonzero(limit != 1 << 31)
+    runs = np.diff(other, prepend=-1) - 1   # power-of-two draws before each other draw
+    accept = limit / 2.0**32
+    # the expected number of words, and eight standard deviations more
+    n = int(np.sum(1 / accept) + 8 * np.sqrt(np.sum((1 - accept) / accept**2))) + 64
+    copy = random.Random()
+    copy.setstate(rng.getstate())
+    words = _words(copy, n)
+    while True:
+        low = np.flatnonzero(words < 1 << 31)
+        try:
+            high = _high_words_taken(words, low, runs, limit[other])
+            if len(low) >= len(bounds) - len(high):
+                break
+        except IndexError:
+            pass
+        words = np.concatenate((words, _words(copy, len(words))))   # too few: read as many again
+    taken = np.zeros(len(words), dtype=bool)
+    taken[low[:len(bounds) - len(high)]] = True
+    taken[high] = True
+    at = np.flatnonzero(taken)
+    if len(at):
+        rng.getrandbits(32 * (int(at[-1]) + 1))
+    return words[at].astype(np.int64) >> (32 - bits)
+
+
+def _high_words_taken(words: np.ndarray, low: np.ndarray, runs: np.ndarray, limits: np.ndarray) -> list[int]:
+    """The positions of the words at or above 2**31 that draws take. Draw
+    i of the non-power-of-two draws follows runs[i] power-of-two draws and
+    takes the first word below limits[i]; the words below 2**31 sit at
+    low. IndexError if the words run out."""
+    words, low = memoryview(words), memoryview(low)
+    pos = j = 0   # the next word to read; low[j] is the next low word
+    taken = []
+    for run, limit in zip(runs.tolist(), limits.tolist()):
+        if run:
+            j += run
+            pos = low[j - 1] + 1
+        nxt = low[j]
+        while pos < nxt and words[pos] >= limit:
+            pos += 1
+        if pos == nxt:
+            j += 1
+        else:
+            taken.append(pos)
+        pos += 1
+    return taken
 
 
 def _apply_swaps(j: np.ndarray) -> np.ndarray:

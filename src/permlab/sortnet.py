@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .perms import Partition, Perm, compose, inverse
+import numpy as np
+
+from .perms import Partition, Perm, compose
 
 Group = tuple[int, ...]
 
@@ -45,8 +47,8 @@ class SorterNetwork:
             if any(len(grp) > self.b for grp in layer):
                 raise ValueError(f"layer {li} has a group wider than b={self.b}")
 
-    def steps(self, values):
-        """Yield the values on the wires (1-indexed) after each layer, as tuples."""
+    def apply(self, values):
+        """Run the network over a value list (one value per wire, 1-indexed)."""
         vals = list(values)
         for layer in self.layers:
             for grp in layer:
@@ -54,14 +56,7 @@ class SorterNetwork:
                     ordered = sorted(vals[w - 1] for w in grp)
                     for w, v in zip(grp, ordered):
                         vals[w - 1] = v
-            yield tuple(vals)
-
-    def apply(self, values):
-        """Run the network over a value list (one value per wire, 1-indexed)."""
-        vals = tuple(values)
-        for vals in self.steps(vals):
-            pass
-        return list(vals)
+        return vals
 
 
 @dataclass(frozen=True)
@@ -250,13 +245,44 @@ def decompose(sigma: Perm, b: int) -> Decomposition:
     g_d o ... o g_1 = sigma. Returned as gamma_i = g_{d-i+1}, so that
     compose(gamma_1, compose(gamma_2, ...)) = sigma and gamma_d acts first.
     """
-    m = len(sigma)
-    net = build_sort_network(m, b)
-    w = tuple(sigma)
-    moves: list[Perm] = []
-    for new in net.steps(w):
-        moves.append(compose(inverse(new), w))
-        w = new
-    if w != tuple(range(1, m + 1)):
+    net = build_sort_network(len(sigma), b)
+    gammas = decompose_many(np.array([sigma], dtype=np.int32), b)[0]
+    return Decomposition(tuple(reversed(net.layers)), tuple(map(tuple, gammas.tolist())))
+
+
+def decompose_many(sigmas: np.ndarray, b: int) -> np.ndarray:
+    """decompose's gammas for every row of sigmas, as an (n, depth, m)
+    array: the network runs on all rows at once, each layer sorting the
+    values on its groups' wires."""
+    n, m = sigmas.shape
+    layers = _layer_wires(m, b)
+    vals = np.empty((n, m + 1), dtype=np.int32)
+    vals[:, :m] = sigmas
+    vals[:, m] = m + 1   # the wire that pads short groups; its value sorts last
+    held = np.empty((n, m), dtype=np.int32)   # held[v - 1]: the wire holding value v
+    wires = np.arange(m, dtype=np.int32)
+    moves = np.empty((n, len(layers), m), dtype=np.int32)
+    for i, groups in enumerate(layers):
+        before = vals[:, :m] - 1
+        vals[:, groups] = np.sort(vals[:, groups], axis=2)
+        np.put_along_axis(held, vals[:, :m] - 1, wires, axis=1)
+        moves[:, i] = np.take_along_axis(held, before, axis=1) + 1   # wire x -> where its value went
+    if not (vals[:, :m] == wires + 1).all():
         raise RuntimeError("network failed to sort the input permutation")
-    return Decomposition(tuple(reversed(net.layers)), tuple(reversed(moves)))
+    return moves[:, ::-1]
+
+
+@lru_cache(maxsize=64)
+def _layer_wires(m: int, b: int) -> tuple[np.ndarray, ...]:
+    """Each network layer's groups of two or more wires as rows of
+    zero-indexed wires, in each group's order, short rows padded with m."""
+    out = []
+    for layer in build_sort_network(m, b).layers:
+        groups = [g for g in layer if len(g) > 1]
+        width = max(map(len, groups), default=0)
+        rows = np.full((len(groups), width), m, dtype=np.int32)
+        for row, g in zip(rows, groups):
+            row[:len(g)] = np.array(g) - 1
+        rows.flags.writeable = False   # cached: every caller shares it
+        out.append(rows)
+    return tuple(out)

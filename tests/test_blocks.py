@@ -9,12 +9,12 @@ from permlab.blocks import (
     edge_pick,
     encoded_rs,
     multi_block,
-    random_perm_matrix,
 )
 from permlab.graphs import GroupLayeredGraph, concat_all, extract_permutation
 from permlab.hph import recompute_gamma_star, sample_core
 from permlab.perms import compose, identity, join, match_aligned
 from permlab.rs import RSGraph, trivial_rs
+from reference_draws import random_perm_matrix
 
 
 def multi_block_rho(grs, sigs, L, M, b):

@@ -112,6 +112,42 @@ def test_verify_accepts_gen_output_at_odd_m(tmp_path, capsys):
     assert json.loads(out)["clean"] == 2
 
 
+def test_verify_rehashes_a_manifests_outputs(tmp_path, capsys):
+    code, _ = run(["gen", "cross", "--m", "8", "--b", "2", "--p", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    files = [str(tmp_path / name) for name in ("graph.json", "manifest.json", "stream.txt")]
+    code, out = run(["verify", *files], capsys)
+    assert code == 0, out
+    assert json.loads(out)["clean"] == 3
+    manifest = str(tmp_path / "manifest.json")
+    digests = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+
+    with open(tmp_path / "stream.txt", "ab") as fh:
+        fh.write(b"\n")
+    changed = hashlib.sha256((tmp_path / "stream.txt").read_bytes()).hexdigest()
+    (tmp_path / "graph.json").unlink()
+    code, out = run(["verify", manifest], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {manifest: [
+        "graph.json: missing",
+        f"stream.txt: sha256 {changed}, manifest says {digests['stream.txt']}",
+    ]}
+
+
+@pytest.mark.parametrize("outputs, problem", [
+    ({"../graph.json": "0"}, "output '../graph.json' is not a file name"),
+    ({"": "0"}, "output '' is not a file name"),
+    (["graph.json"], "manifest outputs must map file names to sha256 digests"),
+], ids=["parent", "empty", "list"])
+def test_verify_reports_manifest_outputs_it_cannot_check(tmp_path, capsys, outputs, problem):
+    path = tmp_path / "manifest.json"
+    doc = {"command": "gen", "outputs": outputs, "params": {}, "seed": 0, "version": "0.1.0"}
+    path.write_text(json.dumps(doc))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == {str(path): [problem]}
+
+
 def test_verify_rs_file(tmp_path, capsys):
     from permlab.rs import dump_rs, trivial_rs
 

@@ -21,8 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from permlab.blocks import EdgeTuple, edge_pick, encoded_rs
 from permlab.gen import (
+    _factors,
     _layer_plan,
-    _pieces,
     default_params,
     gen_general,
     gen_simple,
@@ -38,7 +38,7 @@ from permlab.graphs import (
     concat_all,
     extract_permutation,
 )
-from permlab.hph import force_gamma, recompute_gamma_star, sample_core
+from permlab.hph import force_gamma, recompute_gamma_star
 from permlab.matching import (
     BipartiteInstance,
     bipartite_of,
@@ -67,6 +67,7 @@ from permlab.streams import (
     parse_stream,
     stream_text,
 )
+from reference_draws import ref_sample_core
 
 TAGS = ("fixed", "referee", *(f"player:{i}" for i in range(1, 13)))
 
@@ -125,7 +126,7 @@ def ref_sample_simple(rho, P, params, rng):
         inner = ref_sample_simple(compose(s, compose(rho, inverse(s))), lex, params, rng)
         return ref_concat_all([listed(basic(inverse(s))), inner, listed(basic(s))])
     grs = params.family
-    sigmas, L, M = sample_core(grs.r, grs.t, b, k, rng)
+    sigmas, L, M = ref_sample_core(grs.r, grs.t, b, k, rng)
     gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(rho, b))
     if p == 1:
         def route(s):
@@ -138,8 +139,9 @@ def ref_sample_simple(rho, P, params, rng):
 
 
 def ref_gen_general(sigma, params, rng):
-    return ref_concat_all([ref_sample_simple(g, part, params, rng)
-                           for part, _, g in _pieces(sigma, params.b)])
+    factors = _factors(np.array([sigma], dtype=np.int32), params.b)[0].tolist()
+    return ref_concat_all([ref_sample_simple(tuple(g), part, params, rng)
+                           for (_, part, _, _), g in zip(_layer_plan(len(sigma), params.b), factors)])
 
 
 def ref_expand(gg, tag):
@@ -425,7 +427,8 @@ def test_concat_all_matches_reference(parts):
     assert g.edges.dtype == np.int32 and g.tag_ids.dtype == np.uint16
 
 
-@pytest.mark.parametrize("b, k, p", [(b, k, p) for b in (2, 3) for k in (1, 2) for p in (1, 2)])
+@pytest.mark.parametrize("b, k, p", [(b, k, p) for b in (2, 3) for k in (1, 2) for p in (1, 2)]
+                         + [(4, 3, 1), (4, 3, 2)])
 def test_gen_general_matches_nested_reference(b, k, p):
     m = 2 * b
     assert any(swap is not None for *_, swap in _layer_plan(m, b))  # non-Lex pieces
@@ -753,6 +756,22 @@ def test_writers_match_reference_across_chunks():
     assert len(pieces) == 3 and b"".join(pieces).decode() == ref_dump_stream(stream)
 
 
+@pytest.mark.parametrize("tagged", [False, True], ids=["no-tags", "tags"])
+@pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 8, 9])
+def test_graph_json_chunks_join_to_the_payload(rows, tagged, monkeypatch):
+    # four rows a chunk: the edge and tag arrays each lose their trailing
+    # separator from their last chunk, however the rows fall into chunks
+    monkeypatch.setattr("permlab.codec.CHUNK", 4)
+    rng = np.random.default_rng(rows)
+    edges = rng.integers(1, 10**rng.integers(1, 10, rows), dtype=np.int64).repeat(3).reshape(rows, 3)
+    ids = rng.integers(0, 3 if tagged else 1, rows).astype(np.uint16)
+    g = LayeredGraph.from_columns([4, 4], edges.astype(np.int32), ids, ("fixed", "referee", "player:1"))
+    chunks = list(g.json_chunks())
+    assert b"".join(chunks) == g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True).encode()
+    per_array = -(-rows // 4)
+    assert len(chunks) == 3 + per_array + (2 + per_array if ids.any() else 0)
+
+
 @st.composite
 def streams(draw):
     n = draw(st.integers(1, 2**31 - 1))
@@ -796,6 +815,8 @@ def test_tags_outside_the_alphabet_are_neither_written_nor_read(bad):
     refused = f"^tag {re.escape(repr(bad))} is not a non-empty run of ASCII letters"
     with pytest.raises(ValueError, match=refused):
         LayeredGraph([1, 1], [(1, 1, 1)] * 2, [bad, "a"]).to_json()
+    with pytest.raises(ValueError, match=refused):
+        LayeredGraph([1, 1], [(1, 1, 1)] * 2, [bad, "a"]).json_chunks()  # before a byte is made
     with pytest.raises(ValueError, match=refused):
         dump_stream(EdgeStream(1, True, [(1, 1)] * 2, [bad, "a"]))
     # the bytes that writers allowing the tag would write: json.dumps's, and the tag as is

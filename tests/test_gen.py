@@ -1,7 +1,7 @@
 import random
-from array import array
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +13,9 @@ from permlab.gen import (
     _count_floor,
     _count_general,
     _count_simple,
+    _factors,
     _filled,
     _layer_plan,
-    _pieces,
     default_params,
     gen_general,
     gen_simple,
@@ -242,7 +242,8 @@ def test_param_validation():
     # k + 2 tag names, each with a uint16 id
     with pytest.raises(ValueError, match=f"^k must be at most 65534 .*, got k=65535$"):
         GenParams(m=2, b=2, k=MAX_K + 1, p=1)
-    g = _filled([(array("i", (2, 1)), MAX_K + 1)], MAX_K)  # the last player's gadget
+    # the last player's gadget
+    g = _filled(np.array([2, 1], dtype=np.int32), np.array([2]), np.array([MAX_K + 1]), MAX_K)
     assert len(g.tag_names) == 1 << 16 and g.tags == [f"player:{MAX_K}"] * 2
 
 
@@ -260,10 +261,11 @@ def test_piece_split_does_not_depend_on_sigma(case):
     # the identity's, so only the simple factors depend on sigma
     (m, b), sigma = case
     sigma = tuple(sigma)
-    pieces = _pieces(sigma, b)
-    assert [(part, swap) for part, swap, _ in pieces] == [(part, swap) for _, part, _, swap in _layer_plan(m, b)]
-    assert all(is_simple(g, part) for part, _, g in pieces)
-    assert reduce(compose, [g for _, _, g in pieces]) == sigma
+    factors = [tuple(g) for g in _factors(np.array([sigma], dtype=np.int32), b)[0].tolist()]
+    plan = _layer_plan(m, b)
+    assert len(factors) == len(plan)
+    assert all(is_simple(g, part) for (_, part, _, _), g in zip(plan, factors))
+    assert reduce(compose, factors) == sigma
 
 
 @pytest.mark.parametrize("m, b", [(16, 4), (12, 3)])
@@ -304,3 +306,22 @@ def test_target_vec_consistency():
     shifted = tuple(compose(g, w) for g, w in zip(gstar, core["gamma"]))
     assert join(shifted) == rho
     assert shifted == vec(rho, 2)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_sampling_decodes_its_draws_in_bulk(p, monkeypatch):
+    # no draw is its own random call: no shuffle per matrix entry, no
+    # randrange per row index, no sample per hypermatching row
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random call per draw")
+
+    for name in ("shuffle", "sample", "randrange", "_randbelow"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    params = default_params(8, 2, k=2, p=p)
+    g = gen_general((2, 1, 4, 3, 6, 5, 8, 7), params, random.Random(1))
+    assert extract_permutation(g, 8) == (2, 1, 4, 3, 6, 5, 8, 7)
+    P = ((1, 5), (2, 6), (3, 7), (4, 8))
+    rho = (5, 6, 7, 8, 1, 2, 3, 4)
+    assert extract_permutation(gen_simple(rho, P, params, random.Random(2)), 8) == rho
+    parts, core = sample_simple(rho, P, params, random.Random(3))
+    assert extract_permutation(concat_all(parts), 8) == rho and len(core["M"]) == 2

@@ -16,6 +16,7 @@ from permlab.hph import (
     zero_info_guess,
 )
 from permlab.perms import all_perms, compose
+from reference_draws import ref_sample_core
 
 
 def _targets(r, b):
@@ -100,6 +101,30 @@ def test_draw_order_fixed():
     r2 = random.Random(7)
     core2 = sample_core(4, 3, 2, 2, r2)
     assert core1 == core2
+
+
+@pytest.mark.parametrize("r, t, b, k", [(4, 1, 2, 2), (4, 3, 2, 2), (8, 2, 2, 3), (6, 3, 3, 2), (16, 1, 4, 2),
+                                        (2, 1, 2, 1), (12, 2, 5, 3), (10, 4, 6, 2), (1024, 1, 2, 1)])
+def test_sample_core_matches_the_list_draws(r, t, b, k):
+    # one random call per draw, as the core was drawn before it was decoded in bulk
+    for seed in range(4):
+        got, want = random.Random(seed), random.Random(seed)
+        assert sample_core(r, t, b, k, got) == ref_sample_core(r, t, b, k, want)
+        assert got.getstate() == want.getstate()
+
+
+def ref_sample_instance(r, t, b, k, targets, rng):
+    sigmas, L, M = ref_sample_core(r, t, b, k, rng)
+    answer = "yes" if rng.randrange(2) == 0 else "no"
+    gamma = force_gamma(recompute_gamma_star(sigmas, L, M), targets[0] if answer == "yes" else targets[1])
+    return MultiHPHInstance(r, t, b, k, sigmas, L, M, gamma, targets, answer, None)
+
+
+@pytest.mark.parametrize("r, t, b, k", [(4, 2, 2, 2), (6, 3, 3, 2), (8, 1, 4, 3), (2, 1, 2, 1)])
+def test_sample_instance_matches_the_list_draws(r, t, b, k):
+    for seed in range(6):
+        got = sample_instance(r, t, b, k, _targets(r, b), random.Random(seed))
+        assert got == ref_sample_instance(r, t, b, k, _targets(r, b), random.Random(seed))
 
 
 def test_hypermatching_rows_are_valid():

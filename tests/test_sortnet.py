@@ -1,10 +1,11 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permlab.perms import identity, is_simple, random_perm
+from permlab.perms import compose, identity, inverse, is_simple, random_perm
 from permlab.sortnet import (
     SorterNetwork,
     _merge_ops,
@@ -12,6 +13,7 @@ from permlab.sortnet import (
     _schedule,
     build_sort_network,
     decompose,
+    decompose_many,
     depth_bound,
 )
 
@@ -134,3 +136,27 @@ def test_decompose_recompose_property(sigma, b):
     for P, g in zip(d.partitions, d.gammas):
         assert is_simple(g, P)
         assert sorted(x for grp in P for x in grp) == list(range(1, 13))
+
+
+def ref_gammas(sigma, b):
+    """decompose's gammas as a loop over the layers finds them: sort the
+    values on each group's wires, and record where each wire's value went."""
+    w, moves = tuple(sigma), []
+    for layer in build_sort_network(len(sigma), b).layers:
+        new = list(w)
+        for grp in layer:
+            for x, v in zip(grp, sorted(w[x - 1] for x in grp)):
+                new[x - 1] = v
+        moves.append(compose(inverse(tuple(new)), w))
+        w = tuple(new)
+    return tuple(reversed(moves))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([(2, 2), (9, 3), (12, 4), (16, 4), (17, 2), (25, 5)]).flatmap(
+    lambda mb: st.tuples(st.just(mb[1]), st.lists(st.permutations(range(1, mb[0] + 1)), min_size=1, max_size=5))))
+def test_decompose_many_matches_the_layer_loop(case):
+    # every row of a batch is decomposed as on its own
+    b, sigmas = case
+    got = decompose_many(np.array(sigmas, dtype=np.int32), b)
+    assert [tuple(map(tuple, g)) for g in got.tolist()] == [ref_gammas(s, b) for s in sigmas]
