@@ -2,11 +2,22 @@
 
 All three are rows of fields between fixed separators: int32 fields as
 str(int) prints them, then at most one tag field. format_rows writes rows
-from columns (format_chunks the same bytes a chunk at a time). read_rows
-reads them back into columns, window by window: it parses optimistically,
-then proves the parse exact by formatting the parsed columns again and
-comparing the bytes with the input. Equality leaves no room for floats,
-signs such as "+", leading zeros, stray tokens, int32 overflow or rows of
+from columns (format_chunks the same bytes a chunk at a time).
+
+Each chunk of rows is laid out as one byte matrix, a matrix row a text row.
+Each separator and field has its own block of columns: an int field is as
+wide as its widest value in the chunk, digits right-aligned after a sign
+column when some value is negative; a tag field is as wide as the longest
+name. Every cell a row does not print holds 0 (leading zeros, the sign
+cell of a value that is not negative, a short name's padding), so dropping
+the 0 bytes gives the chunk's text. No separator, digit or tag byte is 0:
+format_chunks refuses a separator or name holding one.
+
+read_rows reads rows back into columns, window by window: it parses
+optimistically, then proves the parse exact by formatting the parsed
+columns again and comparing the bytes with the input. Equality leaves no
+room for floats, signs such as "+", leading zeros, stray tokens (a NUL
+among them, since the formatter writes none), int32 overflow or rows of
 the wrong shape, so the parsing needs no grammar of its own.
 
 A tag is a non-empty run of ASCII letters, digits and "_:.-". It needs no
@@ -57,59 +68,73 @@ def used_tags(names: Sequence[str], ids: np.ndarray) -> list[str]:
     return used
 
 
-def _decimal(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An int32 column's values as right-aligned ASCII digits, after a sign
-    column when any is negative, with the mask of the characters str(int)
-    would print."""
-    v = col.astype(np.int64)
-    a = np.abs(v).astype(np.uint32)  # every int32 magnitude fits, 2**31 too
-    width = len(str(int(a.max())))
-    chars = np.empty((len(a), width), dtype=np.uint8)
-    rest = a
-    for j in range(width - 1, -1, -1):  # units first; // by a scalar is the fast path
-        high = rest // 10
-        chars[:, j] = rest - 10 * high
-        rest = high
-    chars += ord("0")
-    keep = a[:, None] >= 10 ** np.arange(width - 1, -1, -1, dtype=np.uint32)  # from the leading digit on
-    keep[:, -1] = True  # zero prints as "0"
-    if (v < 0).any():
-        chars = np.concatenate([np.full((len(v), 1), ord("-"), np.uint8), chars], axis=1)
-        keep = np.concatenate([(v < 0)[:, None], keep], axis=1)
-    return chars, keep
-
-
 def format_rows(seps: Sequence[bytes], cols: Sequence[np.ndarray],
                 ids: np.ndarray | None = None, table: Sequence[bytes] = ()) -> bytes:
     """Rows seps[0] f0 seps[1] f1 ... seps[-1], concatenated. The fields are
-    the int columns, each value as str(int) prints it, then, when ids is
+    the int32 columns, each value as str(int) prints it, then, when ids is
     given, table[ids[row]]."""
     return b"".join(format_chunks(seps, cols, ids, table))
 
 
 def format_chunks(seps: Sequence[bytes], cols: Sequence[np.ndarray],
                   ids: np.ndarray | None = None, table: Sequence[bytes] = ()) -> Iterator[bytes]:
-    """format_rows's bytes, CHUNK rows at a time."""
+    """format_rows's bytes, CHUNK rows at a time, each chunk formatted when
+    it is reached. Raises ValueError, before the first chunk, for a separator
+    or table entry holding a NUL byte, which would be taken for an unprinted
+    cell, and TypeError for an int column that is not int32."""
+    if any(0 in piece for piece in (*seps, *table)):
+        raise ValueError("a separator or table entry holds a NUL byte")
+    if any(col.dtype != np.int32 for col in cols):
+        raise TypeError("the int columns must be int32")
+    names = np.zeros((len(table), max([1, *map(len, table)])), dtype=np.uint8)  # 0-padded
+    for row, name in zip(names, table):
+        row[:len(name)] = np.frombuffer(name, dtype=np.uint8)
+    names = names.view(f"V{names.shape[1]}")[:, 0]  # a name an item, copied as one
     n = len(cols[0]) if cols else len(ids)
-    if ids is not None:
-        lens = np.array([len(t) for t in table], dtype=np.int64)
-        names = np.zeros((len(table), int(lens.max(initial=0))), dtype=np.uint8)
-        for row, name in zip(names, table):
-            row[:len(name)] = np.frombuffer(name, dtype=np.uint8)
-    for lo in range(0, n, CHUNK):
-        fields = [_decimal(col[lo:lo + CHUNK]) for col in cols]
-        if ids is not None:
-            part = ids[lo:lo + CHUNK]
-            fields.append((names[part], np.arange(names.shape[1]) < lens[part][:, None]))
-        k = min(CHUNK, n - lo)
-        pieces = []
-        for sep, field in zip(seps, [*fields, None]):
-            sep_chars = np.broadcast_to(np.frombuffer(sep, dtype=np.uint8), (k, len(sep)))
-            pieces.append((sep_chars, np.ones((k, len(sep)), dtype=bool)))
-            if field is not None:
-                pieces.append(field)
-        chars, keep = zip(*pieces)
-        yield np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)].tobytes()
+    return (_chunk(seps, [col[lo:lo + CHUNK] for col in cols],
+                   None if ids is None else names[ids[lo:lo + CHUNK]]) for lo in range(0, n, CHUNK))
+
+
+def _chunk(seps: Sequence[bytes], parts: list[np.ndarray], tags: np.ndarray | None) -> bytes:
+    """The rows of the int32 columns parts and of the 0-padded tags, laid
+    out as one byte matrix (a matrix row per text row, a column block per
+    separator or field), then compacted by dropping its 0 cells."""
+    mags = [np.abs(part).view(np.uint32) for part in parts]  # abs(-2**31) too
+    signs = [(part < 0).view(np.uint8) for part in parts]
+    signs = [sign if sign.any() else None for sign in signs]  # a sign column only when needed
+    widths = [(sign is not None) + len(str(int(mag.max()))) for mag, sign in zip(mags, signs)]
+    widths += [] if tags is None else [tags.itemsize]
+    matrix = np.empty((len(parts[0]) if parts else len(tags), sum(map(len, seps)) + sum(widths)),
+                      dtype=np.uint8)
+    at = 0
+    for i, (sep, width) in enumerate(zip(seps, [*widths, 0])):
+        matrix[:, at:at + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
+        at += len(sep)
+        field = matrix[:, at:at + width]
+        if i < len(parts):
+            if signs[i] is not None:
+                np.multiply(signs[i], ord("-"), out=field[:, 0])
+                field = field[:, 1:]
+            _digits(field, mags[i])
+        elif i == len(parts) and tags is not None:
+            field.view(tags.dtype)[:, 0] = tags
+        at += width
+    flat = matrix.ravel()
+    return flat[flat != 0].tobytes()
+
+
+def _digits(out: np.ndarray, mags: np.ndarray) -> None:
+    """Write the uint32 values mags right-aligned into the columns of out as
+    ASCII digits, with 0 in place of each leading zero."""
+    rest, low = mags, mags.astype(np.uint8)  # low: rest's last byte, enough for its last digit
+    for j in range(out.shape[1] - 1, -1, -1):  # units first; // by a scalar is the fast path
+        high = rest // 10
+        high_low = high.astype(np.uint8)
+        digit = low - high_low * np.uint8(10) + np.uint8(ord("0"))  # mod 256
+        if j < out.shape[1] - 1:  # the units digit always prints, so zero prints as "0"
+            digit *= (rest != 0).view(np.uint8)  # a leading zero prints nothing
+        out[:, j] = digit
+        rest, low = high, high_low
 
 
 class FormatError(ValueError):
@@ -143,8 +168,7 @@ def read_rows(data: bytes, lo: int, end: int, seps: Sequence[bytes], cols: Seque
     Bytes format_rows would not write raise FormatError naming the offset of
     the first of them."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    sep = np.zeros(256, dtype=bool)
-    sep[list(b"".join(seps))] = True
+    stops = bytes(set(b"".join(seps)))  # the bytes that end a field
     width = len(seps) - 1  # fields a row
     ints = width - (ids is not None)
     index: dict[bytes, int] = {}  # token -> tag id
@@ -153,7 +177,7 @@ def read_rows(data: bytes, lo: int, end: int, seps: Sequence[bytes], cols: Seque
     while lo < end:
         hi = data.find(seps[-1] + seps[0], lo + WINDOW, end)
         hi = end if hi < 0 else hi + len(seps[-1])  # whole rows
-        starts, ends = _fields(buf, lo, hi, sep)
+        starts, ends = _fields(buf, lo, hi, stops)
         rows = -(-len(starts) // width)
         # rows of width fields; a short last row is completed with the
         # window's first fields, which the check sees
@@ -175,11 +199,13 @@ def read_rows(data: bytes, lo: int, end: int, seps: Sequence[bytes], cols: Seque
     return tuple(token.decode() for token in index)
 
 
-def _fields(buf: np.ndarray, lo: int, hi: int, sep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of the runs of bytes in buf[lo:hi] outside the mask sep."""
-    inside = np.zeros(hi - lo + 2, dtype=bool)
-    np.logical_not(np.take(sep, buf[lo:hi]), out=inside[1:-1])
-    bounds = np.flatnonzero(inside[1:] != inside[:-1]) + lo  # each run's start, then its end
+def _fields(buf: np.ndarray, lo: int, hi: int, stops: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the runs of bytes in buf[lo:hi] that are none of stops."""
+    stop = np.zeros(hi - lo + 2, dtype=bool)
+    stop[[0, -1]] = True  # either end stops a run too
+    for byte in stops:  # one compare per byte value is faster than a 256-entry table lookup
+        stop[1:-1] |= buf[lo:hi] == byte
+    bounds = np.flatnonzero(stop[1:] != stop[:-1]) + lo  # each run's start, then its end
     return bounds[0::2], bounds[1::2]
 
 

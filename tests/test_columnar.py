@@ -29,7 +29,7 @@ from permlab.gen import (
     sample_simple,
     vertex_count,
 )
-from permlab.codec import CHUNK, WINDOW, format_rows, tag_table
+from permlab.codec import CHUNK, WINDOW, FormatError, format_chunks, format_rows, tag_table
 from permlab.graphs import (
     ExtractionError,
     GroupLayeredGraph,
@@ -714,6 +714,85 @@ def test_format_rows_prints_int32_as_str():
     assert format_rows((b"", b" ", b""), [col[:0]], col[:0], [b"x"]) == b""
 
 
+def ref_rows(seps, cols, ids=None, table=()):
+    """format_rows's bytes, a row at a time with f-strings."""
+    cells = [[f"{v}".encode() for v in col.tolist()] for col in cols]
+    if ids is not None:
+        cells.append([table[i] for i in ids.tolist()])
+    return b"".join(seps[0] + b"".join(cell + sep for cell, sep in zip(row, seps[1:]))
+                    for row in zip(*cells))
+
+
+def chunk_rows(n):
+    """n rows whose widest values and tags differ between the first chunk
+    and the next: 1-digit ids and 5- or 7-letter tags, then 6-digit ids,
+    negative in one column, and "player:10"."""
+    i = np.arange(n)
+    late = i >= CHUNK
+    us = np.where(late, 10**5 + i, i % 10).astype(np.int32)
+    vs = np.where(late, -us, i % 7).astype(np.int32)
+    return [us, vs], np.where(late, 2, i % 2).astype(np.uint16)
+
+
+TABLE = (b"fixed", b"referee", b"player:10")
+
+
+@pytest.mark.parametrize("seps, cols, ids, table", [
+    *(((b"", b" ", b" ", b"\n"), *chunk_rows(n), TABLE) for n in (CHUNK - 1, CHUNK, CHUNK + 1)),
+    ((b"(", b",", b")"), [np.array([-1, -10, -2**31, -999], dtype=np.int32),
+                          np.array([5, -2**31, 0, 2**31 - 1], dtype=np.int32)], None, ()),
+    ((b"", b"", b""), [np.array([12, -3, 0], dtype=np.int32), np.array([-45, 6, 7], dtype=np.int32)],
+     None, ()),
+    ((b"", b"", b""), [np.array([1, 23], dtype=np.int32)], np.array([1, 0]), (b"ab", b"c")),
+    ((b"<", b"|", b">"), [np.array([1, 2, 3], dtype=np.int32)], np.array([0, 1, 0]), (b"", b"tag")),
+    ((b"[", b"]"), [], np.array([0, 0]), (b"", b"")),
+    ((b"", b" ", b" ", b"\n"), [np.empty(0, dtype=np.int32)] * 2, np.empty(0, dtype=np.uint16), TABLE),
+], ids=["chunk-1", "chunk", "chunk+1", "signs", "empty-seps", "empty-seps-tags", "empty-entry",
+        "empty-entries-only", "no-rows"])
+def test_format_rows_matches_fstrings(seps, cols, ids, table):
+    assert format_rows(seps, cols, ids, table) == ref_rows(seps, cols, ids, table)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_format_rows_matches_fstrings_on_any_rows(data):
+    rows = data.draw(st.integers(0, 8))
+    cols = [np.array(data.draw(st.lists(INT32, min_size=rows, max_size=rows)), dtype=np.int32)
+            for _ in range(data.draw(st.integers(0, 3)))]
+    table = data.draw(st.lists(st.sampled_from([b"", *(w.encode() for w in WORDS)]), min_size=1, max_size=4))
+    ids = (np.array(data.draw(st.lists(st.integers(0, len(table) - 1), min_size=rows, max_size=rows)))
+           if not cols or data.draw(st.booleans()) else None)
+    seps = data.draw(st.lists(st.sampled_from([b"", b" ", b", ", b"\n", b'"']),
+                              min_size=len(cols) + (ids is not None) + 1,
+                              max_size=len(cols) + (ids is not None) + 1))
+    assert format_rows(seps, cols, ids, table) == ref_rows(seps, cols, ids, table)
+
+
+@pytest.mark.parametrize("seps, table", [
+    ((b"\0", b"\n"), ()),
+    ((b"", b" \0", b"\n"), ()),
+    ((b"", b" ", b" ", b"\n"), (b"fixed", b"ref\0ree")),
+    ((b"", b" ", b" ", b"\n"), (b"\0",)),
+])
+def test_format_chunks_refuses_nul_bytes(seps, table):
+    # a NUL would be dropped as an unprinted cell; refused before any chunk is made
+    cols = [np.arange(3, dtype=np.int32)] * (len(seps) - 1 - bool(table))
+    with pytest.raises(ValueError, match="NUL"):
+        format_chunks(seps, cols, np.zeros(3, dtype=np.uint16) if table else None, table)
+
+
+def test_format_chunks_refuses_columns_other_than_int32():
+    with pytest.raises(TypeError, match="int32"):
+        format_chunks((b"", b"\n"), [np.arange(3)])
+
+
+def test_artifact_separators_hold_no_nul():
+    from permlab import graphs, streams
+
+    for seps in (graphs._EDGE_ROW, graphs._TAG_ROW, streams._LINE, streams._TAGGED_LINE):
+        assert not any(0 in sep for sep in seps)
+
+
 @st.composite
 def raw_graphs(draw):
     """Any int32 edge rows (possibly none), any layer sizes, and tag tables
@@ -1052,6 +1131,27 @@ def test_readers_name_the_offset_of_each_mutation(artifacts, tmp_path, capsys):
         assert main(["verify", str(path)]) == 1, name
         report = json.loads(capsys.readouterr().out)
         assert report["violations"] == {str(path): [f"unreadable: {err.value}"]}, name
+
+
+@pytest.mark.parametrize("art", ["graph", "stream"])
+@pytest.mark.parametrize("field", ["int", "tag"])
+def test_readers_refuse_nul_bytes(artifacts, art, field):
+    # the formatter writes no NUL, so a NUL anywhere fails the reader's check:
+    # in an int field at the NUL, in a tag at the tag's first byte, since a
+    # token that is no tag is formatted as nothing
+    graph, stream = artifacts
+    data, read = (graph, LayeredGraph.from_json) if art == "graph" else (stream, parse_stream)
+    if art == "graph":
+        key = b'"edges": [[' if field == "int" else b'"tags": ["'
+        start = graph.index(key) + len(key)
+    else:
+        body = stream.index(b"\n", stream.index(b"\n") + 1) + 1
+        start = body if field == "int" else stream.rindex(b" ", body, stream.index(b"\n", body)) + 1
+    assert data[start:start + 1].isalnum()
+    bad = data[:start + 1] + b"\0" + data[start + 1:]
+    with pytest.raises(FormatError) as err:
+        read(bad)
+    assert err.value.offset == (start + 1 if field == "int" else start)
 
 
 @pytest.mark.parametrize("text, message", [
