@@ -12,7 +12,8 @@ experiments; the generator lays its samples out in one buffer without them.
 
 Edges are stored as columns: an (E, 3) int32 array of (layer, u, v) rows and
 a uint16 tag id per edge indexing a small table of tag names. Every builder
-and reader here works on whole columns.
+and reader here works on whole columns, or on blocks of rows where numpy
+would otherwise copy a whole int32 index column to int64.
 """
 
 from __future__ import annotations
@@ -79,11 +80,19 @@ class LayeredGraph:
         return self.layers[-1]
 
     def global_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each edge's endpoints as int64 global ids, vertices numbered from 1
-        layer by layer."""
-        start = np.cumsum([0, *self.layers], dtype=np.int64)  # vertices before layer i+1
-        li = self.edges[:, 0]
-        return start[li - 1] + self.edges[:, 1], start[li] + self.edges[:, 2]
+        """Each edge's endpoints as int32 global ids, vertices numbered from 1
+        layer by layer. Raise ValueError for 2**31 vertices or more."""
+        if self.vertex_count >= 2**31:
+            raise ValueError(f"{self.vertex_count} vertices do not fit in int32 ids")
+        start = np.cumsum([0, *self.layers]).astype(np.int32)  # vertices before layer i+1
+        gu, gv = (np.empty(len(self.edges), dtype=np.int32) for _ in range(2))
+        for rows, ub, vb in in_blocks(self.edges, gu, gv):
+            li = rows[:, 0].astype(np.intp)
+            np.take(start, li - 1, out=ub)
+            np.take(start, li, out=vb)
+            ub += rows[:, 1]
+            vb += rows[:, 2]
+        return gu, gv
 
     def validate(self) -> None:
         """Raise ValueError for a graph with no layers or a layer of negative
@@ -93,17 +102,19 @@ class LayeredGraph:
             raise ValueError("graph has no layers")
         if min(self.layers) < 0:
             raise ValueError(f"negative layer size {min(self.layers)}")
-        li, u, v = self.edges.T
-        bad_layer = (li < 1) | (li > self.depth - 1)
         sizes = np.array([0, *self.layers, 0], dtype=np.int64)
-        at = np.where(bad_layer, 0, li)  # sizes[at] is u's layer, sizes[at + 1] is v's
-        bad = bad_layer | (u < 1) | (u > sizes[at]) | (v < 1) | (v > sizes[at + 1])
-        if bad.any():
-            first = int(bad.argmax())
-            el, eu, ev = self.edges[first].tolist()
-            if bad_layer[first]:
-                raise ValueError(f"edge layer {el} out of range")
-            raise ValueError(f"edge ({el},{eu},{ev}) leaves its layers")
+        for (rows,) in in_blocks(self.edges):
+            li, u, v = rows.T
+            bad_layer = (li < 1) | (li > self.depth - 1)
+            # sizes[at] is u's layer, sizes[at + 1] is v's
+            at = np.where(bad_layer, 0, li).astype(np.intp)
+            bad = bad_layer | (u < 1) | (u > sizes[at]) | (v < 1) | (v > sizes[at + 1])
+            if bad.any():
+                first = int(bad.argmax())
+                el, eu, ev = rows[first].tolist()
+                if bad_layer[first]:
+                    raise ValueError(f"edge layer {el} out of range")
+                raise ValueError(f"edge ({el},{eu},{ev}) leaves its layers")
 
     def to_json(self) -> bytes:
         """The JSON payload as bytes, as json.dumps(payload, sort_keys=True)
@@ -298,11 +309,94 @@ def extract_permutation(g: LayeredGraph, m: int) -> Perm:
     """Recover sigma from reachability, or raise ExtractionError.
 
     Source i must reach exactly one of the first m sinks, and the map must be
-    a bijection on [m]. One sweep over the layers carries, for every vertex,
-    the set of sources reaching it as a Python int with bit i-1 for source i.
+    a bijection on [m]. A valid graph whose vertices all have in- and
+    out-degree at most 1 is a union of vertex-disjoint paths, and each sink's
+    source is its path's root (path_roots). Any other graph takes one sweep
+    over the layers that carries, for every vertex, the set of sources
+    reaching it as a Python int with bit i-1 for source i.
     """
     if g.first_size() < m or g.last_size() < m:
         raise ValueError(f"boundary layers smaller than m={m}")
+    hits = _path_hits(g, m)
+    if hits is None:
+        hits = _swept_hits(g, m)
+    for i, sinks in enumerate(hits, start=1):
+        if len(sinks) != 1:
+            raise ExtractionError(i, sinks)
+    out = [sinks[0] for sinks in hits]
+    if sorted(out) != list(range(1, m + 1)):
+        dup = next(v for v in out if out.count(v) > 1)
+        err = ExtractionError(out.index(dup) + 1, [dup])
+        err.args = (f"sources {[i + 1 for i, v in enumerate(out) if v == dup]} "
+                    f"all reach sink {dup} (the map is not a bijection)",)
+        raise err
+    return tuple(out)
+
+
+BLOCK = 1 << 16  # rows per block of in_blocks
+
+
+def in_blocks(*columns: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Aligned views of the columns, BLOCK rows at a time. numpy copies an
+    int32 index array to int64 before it gathers or scatters by it; a block
+    at a time, that copy stays small."""
+    for at in range(0, len(columns[0]), BLOCK):
+        yield tuple(c[at:at + BLOCK] for c in columns)
+
+
+def take_in_blocks(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = table[index[i]], a block of index at a time; index's entries
+    must index table."""
+    for at, to in in_blocks(index, out):
+        np.take(table, at, out=to, mode="clip")
+    return out
+
+
+def path_roots(up: np.ndarray) -> np.ndarray | None:
+    """The root of every vertex under the parent map up, whose entries index
+    up and where up[x] == x marks a root, by pointer doubling: after round k
+    each vertex points 2**k steps up its path or at its root. None when some
+    vertex's parents run into a cycle and never reach a root."""
+    root, step = up.copy(), np.empty_like(up)
+    for _ in range(len(up).bit_length() + 1):
+        take_in_blocks(root, root, step)
+        if np.array_equal(step, root):
+            break
+        root, step = step, root
+    return root if np.array_equal(take_in_blocks(up, root, step), root) else None
+
+
+def _path_hits(g: LayeredGraph, m: int) -> list[list[int]] | None:
+    """Each source's sinks among the first m, read off path roots, or None
+    unless the graph is valid and no vertex has two edges in or two out."""
+    try:
+        g.validate()
+        gu, gv = g.global_ids()
+    except ValueError:  # invalid, or too many vertices for int32 ids
+        return None
+    n = g.vertex_count
+
+    def once_each(ids: np.ndarray) -> bool:
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[ids] = True
+        return np.count_nonzero(seen) == len(ids)
+
+    if not (once_each(gu) and once_each(gv)):
+        return None
+    up = np.arange(n + 1, dtype=np.int32)  # id 0 is no vertex
+    up[gv] = gu
+    del gu, gv
+    root = path_roots(up)  # paths run forward through the layers, so none is cyclic
+    del up
+    hits: list[list[int]] = [[] for _ in range(m)]
+    for sink, source in enumerate(root[n - g.last_size() + 1:][:m].tolist(), start=1):
+        if source <= m:  # a path from one of the first m sources
+            hits[source - 1].append(sink)
+    return hits
+
+
+def _swept_hits(g: LayeredGraph, m: int) -> list[list[int]]:
+    """Each source's sinks among the first m, in one sweep over the layers."""
     order = np.argsort(g.edges[:, 0], kind="stable")  # bucket by layer, keeping edge order
     li, us, vs = g.edges[order].T
     bounds = np.searchsorted(li, np.arange(1, g.depth + 1)).tolist()
@@ -322,17 +416,7 @@ def extract_permutation(g: LayeredGraph, m: int) -> Perm:
             low = bits & -bits
             hits[low.bit_length() - 1].append(sink)
             bits ^= low
-    for i, sinks in enumerate(hits, start=1):
-        if len(sinks) != 1:
-            raise ExtractionError(i, sinks)
-    out = [sinks[0] for sinks in hits]
-    if sorted(out) != list(range(1, m + 1)):
-        dup = next(v for v in out if out.count(v) > 1)
-        err = ExtractionError(out.index(dup) + 1, [dup])
-        err.args = (f"sources {[i + 1 for i, v in enumerate(out) if v == dup]} "
-                    f"all reach sink {dup} (the map is not a bijection)",)
-        raise err
-    return tuple(out)
+    return hits
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from permlab.graphs import (
     ExtractionError,
     GroupLayeredGraph,
     LayeredGraph,
+    _path_hits,
     basic,
     concat_all,
     extract_permutation,
@@ -651,6 +652,56 @@ def test_extract_errors(edges, source, sinks):
     with pytest.raises(ExtractionError) as got:
         extract_permutation(g, 2)
     assert (got.value.source, got.value.sinks) == (source, sinks)
+
+
+@st.composite
+def path_graphs(draw):
+    """(m, g): layered graphs whose vertices have in- and out-degree at most
+    1, edges in any order. Each junction is a partial injection, so a path
+    may stop before the last layer, and may end at a sink past m."""
+    m = draw(st.integers(1, 4))
+    depth = draw(st.integers(1, 4))
+    layers = draw(st.lists(st.integers(m, m + 2), min_size=depth, max_size=depth))
+    edges = []
+    for li in range(1, depth):
+        targets = draw(st.permutations(range(1, layers[li] + 1)))
+        edges += [(li, u, v) for u, v in enumerate(targets, start=1)
+                  if u <= layers[li - 1] and draw(st.integers(0, 7))]  # drop 1 edge in 8
+    order = draw(st.permutations(range(len(edges))))
+    return m, LayeredGraph(layers, [edges[e] for e in order])
+
+
+@settings(deadline=None, max_examples=150)
+@given(path_graphs())
+@example((2, LayeredGraph([2], [])))                                       # depth 1
+@example((2, LayeredGraph([2, 2, 2], [(1, 1, 1), (1, 2, 2), (2, 2, 1)])))  # stops at layer 2
+@example((2, LayeredGraph([2, 3], [(1, 1, 3), (1, 2, 1)])))            # ends at sink 3 > m
+@example((3, LayeredGraph([3, 3, 3], [(1, 1, 2), (1, 2, 1), (1, 3, 3),
+                                      (2, 1, 3), (2, 2, 1), (2, 3, 2)])))  # a permutation
+def test_extract_reads_paths_off_their_roots(mg):
+    m, g = mg
+    assert _path_hits(g, m) is not None
+    check_extract(g, m)
+
+
+@pytest.mark.parametrize("edges", [
+    [(1, 1, 1), (1, 1, 2), (1, 2, 2)],     # source 1 branches
+    [(1, 1, 1), (1, 2, 1), (1, 2, 2)],     # sink 1 has two edges in
+    [(1, 1, 1), (1, 2, 2), (1, 2, 3)],     # a branch to a sink past m: still (1, 2)
+])
+def test_extract_sweeps_graphs_that_are_not_paths(edges):
+    g = LayeredGraph([2, 3], edges)
+    assert _path_hits(g, 2) is None
+    check_extract(g, 2)
+
+
+def test_extract_sweeps_invalid_graphs():
+    # an edge from position 0 leaves its layers; the sweep reads no source there
+    g = LayeredGraph([2, 3], [(1, 0, 1), (1, 2, 2)])
+    assert _path_hits(g, 2) is None
+    with pytest.raises(ExtractionError) as got:
+        extract_permutation(g, 2)
+    assert (got.value.source, got.value.sinks) == (1, [])
 
 
 @settings(deadline=None, max_examples=40)

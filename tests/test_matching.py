@@ -6,9 +6,11 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from permlab import matching
 from permlab.gen import default_params, gen_general, vertex_count
-from permlab.graphs import basic
+from permlab.graphs import basic, path_roots
 from permlab.matching import (
     BipartiteInstance,
     bipartite_of,
@@ -17,8 +19,8 @@ from permlab.matching import (
     sigma_cross,
     sigma_eq,
 )
-from permlab.perms import identity
-from test_columnar import adjacency, instance_of
+from permlab.perms import identity, random_perm
+from test_columnar import adjacency, adjacency_lists, instance_of, matching_lists, ref_max_matching
 
 
 def brute_max_matching(inst):
@@ -173,8 +175,14 @@ def test_max_matching_leaves_recursion_limit_alone(monkeypatch):
     ([0, 1], np.array([0, 2**31 + 1], dtype=np.int64), [], "edge 1 (1, 2147483649)"),
     ([0, 1], [0, 1], [0, 2], "canonical vertex 2 is outside [0, 2)"),   # a terminal
     ([0, 1], [0, 1], [-1], "canonical vertex -1 is outside [0, 2)"),
+    # a seed pair must be an edge: (0, 0) is not, only (0, 1) and (1, 0) are
+    ([0, 1], [1, 0], [0], "canonical vertex 0 has no copy edge (0, 0)"),
+    ([0, 2], [0, 0], [0, 1], "canonical vertex 1 has no copy edge (1, 1)"),
+    # no edges at all: seeding would certify a matching of size 2; the first in seed order
+    ([], [], [1, 0], "canonical vertex 1 has no copy edge (1, 1)"),
 ], ids=["left", "right", "negative", "first", "left_2**31", "right_2**31",
-        "canonical_terminal", "canonical_negative"])
+        "canonical_terminal", "canonical_negative", "no_copy_edge", "second_no_copy_edge",
+        "edgeless"])
 def test_from_edges_rejects_out_of_range_vertices(left, right, canonical, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         BipartiteInstance.from_edges(2, 1, left, right, canonical)
@@ -195,3 +203,109 @@ def test_max_matching_memory_per_vertex_and_edge(sigma):
     assert res.certified and res.size == dichotomy_size(sigma, inst.n)
     assert isinstance(res.match_left, array) and res.match_left.typecode == "i"
     assert peak <= 24 * (inst.side + inst.edge_count)
+
+
+def hopcroft_karp_only(inst):
+    """max_matching with the path certificate declining, so by Hopcroft-Karp."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matching, "_path_matching", lambda inst: None)
+        return max_matching(inst)
+
+
+@pytest.mark.parametrize("m, b, p", [(8, 2, 1), (16, 4, 1), (8, 2, 2), (12, 3, 2)])
+def test_path_certificate_equals_hopcroft_karp_on_generated_graphs(m, b, p):
+    params = default_params(m, b, k=2, p=p)
+    for sigma in (sigma_eq(m), sigma_cross(m), random_perm(m, random.Random(m + p))):
+        g = gen_general(sigma, params, random.Random(5))
+        inst = bipartite_of(g, m)
+        res = max_matching(inst)
+        # read off the paths: the CSR was never built
+        assert "indices" not in inst.__dict__ and "indptr" not in inst.__dict__
+        assert res.certified
+        assert matching_lists(res) == matching_lists(hopcroft_karp_only(bipartite_of(g, m)))
+        want = dichotomy_size(sigma, inst.n)
+        assert want is None or res.size == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(adjacency_lists())
+@example(([[0, 1], [1], [0]], 1, [0, 1]))          # one free path through both seed pairs
+@example(([[0], [1, 2], [0]], 1, [0, 1]))          # a path that augments
+def test_path_certificate_equals_hopcroft_karp_on_any_instance(case):
+    adj, half, canonical = case
+    res = max_matching(instance_of(adj, half, canonical))
+    hk = hopcroft_karp_only(instance_of(adj, half, canonical))
+    assert matching_lists(res) == matching_lists(hk)
+    assert matching_lists(res) == ref_max_matching(len(adj), adj, canonical)
+
+
+def test_path_certificate_reads_examples():
+    # both @example instances above take the path certificate
+    for adj in ([[0, 1], [1], [0]], [[0], [1, 2], [0]]):
+        res = matching._path_matching(instance_of(adj, 1, [0, 1]))
+        assert res is not None
+        assert matching_lists(res) == ref_max_matching(3, adj, [0, 1])
+
+
+def test_long_path_certificate_and_its_degree_2_fallback():
+    # the long augmenting path instance passes the degree test; one more edge
+    # out of left 0 fails it, and Hopcroft-Karp finds the same matching
+    n = 2_000
+    adj = [[i, i + 1] for i in range(n)] + [[0]]
+    inst = instance_of(adj, half=1, canonical=range(n))
+    assert matching._path_matching(inst) is not None
+    want = ref_max_matching(n + 1, adj, range(n))
+    assert matching_lists(max_matching(inst)) == want and want[0] == n + 1
+    adj[0].append(2)
+    inst = instance_of(adj, half=1, canonical=range(n))
+    assert matching._path_matching(inst) is None
+    res = max_matching(inst)
+    assert res.certified and matching_lists(res) == ref_max_matching(n + 1, adj, range(n))
+
+
+def test_two_non_seed_edges_into_a_right_vertex_fall_back():
+    # free terminals 1 and 2 both see right 0 only, left 0's seed partner
+    adj = [[0], [0], [0]]
+    inst = instance_of(adj, half=2, canonical=[0])
+    assert matching._path_matching(inst) is None
+    res = max_matching(inst)
+    assert res.certified and matching_lists(res) == ref_max_matching(3, adj, [0])
+
+
+def test_cyclic_seed_pairs_fall_back():
+    # left 0 -> right 1 and left 1 -> right 0 close a cycle of seed pairs that
+    # no free path enters; the free terminal 2 reaches the free right 2
+    adj = [[0, 1], [1, 0], [2]]
+    inst = instance_of(adj, half=1, canonical=[0, 1])
+    assert matching._path_matching(inst) is None
+    res = max_matching(inst)
+    assert res.certified and res.size == 3
+    assert matching_lists(res) == ref_max_matching(3, adj, [0, 1])
+
+
+@pytest.mark.parametrize("up, want", [
+    ([0], [0]),
+    ([0, 0, 1, 2, 3], [0, 0, 0, 0, 0]),
+    ([4, 0, 1, 2, 4, 5], [4, 4, 4, 4, 4, 5]),
+    ([1, 0], None),                     # cycles of length 2, 3 and 4 ...
+    ([1, 2, 0], None),
+    ([1, 2, 3, 0, 0, 4], None),         # ... with a tail, and a root beside them
+], ids=["root", "chain", "two_paths", "cycle_2", "cycle_3", "cycle_4_tail"])
+def test_path_roots(up, want):
+    root = path_roots(np.array(up, dtype=np.int32))
+    assert (root if root is None else root.tolist()) == want
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 1, 2, 3],   # every vertex its own root: the cover misses edge (3, 0)
+    [3, 1, 3, 3],   # left 1 cut off its path: left 0 and left 1 both take right 1
+], ids=["cover_misses_an_edge", "pairs_share_a_right_vertex"])
+def test_path_certificate_checks_reject_wrong_labels(monkeypatch, labels):
+    # free left 3 -> right 0 = left 0 -> right 1 = left 1 -> right 2 = left 2 -> free right 3
+    adj = [[0, 1], [1, 2], [2, 3], [0]]
+    inst = instance_of(adj, half=1, canonical=range(3))
+    assert matching._path_matching(inst) is not None
+    monkeypatch.setattr(matching, "path_roots", lambda up: np.array(labels, dtype=np.int32))
+    assert matching._path_matching(inst) is None
+    res = max_matching(inst)
+    assert res.certified and matching_lists(res) == ref_max_matching(4, adj, range(3))
