@@ -27,7 +27,8 @@ from .codec import json_int
 from .gen import default_params, gen_general, vertex_count
 from .graphs import ExtractionError, LayeredGraph, extract_permutation
 from .hph import parse_instance, referee_answer
-from .matching import bipartite_of, dichotomy_size, instance_to_stream, max_matching, sigma_cross, sigma_eq
+from .matching import (BipartiteInstance, bipartite_of, dichotomy_size, instance_to_stream, max_matching,
+                       sigma_cross, sigma_eq)
 from .perms import parse_perm, random_perm
 from .rs import parse_rs, validate_rs
 from .seeds import rng_for
@@ -131,34 +132,40 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _verify_permgraph(doc: dict, g: LayeredGraph) -> list[str]:
-    """Check a permgraph document, read without its graph, against the graph."""
-    problems = []
+def _verify_permgraph(doc: dict, g: LayeredGraph) -> tuple[list[str], BipartiteInstance | None, int | None]:
+    """Check a permgraph document, read without its graph, against the graph:
+    the problems found, then the matching instance and the size that
+    max_matching must certify on it, or None, None when the dichotomy says
+    nothing. The instance holds no reference to the graph."""
     m, b, k, p = (json_int(doc[key], key) for key in ("m", "b", "k", "p"))
     sigma = tuple(json_int(x, "sigma") for x in doc["sigma"])
     if len(sigma) != m:
-        return [f"sigma acts on [{len(sigma)}] but m={m}"]
+        return [f"sigma acts on [{len(sigma)}] but m={m}"], None, None
     try:
         g.validate()
     except (TypeError, ValueError) as err:
-        return [f"invalid graph: {err}"]
+        return [f"invalid graph: {err}"], None, None
+    problems = []
     try:
         got = extract_permutation(g, m)
         if got != sigma:
             problems.append(f"extracted {got}, expected {sigma}")
     except (ExtractionError, ValueError) as err:
-        problems.append(f"extraction failed: {err}")
-        return problems
+        return [f"extraction failed: {err}"], None, None
     want = vertex_count(default_params(m, b, k=k, p=p), general=True)
     if g.vertex_count != want:
         problems.append(f"vertex count {g.vertex_count}, expected {want}")
     want_size = dichotomy_size(sigma, g.vertex_count)
-    if want_size is not None:
-        res = max_matching(bipartite_of(g, m))
-        if not res.certified:
-            problems.append("matching certificate failed")
-        if res.size != want_size:
-            problems.append(f"max matching {res.size}, expected {want_size}")
+    if want_size is None:
+        return problems, None, None
+    return problems, bipartite_of(g, m), want_size
+
+
+def _verify_matching(inst: BipartiteInstance, want_size: int) -> list[str]:
+    res = max_matching(inst)
+    problems = [] if res.certified else ["matching certificate failed"]
+    if res.size != want_size:
+        problems.append(f"max matching {res.size}, expected {want_size}")
     return problems
 
 
@@ -189,12 +196,14 @@ def _verify_file(path: str) -> list[str]:
         data = fh.read()
     stripped = data.lstrip()
     if stripped.startswith(b"{"):
-        if b'"permgraph"' in data:
+        if data.rfind(b'"permgraph"') >= 0:  # sorted keys put "kind" after the graph
             g, doc = LayeredGraph.from_json(data)
             del data, stripped  # free the file's bytes before the matching runs
             if doc.get("kind") != "permgraph":
                 return [f"unrecognized JSON document in {path}"]
-            return _verify_permgraph(doc, g)
+            problems, inst, want_size = _verify_permgraph(doc, g)
+            del g  # and the graph: no reference to it is left while the oracle runs
+            return problems + ([] if inst is None else _verify_matching(inst, want_size))
         doc = json.loads(data)
         if doc.keys() == {field.name for field in fields(RunManifest)}:
             return _verify_manifest(RunManifest(**doc), os.path.dirname(path))

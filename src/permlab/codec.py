@@ -18,7 +18,10 @@ optimistically, then proves the parse exact by formatting the parsed
 columns again and comparing the bytes with the input. Equality leaves no
 room for floats, signs such as "+", leading zeros, stray tokens (a NUL
 among them, since the formatter writes none), int32 overflow or rows of
-the wrong shape, so the parsing needs no grammar of its own.
+the wrong shape, so the parsing needs no grammar of its own. The parse
+copies little: each field's start and end are a view of one array of run
+bounds, ints are combined in place, and a tag's id is looked up among the
+tags already numbered before any sort.
 
 A tag is a non-empty run of ASCII letters, digits and "_:.-". It needs no
 JSON escaping and holds no separator byte, so a tag field ends at the
@@ -162,58 +165,68 @@ def first_difference(a: bytes, b: bytes) -> int:
 def read_rows(data: bytes, lo: int, end: int, seps: Sequence[bytes], cols: Sequence[np.ndarray],
               ids: np.ndarray | None = None, trim: int = 0) -> tuple[str, ...]:
     """Read data[lo:end], which must be format_rows(seps, ...) less its last
-    trim bytes, into the given columns, each as long as the rows it must
-    hold: int32 columns for the int fields, then, when ids is given, the tag
-    ids. Returns the tag names, numbered in order of first appearance.
-    Bytes format_rows would not write raise FormatError naming the offset of
-    the first of them."""
+    trim bytes, into the given columns, whose length is the number of rows
+    it must hold: int32 columns for the int fields, then, when ids is given,
+    the tag ids. Returns the tag names, numbered in order of first
+    appearance. Bytes format_rows would not write, and more or fewer rows
+    than the columns hold, raise FormatError naming the offset of the first
+    of them."""
     buf = np.frombuffer(data, dtype=np.uint8)
     stops = bytes(set(b"".join(seps)))  # the bytes that end a field
     width = len(seps) - 1  # fields a row
     ints = width - (ids is not None)
-    index: dict[bytes, int] = {}  # token -> tag id
-    table: list[bytes] = []  # what format_rows writes for each token
+    size = len(cols[0]) if cols else len(ids)
+    tags = _Tags()
     at = 0
     while lo < end:
         hi = data.find(seps[-1] + seps[0], lo + WINDOW, end)
         hi = end if hi < 0 else hi + len(seps[-1])  # whole rows
-        starts, ends = _fields(buf, lo, hi, stops)
-        rows = -(-len(starts) // width)
-        # rows of width fields; a short last row is completed with the
-        # window's first fields, which the check sees
-        starts, ends = np.resize(starts, (rows, width)), np.resize(ends, (rows, width))
-        vals = _ints(buf, starts[:, :ints].ravel(), ends[:, :ints].ravel()).reshape(rows, ints)
+        bounds = _fields(buf, lo, hi, stops)
+        rows = -(-len(bounds) // width)
+        if len(bounds) == rows * width:
+            bounds = bounds.reshape(rows, width, 2)  # a view: [row, field] is (start, end)
+        else:  # a short last row is completed with the window's first fields, which the check sees
+            bounds = np.resize(bounds, (rows, width, 2))
+        starts, ends = bounds[:, :, 0], bounds[:, :, 1]
+        words, base = _words(buf, lo, hi)
+        vals = _ints(buf, words, base, starts[:, :ints], ends[:, :ints], data.find(b"-", lo, hi) >= 0)
         got = None
         if ids is not None:
-            got = _token_ids(buf, starts[:, -1], ends[:, -1], index, table)
-            if len(index) > np.iinfo(ids.dtype).max + 1:
+            got = tags.ids(buf, words, base, starts[:, -1], ends[:, -1])
+            if len(tags.index) > np.iinfo(ids.dtype).max + 1:
                 raise ValueError(f"at most {np.iinfo(ids.dtype).max + 1} distinct tags")
-        text = format_rows(seps, list(vals.T), got, table)
+        text = format_rows(seps, list(vals.T), got, tags.table)
         expect(data, lo, hi, text if hi < end else text[:len(text) - trim])
+        if at + rows > size:
+            raise FormatError(int(starts[size - at, 0]) - len(seps[0]), f"more than {size} rows")
         # filled in place, so no window's rows outlive it
         for out, col in zip(cols, vals.T):
             out[at:at + rows] = col
         if ids is not None:
             ids[at:at + rows] = got
         lo, at = hi, at + rows
-    return tuple(token.decode() for token in index)
+    if at < size:
+        raise FormatError(end, f"{at} rows, not {size}")
+    return tuple(token.decode() for token in tags.index)
 
 
-def _fields(buf: np.ndarray, lo: int, hi: int, stops: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets of the runs of bytes in buf[lo:hi] that are none of stops."""
+def _fields(buf: np.ndarray, lo: int, hi: int, stops: bytes) -> np.ndarray:
+    """(start, end) offsets, one row each, of the runs of bytes in buf[lo:hi]
+    that are none of stops."""
     stop = np.zeros(hi - lo + 2, dtype=bool)
     stop[[0, -1]] = True  # either end stops a run too
     for byte in stops:  # one compare per byte value is faster than a 256-entry table lookup
         stop[1:-1] |= buf[lo:hi] == byte
-    bounds = np.flatnonzero(stop[1:] != stop[:-1]) + lo  # each run's start, then its end
-    return bounds[0::2], bounds[1::2]
+    bounds = np.flatnonzero(stop[1:] != stop[:-1])  # each run's start, then its end
+    bounds += lo
+    return bounds.reshape(-1, 2)
 
 
-def _words(buf: np.ndarray, lo: int, hi: int, fill: int) -> tuple[np.ndarray, int]:
+def _words(buf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int]:
     """(words, base): words[o - base] is the little-endian 8-byte word at
-    offsets o..o+7 of buf[lo:hi], for lo - 16 <= o <= hi, with fill read
+    offsets o..o+7 of buf[lo:hi], for lo - 16 <= o <= hi, with 0 read
     outside [lo, hi)."""
-    pad = np.full(hi - lo + 24, fill, dtype=np.uint8)
+    pad = np.zeros(hi - lo + 24, dtype=np.uint8)
     pad[16:16 + hi - lo] = buf[lo:hi]
     return np.ndarray((len(pad) - 7,), dtype="<u8", buffer=pad, strides=(1,)), lo - 16
 
@@ -221,64 +234,112 @@ def _words(buf: np.ndarray, lo: int, hi: int, fill: int) -> tuple[np.ndarray, in
 _U64 = np.uint64
 _LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=_U64)  # keeps the k first bytes
 _HIGH = ~_LOW[::-1]  # keeps the k last bytes
+_SWAR = [(_U64(mask), _U64((10 ** k << 8 * k) + 1), _U64(8 * k))
+         for k, mask in ((1, 0x0F0F0F0F0F0F0F0F), (2, 0x00FF00FF00FF00FF), (4, 0x0000FFFF0000FFFF))]
 
 
-def _ints(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _ints(buf: np.ndarray, words: np.ndarray, base: int, starts: np.ndarray, ends: np.ndarray,
+          signed: bool) -> np.ndarray:
     """The int32 that each field buf[start:end] spells as an optional "-" and
-    decimal digits. Other fields give values that do not format back to them.
-    Eight digits are combined at a time, as one word (SWAR)."""
-    if not len(starts):
-        return np.empty(0, dtype=np.int32)
-    words, base = _words(buf, int(starts.min()), int(ends.max()), ord("0"))
-    neg = buf[starts] == ord("-")
-    digits = ends - starts - neg
-    val = np.zeros(len(starts), dtype=_U64)
-    for j in range(-(-min(int(digits.max()), 16) // 8)):  # int32 has 10 digits
+    decimal digits; signed False says that no field holds a "-". Other
+    fields give values that do not format back to them. Eight digits are
+    combined at a time, as one word (SWAR), in place. words and base are
+    _words's for offsets that hold the fields."""
+    digits = ends - starts
+    if signed:
+        neg = buf[starts] == ord("-")
+        digits -= neg
+    val = np.zeros(digits.shape, dtype=_U64)
+    for j in range(-(-min(int(digits.max(initial=0)), 16) // 8)):  # int32 has 10 digits
         # the word's last digits, the bytes before them masked to 0, which reads as a digit 0
-        w = words[ends - 8 * (j + 1) - base] & _HIGH[np.clip(digits - 8 * j, 0, 8)]
-        w = ((w & _U64(0x0F0F0F0F0F0F0F0F)) * _U64((10 << 8) + 1)) >> _U64(8)
-        w = ((w & _U64(0x00FF00FF00FF00FF)) * _U64((100 << 16) + 1)) >> _U64(16)
-        w = ((w & _U64(0x0000FFFF0000FFFF)) * _U64((10000 << 32) + 1)) >> _U64(32)
-        val += w * _U64(10 ** (8 * j))
-    val = val.astype(np.int64)
-    return np.where(neg, -val, val).astype(np.int32)  # wraps outside int32, which the check sees
+        w = words[ends - (8 * (j + 1) + base)]
+        w &= _HIGH[np.clip(digits - 8 * j, 0, 8)]
+        for mask, times, shift in _SWAR:  # adjacent groups of 1, 2, then 4 digits joined
+            w &= mask
+            w *= times
+            w >>= shift
+        if j:
+            w *= _U64(10 ** (8 * j))
+        val += w
+    val = val.view(np.int64)
+    if signed:
+        np.negative(val, out=val, where=neg)
+    return val.astype(np.int32)  # wraps outside int32, which the check sees
 
 
-def _token_ids(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-               index: dict[bytes, int], table: list[bytes]) -> np.ndarray:
-    """The id in index of each token buf[start:end]. A new token gets the
-    next id and, in table, what format_rows writes for it: the token itself
-    when it is a tag, otherwise b"", which the check never finds equal to it.
-    A key holds a token's length and all its bytes, so sorting the keys
-    groups exactly the equal tokens."""
-    width = 1 + -(-int((ends - starts).max(initial=0)) // 8)
-    step = max(1, WINDOW // width)  # tokens at once, which bounds the keys
-    ids = np.empty(len(starts), dtype=np.int64)
-    for lo in range(0, len(starts), step):
-        s, e = starts[lo:lo + step], ends[lo:lo + step]
-        keys = _keys(buf, s, e, width)
-        order = np.lexsort(keys)  # stable: each run of equal keys starts at its first appearance
-        by_key = keys[:, order]
-        run = np.ones(len(order), dtype=bool)
-        run[1:] = (by_key[:, 1:] != by_key[:, :-1]).any(axis=0)
-        heads = order[run]
-        head_ids = np.empty(len(heads), dtype=np.int64)
-        for g in np.argsort(heads).tolist():  # in order of first appearance
-            token = buf[s[heads[g]]:e[heads[g]]].tobytes()
-            head_ids[g] = index.setdefault(token, len(index))
-            if head_ids[g] == len(table):
-                table.append(token if TAG.fullmatch(token.decode("latin-1")) else b"")
-        ids[lo + order] = head_ids[np.cumsum(run) - 1]
-    return ids
+class _Tags:
+    """The tag ids of the tokens of one read, window by window. index maps
+    each token to its id, numbered in order of first appearance; table[id]
+    is what format_rows writes for it: the token itself when it is a tag,
+    otherwise b"", which the check never finds equal to it."""
+
+    def __init__(self):
+        self.index: dict[bytes, int] = {}
+        self.table: list[bytes] = []
+        self.known = self._known()
+
+    def _known(self) -> tuple[np.ndarray, ...]:
+        """The 0-padded word, length and id of each numbered token of at most
+        8 bytes, and of a length 0 entry that no token matches, as columns
+        sorted by word."""
+        rows = sorted([(0, 0, 0), *((int.from_bytes(token, "little"), len(token), i)
+                                     for token, i in self.index.items() if len(token) <= 8)])
+        return tuple(np.array(col, dtype=t) for col, t in zip(zip(*rows), (_U64, np.intp, np.intp)))
+
+    def ids(self, buf: np.ndarray, words: np.ndarray, base: int,
+            starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The id of each token buf[start:end]. A token is looked up among
+        the known ones by its first word, then its length: the two fix a
+        token of at most 8 bytes. The misses go through _sorted: new tokens,
+        longer ones, and a token that shares its word with a known one of
+        another length, which only a NUL at the end of one of them allows."""
+        lens = ends - starts
+        first = words[starts - base]
+        first &= _LOW[np.minimum(lens, 8)]
+        known_words, known_lens, known_ids = self.known
+        at = np.searchsorted(known_words, first)
+        np.minimum(at, len(known_words) - 1, out=at)
+        ids = known_ids[at]
+        miss = (known_words[at] != first) | (known_lens[at] != lens)
+        if miss.any():
+            ids[miss] = self._sorted(buf, words, base, starts[miss], ends[miss])
+        return ids
+
+    def _sorted(self, buf: np.ndarray, words: np.ndarray, base: int,
+                starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The id of each token buf[start:end], new tokens getting the next
+        ids. A key holds a token's length and all its bytes, so a stable sort
+        of the keys groups exactly the equal tokens."""
+        width = 1 + -(-int((ends - starts).max(initial=0)) // 8)
+        step = max(1, WINDOW // width)  # tokens at once, which bounds the keys
+        ids = np.empty(len(starts), dtype=np.intp)
+        numbered = len(self.index)
+        for lo in range(0, len(starts), step):
+            s, e = starts[lo:lo + step], ends[lo:lo + step]
+            keys = _keys(words, base, s, e, width)
+            order = np.lexsort(keys)  # stable: each run of equal keys starts at its first appearance
+            by_key = keys[:, order]
+            run = np.ones(len(order), dtype=bool)
+            run[1:] = (by_key[:, 1:] != by_key[:, :-1]).any(axis=0)
+            heads = order[run]
+            head_ids = np.empty(len(heads), dtype=np.intp)
+            for g in np.argsort(heads).tolist():  # in order of first appearance
+                token = buf[s[heads[g]]:e[heads[g]]].tobytes()
+                head_ids[g] = self.index.setdefault(token, len(self.index))
+                if head_ids[g] == len(self.table):
+                    self.table.append(token if TAG.fullmatch(token.decode("latin-1")) else b"")
+            ids[lo + order] = head_ids[np.cumsum(run) - 1]
+        if len(self.index) > numbered:
+            self.known = self._known()
+        return ids
 
 
-def _keys(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+def _keys(words: np.ndarray, base: int, starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
     """The key of each token buf[start:end], as a column of width words: its
-    length, then its bytes as 8-byte words, zero past its end."""
+    length, then its bytes as 8-byte words, zero past its end. words and
+    base are _words's for offsets that hold the tokens."""
     keys = np.empty((width, len(starts)), dtype=_U64)
     keys[0] = lens = ends - starts
-    if len(starts):
-        words, base = _words(buf, int(starts.min()), int(ends.max()), 0)
-        for j in range(width - 1):
-            keys[1 + j] = words[np.minimum(starts + 8 * j, ends) - base] & _LOW[np.clip(lens - 8 * j, 0, 8)]
+    for j in range(width - 1):
+        keys[1 + j] = words[np.minimum(starts + 8 * j, ends) - base] & _LOW[np.clip(lens - 8 * j, 0, 8)]
     return keys

@@ -164,22 +164,27 @@ class LayeredGraph:
         edges = np.empty((data.count(b"]", start + 1, end), 3), dtype=np.int32)  # one "]" a row
         read_rows(data, start + 1, end, _EDGE_ROW, list(edges.T), trim=2)
         cuts = [(start, end + 1, b"NaN")]  # (start, end, stand-in) of each array read as columns
-        key = data.find(b'"tags": [')
+        # checked edge rows hold no '"', so the first "tags" key lies outside them
+        key = data.find(b'"tags": [', 0, start)
+        key = data.find(b'"tags": [', end + 1) if key < 0 else key
         if key >= 0:
             start = key + len(b'"tags": ')
             end = data.find(b"]", start)  # no tag holds a "]"
             if end < 0:
                 raise ValueError(f"byte {start}: tag array has no end")
-            tags = data.count(b", ", start, end) + (end > start + 1)  # a ", " between two tags
-            if tags > len(edges):
-                at = start + 1
-                for _ in range(len(edges)):  # to the first tag too many
-                    at = data.find(b", ", at) + 2
-                raise ValueError(f"byte {at}: more tags than the {len(edges)} edges")
-            if tags < len(edges):
-                raise ValueError(f"byte {end}: {tags} tags for {len(edges)} edges")
             tag_ids = np.empty(len(edges), dtype=np.uint16)
-            names = read_rows(data, start + 1, end, _TAG_ROW, [], tag_ids, trim=2)
+            try:
+                names = read_rows(data, start + 1, end, _TAG_ROW, [], tag_ids, trim=2)
+            except ValueError:  # a wrong tag count is named first
+                tags = data.count(b", ", start, end) + (end > start + 1)  # a ", " between two tags
+                if tags > len(edges):
+                    at = start + 1
+                    for _ in range(len(edges)):  # to the first tag too many
+                        at = data.find(b", ", at) + 2
+                    raise ValueError(f"byte {at}: more tags than the {len(edges)} edges") from None
+                if tags < len(edges):
+                    raise ValueError(f"byte {end}: {tags} tags for {len(edges)} edges") from None
+                raise
             cuts.append((start, end + 1, b"Infinity"))
         else:
             tag_ids, names = np.zeros(len(edges), dtype=np.uint16), ("fixed",)

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import LayeredGraph, in_blocks, path_roots, take_in_blocks
+from .graphs import BLOCK, LayeredGraph, in_blocks, path_roots, take_in_blocks
 from .perms import Perm, identity
 
 
@@ -143,7 +143,7 @@ def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
 class MatchingResult:
     size: int
     match_left: array           # array("i"): left index -> right index or -1
-    cover_left: np.ndarray
+    cover_left: np.ndarray      # int32 left and right vertices of the cover
     cover_right: np.ndarray
     certified: bool
 
@@ -229,7 +229,7 @@ def _path_matching(inst: BipartiteInstance) -> MatchingResult | None:
     match_left = array("i")
     match_left.frombytes(memoryview(match).cast("B"))  # one copy, not two
     del match
-    cover_left, cover_right = np.flatnonzero(in_cl), np.flatnonzero(in_cr)
+    cover_left, cover_right = _int32_nonzero(in_cl), _int32_nonzero(in_cr)
     if len(cover_left) + len(cover_right) != size:
         return None
     return MatchingResult(size, match_left, cover_left, cover_right, True)
@@ -316,10 +316,23 @@ def _hopcroft_karp(inst: BipartiteInstance) -> MatchingResult:
     from_reached = np.repeat(reached, np.diff(inst.indptr))   # per edge, in indices order
     in_cr = np.zeros(side, dtype=bool)
     in_cr[inst.indices[from_reached]] = True
-    cover_left, cover_right = np.flatnonzero(~reached), np.flatnonzero(in_cr)
+    cover_left, cover_right = _int32_nonzero(~reached), _int32_nonzero(in_cr)
     covered = (~from_reached | in_cr[inst.indices]).all()
     certified = len(cover_left) + len(cover_right) == size and bool(covered)
     return MatchingResult(size, match_l, cover_left, cover_right, certified)
+
+
+def _int32_nonzero(mask: np.ndarray) -> np.ndarray:
+    """np.flatnonzero(mask) as int32, found a block at a time, so no int64
+    array as long as the result is made."""
+    out = np.empty(np.count_nonzero(mask), dtype=np.int32)
+    at = 0
+    for lo in range(0, len(mask), BLOCK):
+        hits = np.flatnonzero(mask[lo:lo + BLOCK])
+        hits += lo
+        out[at:at + len(hits)] = hits
+        at += len(hits)
+    return out
 
 
 def instance_to_stream(inst: BipartiteInstance):

@@ -168,9 +168,8 @@ def parse_stream(data: str | bytes) -> EdgeStream:
         raise ValueError(f"directed flag must be 0 or 1, got {directed}")
     header = f"{MAGIC}\n{n} {count} {directed}\n".encode()
     expect(data, 0, len(header), header)
-    lines = data.count(b"\n", len(header)) + (len(data) > len(header) and not data.endswith(b"\n"))
-    if lines != count:
-        raise ValueError(f"expected {count} edges, found {lines}")
+    if not 0 <= count <= (len(data) - len(header)) // 4:  # more lines than fit: "0 0\n" is the shortest
+        _check_count(data, len(header), count)  # before columns that large are allocated
     eol = data.find(b"\n", len(header))
     tagged = len(data[len(header):eol if eol >= 0 else len(data)].split()) == 3
     us, vs = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
@@ -178,12 +177,22 @@ def parse_stream(data: str | bytes) -> EdgeStream:
     try:
         names = read_rows(data, len(header), len(data), _TAGGED_LINE if tagged else _LINE,
                           [us, vs], tag_ids)
-    except FormatError as err:  # name a line of the other kind as such
-        lo, hi = data.rfind(b"\n", 0, err.offset) + 1, data.find(b"\n", err.offset)
-        if len(data[lo:hi if hi >= 0 else len(data)].split()) == (2 if tagged else 3):
-            raise ValueError("mixed tagged and untagged edge lines") from None
+    except ValueError as err:  # the lines are counted only now, and a wrong count is named first
+        _check_count(data, len(header), count)
+        if isinstance(err, FormatError):  # name a line of the other kind as such
+            lo, hi = data.rfind(b"\n", 0, err.offset) + 1, data.find(b"\n", err.offset)
+            if len(data[lo:hi if hi >= 0 else len(data)].split()) == (2 if tagged else 3):
+                raise ValueError("mixed tagged and untagged edge lines") from None
         raise
     return EdgeStream.from_columns(n, directed == 1, us, vs, tag_ids, names)
+
+
+def _check_count(data: bytes, body: int, count: int) -> None:
+    """Raise ValueError unless data[body:] holds count lines, the last of
+    them maybe with no newline."""
+    lines = data.count(b"\n", body) + (len(data) > body and not data.endswith(b"\n"))
+    if lines != count:
+        raise ValueError(f"expected {count} edges, found {lines}") from None
 
 
 # ---------------------------------------------------------------------------

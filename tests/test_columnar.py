@@ -29,6 +29,7 @@ from permlab.gen import (
     sample_simple,
     vertex_count,
 )
+from permlab import codec
 from permlab.codec import CHUNK, WINDOW, FormatError, format_chunks, format_rows, tag_table
 from permlab.graphs import (
     ExtractionError,
@@ -1095,6 +1096,104 @@ def test_token_ids_are_exact_when_tokens_tie_on_length_and_leading_words():
     for got in LayeredGraph.from_json(g.to_json())[0], parse_stream(dump_stream(stream)):
         assert got.tags == g.tags
         assert got.tag_names == tuple(dict.fromkeys(g.tags))  # numbered by first appearance
+
+
+# tags that share a first 8-byte word and differ in length, and tags past 8 bytes
+SHARED = ("player:1", "player:12", "player:", "player:1x", "referee", "fixed", "x" * 9, "x" * 17)
+
+
+def read_in_small_windows(text, read):
+    """read(text) with read windows of about 64 bytes, and the number of
+    tokens that each call of the tag ids' sort path was given."""
+    sorted_tokens = []
+    real = codec._Tags._sorted
+
+    def spy(self, buf, words, base, starts, ends):
+        sorted_tokens.append(len(starts))
+        return real(self, buf, words, base, starts, ends)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codec, "WINDOW", 64)
+        mp.setattr(codec._Tags, "_sorted", spy)
+        return read(text), sorted_tokens
+
+
+def test_tag_ids_are_looked_up_then_sorted_across_windows():
+    # known tags are looked up in later windows; a tag first seen there, and
+    # every tag past 8 bytes, goes through the sort path
+    tags = ["referee"] * 12 + ["fixed"] * 12 + ["player:1"] * 6 + list(SHARED) * 3 + ["player:1"] * 6
+    edges = [(1, i % 7 + 1, (5 * i) % 7 + 1) for i in range(len(tags))]
+    g = LayeredGraph([7, 7], edges, tags)
+    stream = EdgeStream(7, True, [e[1:] for e in edges], tags)
+    for text, read, want in ((g.to_json(), lambda t: LayeredGraph.from_json(t)[0], ref_from_json(g.to_json())),
+                             (dump_stream(stream), parse_stream, ref_parse_stream(dump_stream(stream)))):
+        got, sorted_tokens = read_in_small_windows(text, read)
+        assert np.asarray(got.edges).tolist() == np.asarray(want.edges).tolist() and got.tags == want.tags
+        assert got.tag_names == tuple(dict.fromkeys(tags))  # numbered by first appearance
+        # "fixed" and "player:1" are first seen in later windows than "referee",
+        # and many tokens are found by the lookup alone
+        assert len(sorted_tokens) >= 3 and sum(sorted_tokens) < len(tags) // 2
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from(SHARED), st.integers(1, 2**31 - 1), st.booleans()),
+                min_size=1, max_size=40))
+def test_small_windows_read_mixed_tags_and_signs(rows):
+    # each row's int is negative or not, so some windows hold a "-" and some none
+    tags = [t for t, _, _ in rows]
+    g = LayeredGraph([2], [(1, -v if neg else v, 1) for _, v, neg in rows], tags)
+    got, _ = read_in_small_windows(g.to_json(), LayeredGraph.from_json)
+    assert_same_graph(got[0], ref_from_json(g.to_json()))
+    stream = EdgeStream(2**31 - 1, False, [(v, 1) for _, v, _ in rows], tags)
+    got, _ = read_in_small_windows(dump_stream(stream), parse_stream)
+    want = ref_parse_stream(dump_stream(stream))
+    assert (got.n, got.edges, got.tags) == (want.n, want.edges, want.tags)
+
+
+def test_stream_windows_with_and_without_negative_ints():
+    text = dump_stream(EdgeStream(9, True, [(i % 9 + 1, 1) for i in range(40)], None))
+    lines = text.splitlines(keepends=True)
+    bad = "".join(lines[:30]) + "-3 1\n" + "".join(lines[31:])  # a "-" only in a late window
+    messages = []
+    for read in (parse_stream, ref_parse_stream):
+        with pytest.raises(ValueError) as err:
+            read_in_small_windows(bad, read)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "edge (-3,1) outside [1,9]"
+
+
+@pytest.mark.parametrize("lines, count", [(5, 3), (3, 5), (4, 0), (0, 2), (4, -1), (4, 10**15), (40, 39)])
+@pytest.mark.parametrize("bad", [False, True])
+@pytest.mark.parametrize("small", [False, True])
+def test_parse_stream_names_a_wrong_count_first(lines, count, bad, small):
+    body = [f"{i + 1} {i + 2}\n" for i in range(lines)]
+    if bad and body:
+        body[len(body) // 2] = "1 x\n"  # a line dump_stream would not write
+    text = f"{MAGIC}\n50 {count} 1\n" + "".join(body)
+    message = f"expected {count} edges, found {lines}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ref_parse_stream(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read_in_small_windows(text, parse_stream) if small else parse_stream(text)
+
+
+def test_a_wrong_count_is_named_before_too_many_tags():
+    tags = [f"t{i}" for i in range(1 << 16 | 1)]
+    text = f"{MAGIC}\n1 {len(tags) + 1} 1\n" + "".join(f"1 1 {t}\n" for t in tags)
+    with pytest.raises(ValueError, match=f"^expected {len(tags) + 1} edges, found {len(tags)}$"):
+        parse_stream(text)
+    doc = json.dumps({"edges": [[1, 1, 1]] * (len(tags) - 1), "layers": [1, 1], "tags": tags})
+    with pytest.raises(ValueError, match=f"more tags than the {len(tags) - 1} edges$"):
+        LayeredGraph.from_json(doc)
+
+
+def test_read_rows_fills_the_columns_exactly():
+    # rows past the columns are named at the first of them, missing rows at the end
+    text = b"1 2\n3 4\n5 6\n"
+    for size, offset, message in ((2, 8, "more than 2 rows"), (4, 12, "3 rows, not 4")):
+        cols = [np.empty(size, dtype=np.int32) for _ in range(2)]
+        with pytest.raises(FormatError, match=f"^byte {offset}: {message}$"):
+            codec.read_rows(text, 0, len(text), (b"", b" ", b"\n"), cols)
 
 
 @settings(deadline=None, max_examples=60)

@@ -227,6 +227,22 @@ def test_path_certificate_equals_hopcroft_karp_on_generated_graphs(m, b, p):
         assert want is None or res.size == want
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_covers_are_int32_on_both_paths(p, monkeypatch):
+    # blocks of 7 vertices, so a cover is gathered across many blocks
+    monkeypatch.setattr(matching, "BLOCK", 7)
+    m = 8
+    for sigma in (sigma_eq(m), sigma_cross(m), random_perm(m, random.Random(p))):
+        g = gen_general(sigma, default_params(m, 2, k=2, p=p), random.Random(5))
+        inst = bipartite_of(g, m)
+        want = ref_max_matching(inst.side, adjacency(inst), inst.canonical.tolist())
+        paths = matching._path_matching(bipartite_of(g, m))
+        assert paths is not None
+        for res in paths, hopcroft_karp_only(inst):
+            assert res.cover_left.dtype == res.cover_right.dtype == np.int32
+            assert matching_lists(res) == want
+
+
 @settings(deadline=None, max_examples=200)
 @given(adjacency_lists())
 @example(([[0, 1], [1], [0]], 1, [0, 1]))          # one free path through both seed pairs
