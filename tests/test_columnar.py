@@ -456,6 +456,26 @@ def test_plan_matches_nested_reference(m, b, k, p):
 
 
 @pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("m, b", [(8, 2), (6, 3), (8, 4)])
+def test_gen_simple_matches_nested_reference(m, b, p):
+    # on Lex and on a non-Lex partition, whose sample is the Lex sample of
+    # s o rho o s^-1 wrapped in the two fixed layers of s and s^-1
+    params = default_params(m, b, k=2, p=p)
+    shuffled = random_perm(m, random.Random(m + b))
+    nonlex = tuple(shuffled[i:i + b] for i in range(0, m, b))
+    assert swap_perm(nonlex) != identity(m)
+    for P in (lex_partition(m, b), nonlex):
+        rho = random_simple(P, random.Random(p))
+        assert listed(gen_simple(rho, P, params, random.Random(9))) == ref_sample_simple(
+            rho, P, params, random.Random(9))
+        _, core = sample_simple(rho, P, params, random.Random(9))
+        sigmas, L, M = ref_sample_core(params.family.r, params.family.t, b, 2, random.Random(9))
+        s = swap_perm(P)
+        gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(compose(s, compose(rho, inverse(s))), b))
+        assert core == {"sigmas": sigmas, "L": L, "M": M, "gamma": gamma}
+
+
+@pytest.mark.parametrize("p", [1, 2])
 def test_sample_simple_parts_join_to_gen_simple(p):
     params = default_params(8, 2, k=2, p=p)
     for P in (lex_partition(8, 2), ((1, 5), (2, 6), (3, 7), (4, 8))):
