@@ -233,8 +233,8 @@ def cmd_verify(args) -> int:
     for path in args.files:
         try:
             problems = _verify_file(path)
-        except (OSError, ValueError, KeyError, TypeError, OverflowError) as err:
-            problems = [f"unreadable: {err}"]
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as err:
+            problems = [f"unreadable: {err}"]   # RecursionError: JSON nested past the interpreter's limit
         except MemoryError as err:
             problems = [f"out of memory: {str(err) or 'allocation failed'}"]
         results[path] = problems

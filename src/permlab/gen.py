@@ -5,9 +5,11 @@ equipartition: it plants the per-group permutations as the hidden composition
 of a sampled communication instance (multi-block plus a shift gadget), so the
 graph realizes rho while each player's edges depend on that player's matrix
 alone. Non-Lex partitions are handled by conjugating with a relabeling and
-wrapping the graph in two fixed basic layers. gen_general first splits an
-arbitrary permutation into simple factors along a sorting network, then hides
-each factor.
+wrapping the graph in two fixed layers. gen_general first splits an arbitrary
+permutation into simple factors along a sorting network, then hides each
+factor in the same way, chained: one fill hides a stack of factors, each with
+the relabeling that carries its partition onto Lex, and a simple permutation
+is the one-factor stack. The network's pieces are one cached table of arrays.
 
 At p >= 2 the two routing gadgets of every block, and the shift gadget, are
 themselves samples of the (p-1)-pass generator at the smaller size; the base
@@ -35,9 +37,9 @@ from itertools import islice
 import numpy as np
 
 from .blocks import multi_block
-from .graphs import LayeredGraph, basic, concat_all
+from .graphs import LayeredGraph, concat_all
 from .hph import core_bounds, cores_from_draws, force_gamma, recompute_gamma_star, sample_core
-from .perms import Partition, Perm, identity, inverse, is_simple, lex_partition, swap_perm
+from .perms import Partition, Perm, is_simple, lex_partition, swap_perm
 from .rs import RSGraph, trivial_rs
 from .seeds import randbelow_many
 from .sortnet import build_sort_network, decompose, decompose_many, depth_floor
@@ -49,8 +51,6 @@ p_multi_block_sample = multi_block
 
 MAX_VERTICES = 20_000_000
 MAX_K = (1 << 16) - 2  # the k + 2 tag names of _tag_names need uint16 ids
-
-Swap = tuple[Perm, Perm] | None  # a relabeling onto Lex and its inverse, None for Lex
 
 
 @dataclass(frozen=True)
@@ -119,23 +119,26 @@ def _regularize(P: Partition, b: int, m: int) -> list[tuple[Partition, frozenset
     return out
 
 
-def _swap(part: Partition, m: int, b: int) -> Swap:
-    """None for Lex, else the relabeling s carrying part onto Lex, and s^-1."""
-    if part == lex_partition(m, b):
-        return None
-    s = swap_perm(part)
-    return s, inverse(s)
+def _relabelings(parts: list[Partition], m: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each exact-b partition, one row each of: the relabeling s
+    carrying it onto Lex, s^-1, and whether it is wrapped (not Lex; Lex
+    itself has the identity and no wrapper)."""
+    lex = lex_partition(m, b)
+    s = np.array([swap_perm(part) for part in parts], dtype=np.int32)
+    return s, _inverse(s), np.array([part != lex for part in parts])
 
 
 @lru_cache(maxsize=64)
-def _layer_plan(m: int, b: int) -> tuple[tuple[int, Partition, frozenset[int], Swap], ...]:
+def _layer_plan(m: int, b: int) -> tuple[np.ndarray, ...]:
     """The pieces gen_general hides, in order, read off the sorting network
-    alone: each piece's layer index in decompose's order (the network's
-    layers reversed), its exact-b partition, the wires whose moves it takes,
-    and _swap of its partition."""
+    alone, one row per piece: its layer index in decompose's order (the
+    network's layers reversed), the wires whose moves it takes (a mask),
+    and _relabelings of its exact-b partition."""
     layers = reversed(build_sort_network(m, b).layers)
-    return tuple((i, part, placed, _swap(part, m, b))
-                 for i, P in enumerate(layers) for part, placed in _regularize(P, b, m))
+    plan = [(i, part, placed) for i, P in enumerate(layers) for part, placed in _regularize(P, b, m)]
+    moving = np.array([[x in placed for x in range(1, m + 1)] for *_, placed in plan])
+    return _read_only(np.array([i for i, *_ in plan]), moving,
+                      *_relabelings([part for _, part, _ in plan], m, b))
 
 
 def _factors(sigmas: np.ndarray, b: int) -> np.ndarray:
@@ -143,18 +146,8 @@ def _factors(sigmas: np.ndarray, b: int) -> np.ndarray:
     (n, pieces, m) array: decompose the rows along the sorting network, and
     split every layer's move as _layer_plan splits the layer."""
     m = sigmas.shape[1]
-    layer, moving, *_ = _piece_arrays(m, b)
+    layer, moving, *_ = _layer_plan(m, b)
     return np.where(moving, decompose_many(sigmas, b)[:, layer], np.arange(1, m + 1, dtype=np.int32))
-
-
-@lru_cache(maxsize=64)
-def _piece_arrays(m: int, b: int) -> tuple[np.ndarray, ...]:
-    """_layer_plan as arrays, one row per piece: its layer index, the wires
-    whose moves it takes (a mask), its swap's relabeling onto Lex and the
-    inverse (the identity for Lex pieces), and whether it has a swap."""
-    plan = _layer_plan(m, b)
-    moving = np.array([[x in placed for x in range(1, m + 1)] for _, _, placed, _ in plan])
-    return _read_only(np.array([i for i, *_ in plan]), moving, *_swap_arrays([swap for *_, swap in plan], m))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -162,13 +155,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def _swap_arrays(swaps: list[Swap], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ident = identity(m)
-    s = np.array([ident if swap is None else swap[0] for swap in swaps], dtype=np.int32)
-    s_inv = np.array([ident if swap is None else swap[1] for swap in swaps], dtype=np.int32)
-    return s, s_inv, np.array([swap is not None for swap in swaps])
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +170,15 @@ def _count_simple(m: int, b: int, k: int, p: int) -> int:
     return 2 * k * (2 * m + _count_general(2 * m, b, k, p - 1)) + _count_general(m, b, k, p - 1)
 
 
+def _count_pieces(m: int, b: int, k: int, p: int, wrapped: np.ndarray) -> int:
+    """Vertices of a sample hiding a stack of factors: a simple sample of
+    each, wrapped where wrapped says."""
+    return len(wrapped) * _count_simple(m, b, k, p) + 4 * m * int(wrapped.sum())
+
+
 @lru_cache(maxsize=256)
 def _count_general(m: int, b: int, k: int, p: int) -> int:
-    plan = _layer_plan(m, b)
-    return len(plan) * _count_simple(m, b, k, p) + 4 * m * sum(swap is not None for *_, swap in plan)
+    return _count_pieces(m, b, k, p, _layer_plan(m, b)[4])
 
 
 def _count_floor(m: int, k: int, p: int) -> int:
@@ -269,22 +260,17 @@ def _filled(perms: np.ndarray, sizes: np.ndarray, tags: np.ndarray, k: int) -> L
 
 
 @lru_cache(maxsize=64)
-def _bounds(m: int, b: int, k: int, p: int, general: bool) -> np.ndarray:
-    """The bounds of a sample's draws, in draw order: a simple sample's core
+def _bounds(m: int, b: int, k: int, p: int) -> np.ndarray:
+    """The bounds of a simple sample's draws, in draw order: its core
     (player matrices, row indices, hypermatching), then at p >= 2 its
-    routes' (p-1)-pass samples, blocks a = 1..k with the left route before
-    the right, the shift gadget last; a general sample draws the simple
-    samples of its pieces in turn."""
+    routes' (p-1)-pass general samples, blocks a = 1..k with the left route
+    before the right, the shift gadget last. A general sample draws the
+    simple samples of its pieces in turn."""
     parts = [core_bounds(2 * m // b, 1, b, k)]
     if p > 1:
-        parts += [_bounds(2 * m, b, k, p - 1, True)] * (2 * k) + [_bounds(m, b, k, p - 1, True)]
-    simple = np.concatenate(parts)
-    return _read_only(np.tile(simple, len(_layer_plan(m, b))) if general else simple)[0]
-
-
-def _span(m: int, b: int, k: int, p: int, general: bool) -> int:
-    """Entries of a sample's gadgets, half its vertices (a simple one on Lex)."""
-    return (_count_general if general else _count_simple)(m, b, k, p) // 2
+        routes = [np.tile(_bounds(size, b, k, p - 1), len(_layer_plan(size, b)[0])) for size in (2 * m, m)]
+        parts += routes[:1] * (2 * k) + routes[1:]
+    return _read_only(np.concatenate(parts))[0]
 
 
 def _inverse(perms: np.ndarray) -> np.ndarray:
@@ -302,9 +288,9 @@ def _extend(perms: np.ndarray, b: int) -> np.ndarray:
 class _Sample:
     """One sample's fill: its draws, and its gadgets as they are placed."""
 
-    def __init__(self, params: GenParams, rng: random.Random, general: bool, total: int):
+    def __init__(self, params: GenParams, rng: random.Random, bounds: np.ndarray, total: int):
         self.b, self.k = params.b, params.k
-        self.draws = randbelow_many(_bounds(params.m, params.b, params.k, params.p, general), rng)
+        self.draws = randbelow_many(bounds, rng)
         self.perms = np.empty(total, dtype=np.int32)   # the gadgets' entries, in layer order
         self.placed: list[tuple[np.ndarray, int, object]] = []   # offsets, size, tag id or ids
 
@@ -314,26 +300,26 @@ class _Sample:
         self.perms[at[:, None] + np.arange(size)] = perms.reshape(len(at), size)
         self.placed.append((at, size, tag))
 
-    def pieces(self, m: int, p: int, sigmas: np.ndarray, drawn: np.ndarray, at: np.ndarray):
-        """General samples hiding each row of sigmas, their draws starting at
-        drawn and their gadgets at at: their pieces' simple samples, each
-        piece's factor carried onto Lex, in draw order, the last piece
-        traversed first."""
-        _, _, s, s_inv, wrapped = _piece_arrays(m, self.b)
-        piece = np.arange(len(s))[:, None]
-        rho = s[piece, _factors(sigmas, self.b)[:, piece, s_inv - 1] - 1]   # s o factor o s^-1
-        spans = _span(m, self.b, self.k, p, False) + 2 * m * wrapped
+    def pieces(self, m: int, p: int, factors: np.ndarray, swaps: tuple, drawn: np.ndarray, at: np.ndarray):
+        """Samples hiding the product of each stack of factors, their draws
+        starting at drawn and their gadgets at at: a simple sample of each
+        factor, carried onto Lex by its row of swaps = (s, s^-1, wrapped),
+        in draw order, the last factor traversed first."""
+        s, s_inv, wrapped = swaps
+        n, count = factors.shape[:2]
+        piece = np.arange(count)[:, None]
+        rho = s[piece, factors[:, piece, s_inv - 1] - 1]   # s o factor o s^-1
+        spans = _count_simple(m, self.b, self.k, p) // 2 + 2 * m * wrapped
         after = spans.sum() - np.cumsum(spans)
-        drawn = drawn[:, None] + np.arange(len(s)) * len(_bounds(m, self.b, self.k, p, False))
-        n = len(sigmas)
-        return (rho.reshape(n * len(s), m), drawn.ravel(), (at[:, None] + after).ravel(),
-                np.tile(np.arange(len(s)), n), (s, s_inv, wrapped))
+        drawn = drawn[:, None] + np.arange(count) * len(_bounds(m, self.b, self.k, p))
+        return (rho.reshape(n * count, m), drawn.ravel(), (at[:, None] + after).ravel(),
+                np.tile(np.arange(count), n), swaps)
 
     def cores(self, m: int, p: int, rho: np.ndarray, drawn: np.ndarray, at: np.ndarray,
               piece: np.ndarray, swaps, top: bool, routes: dict) -> tuple:
-        """Simple samples hiding each row of rho (Lex-simple; wrapped by its
-        piece's swap if it has one): place their gadgets, add their routes'
-        samples to routes at p >= 2, and return the cores' arrays."""
+        """Simple samples hiding each row of rho (Lex-simple; wrapped in its
+        piece's relabeling where swaps says): place their gadgets, add their
+        routes' samples to routes at p >= 2, and return the cores' arrays."""
         b, k = self.b, self.k
         r, half, width = 2 * m // b, m // b, 2 * m
         n = len(rho)
@@ -362,8 +348,8 @@ class _Sample:
         s, s_inv, wrapped = swaps
         wrap = wrapped[piece]
         head = at + m * wrap
-        shift_span = m if p == 1 else _span(m, b, k, p - 1, True)
-        route_span = width if p == 1 else _span(width, b, k, p - 1, True)
+        shift_span = m if p == 1 else _count_general(m, b, k, p - 1) // 2
+        route_span = width if p == 1 else _count_general(width, b, k, p - 1) // 2
         block = head[:, None] + shift_span + (k - 1 - np.arange(k)) * (2 * route_span + width)
         self.place(block + route_span, encoded, np.tile(np.arange(2, k + 2), n) if top else REFEREE)
         self.place(at[wrap], s[piece[wrap]], FIXED)
@@ -374,7 +360,7 @@ class _Sample:
                 self.place(gadget_at, perms, REFEREE)
         else:
             after = drawn + bounds
-            each = len(_bounds(width, b, k, p - 1, True))
+            each = len(_bounds(width, b, k, p - 1)) * len(_layer_plan(width, b)[0])
             left_drawn = after[:, None] + 2 * np.arange(k) * each
             routes.setdefault(width, []).extend([
                 (left.reshape(n * k, width), left_drawn.ravel(), block.ravel()),
@@ -392,67 +378,53 @@ class _Sample:
         return self.perms, sizes[order], tags[order]
 
 
-def _fill(sigma: Perm, swap: Swap, params: GenParams, rng: random.Random, general: bool):
-    """Draw a sample hiding sigma: a general sample, or a simple one if
-    sigma is simple on Lex, or on the partition swap = (s, s^-1) carries
-    onto Lex. Returns its gadgets (perms, sizes, tag ids) in layer order
-    and its top core's matrices, row indices, hypermatching and shift
-    (those of a simple sample)."""
+def _fill(factors: np.ndarray, swaps: tuple, params: GenParams, rng: random.Random):
+    """Draw a sample hiding the product of a stack of factors, the last
+    applied first, factor i simple on the partition that row i of
+    swaps = (s, s^-1, wrapped) carries onto Lex. Returns its gadgets
+    (perms, sizes, tag ids) in layer order and the cores of its factors'
+    simple samples: matrices, row indices, hypermatchings and shifts."""
     m, b, k, p = params.m, params.b, params.k, params.p
-    wrappers = 0 if general or swap is None else 2 * m
-    fill = _Sample(params, rng, general, _span(m, b, k, p, general) + wrappers)
+    fill = _Sample(params, rng, np.tile(_bounds(m, b, k, p), len(factors)),
+                   _count_pieces(m, b, k, p, swaps[2]) // 2)
     zero = np.zeros(1, dtype=np.int64)
-    sigma = np.array([sigma], dtype=np.int32)
-    if general:
-        samples = {m: [(sigma, zero, zero)]}   # general samples: permutations, draw and buffer offsets
-    else:
-        swaps = _swap_arrays([swap], m)
-        s, s_inv, _ = swaps
-        simple = {m: [(s[:, sigma[0, s_inv[0] - 1] - 1], zero, zero, np.zeros(1, dtype=np.int64), swaps)]}
+    samples = {m: (factors[None], swaps, zero, zero)}   # factors, relabelings, draw and buffer offsets
     core = None
     for level in range(p):
-        if general or level:
-            simple = {size: [fill.pieces(size, p - level, *map(np.concatenate, zip(*parts)))]
-                      for size, parts in samples.items()}
+        routes: dict = {}
+        for size, (factors, swaps, drawn, at) in samples.items():
+            made = fill.cores(size, p - level, *fill.pieces(size, p - level, factors, swaps, drawn, at),
+                              top=level == 0, routes=routes)
+            core = made if core is None else core
         samples = {}
-        for size, parts in simple.items():
-            for part in parts:
-                made = fill.cores(size, p - level, *part, top=level == 0, routes=samples)
-                core = made if core is None else core
+        for size, parts in routes.items():   # the routes are general samples
+            sigmas, drawn, at = map(np.concatenate, zip(*parts))
+            samples[size] = (_factors(sigmas, b), _layer_plan(size, b)[2:], drawn, at)
     return fill.gadgets(), core
-
-
-def _simple_swap(rho: Perm, P: Partition, params: GenParams):
-    """Check a simple sample's inputs; None if P is Lex, else (s, s^-1)."""
-    m, b = params.m, params.b
-    if len(rho) != m:
-        raise ValueError(f"rho acts on [{len(rho)}], params say m={m}")
-    canon = tuple(sorted((tuple(sorted(g)) for g in P), key=lambda g: g[0]))
-    if not is_simple(rho, canon):
-        raise ValueError("rho is not simple on the given partition")
-    vertex_count(params, general=False)
-    return _swap(canon, m, b)
 
 
 def sample_simple(
     rho: Perm, P: Partition, params: GenParams, rng: random.Random
-) -> tuple[list[LayeredGraph], dict]:
-    """gen_simple's gadgets as two-layer parts in concat_all's order (the
-    last is traversed first), plus the sampled communication core, for
-    replay experiments."""
-    (perms, sizes, tags), (sig, L, M, gamma) = _fill(rho, _simple_swap(rho, P, params), params, rng, False)
-    names = _tag_names(params.k)
-    parts = [basic(tuple(perm), names[tag])
-             for perm, tag in zip(np.split(perms, np.cumsum(sizes)[:-1]), tags.tolist())]
+) -> tuple[LayeredGraph, dict]:
+    """gen_simple's graph plus its sampled communication core, for replay
+    experiments."""
+    if len(rho) != params.m:
+        raise ValueError(f"rho acts on [{len(rho)}], params say m={params.m}")
+    canon = tuple(sorted((tuple(sorted(g)) for g in P), key=lambda g: g[0]))
+    if not is_simple(rho, canon):
+        raise ValueError("rho is not simple on the given partition")
+    vertex_count(params, general=False)
+    swaps = _relabelings([canon], params.m, params.b)
+    gadgets, (sig, L, M, gamma) = _fill(np.array([rho], dtype=np.int32), swaps, params, rng)
     core = {"sigmas": tuple(tuple(tuple(map(tuple, row)) for row in mat) for mat in sig[0].tolist()),
             "L": tuple(L[0].tolist()), "M": tuple(map(tuple, M[0].tolist())),
             "gamma": tuple(map(tuple, gamma[0].tolist()))}
-    return parts[::-1], core
+    return _filled(*gadgets, params.k), core
 
 
 def gen_simple(rho: Perm, P: Partition, params: GenParams, rng: random.Random) -> LayeredGraph:
-    gadgets, _ = _fill(rho, _simple_swap(rho, P, params), params, rng, False)
-    return _filled(*gadgets, params.k)
+    """Hide rho, simple on P: the one-factor sample, wrapped unless P is Lex."""
+    return sample_simple(rho, P, params, rng)[0]
 
 
 def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGraph:
@@ -461,5 +433,6 @@ def gen_general(sigma: Perm, params: GenParams, rng: random.Random) -> LayeredGr
     if len(sigma) != params.m:
         raise ValueError(f"sigma acts on [{len(sigma)}], params say m={params.m}")
     vertex_count(params, general=True)
-    gadgets, _ = _fill(sigma, None, params, rng, True)
+    factors = _factors(np.array([sigma], dtype=np.int32), params.b)[0]
+    gadgets, _ = _fill(factors, _layer_plan(params.m, params.b)[2:], params, rng)
     return _filled(*gadgets, params.k)

@@ -17,6 +17,8 @@ import random
 
 import numpy as np
 
+from .graphs import path_roots, take_in_blocks
+
 
 def derive(seed: int, label: str) -> int:
     digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
@@ -186,13 +188,8 @@ def _apply_swaps(j: np.ndarray) -> np.ndarray:
     held = np.arange(n, dtype=np.int32)
     held[target[start]] = writer[start]
     del start, writer
-    while True:   # pointer jumping to the roots, which hold themselves
-        up = held[held]
-        if np.array_equal(up, held):
-            break
-        held = up
-    del up
-    vals = held[prior]   # prior -1 reads held[-1]; those entries are replaced
+    held = path_roots(held)   # writers ran before, so no pointer is on a cycle
+    vals = take_in_blocks(held, prior, np.empty(n, dtype=np.int32))   # prior -1 reads held[0]; replaced below
     del held
     np.copyto(vals, target, where=prior < 0)
     del prior, target

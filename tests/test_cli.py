@@ -182,6 +182,26 @@ def test_verify_reports_a_schema_that_is_no_string(tmp_path, capsys, schema):
     assert json.loads(out)["violations"] == {str(path): [f"unrecognized JSON document in {path}"]}
 
 
+@pytest.mark.parametrize("where", ["plain", "permgraph-header"])
+def test_verify_reports_json_nested_too_deeply(tmp_path, capsys, where):
+    # json.loads raises RecursionError past the interpreter's recursion limit;
+    # the file is reported, not the traceback
+    deep = b"[" * 100_000 + b"]" * 100_000
+    if where == "plain":
+        data = b'{"a": ' + deep + b"}"
+    else:
+        code, _ = run(["gen", "id", "--m", "4", "--b", "2", "--out", str(tmp_path / "g")], capsys)
+        assert code == 0
+        data = (tmp_path / "g" / "graph.json").read_bytes().rstrip()
+        data = data[:-1] + b', "z": ' + deep + b"}"
+    path = tmp_path / "deep.json"
+    path.write_bytes(data)
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    (problem,) = json.loads(out)["violations"][str(path)]
+    assert problem.startswith("unreadable: maximum recursion depth exceeded")
+
+
 def test_analyze_decay_json(capsys):
     code, out = run(["analyze", "decay", "b=3", "g=3", "trials=5"], capsys)
     assert code == 0
@@ -234,7 +254,8 @@ def test_analyze_writes_file(tmp_path, capsys):
     assert code == 0
     path = json.loads(out)["written"]
     assert os.path.exists(path)
-    assert json.loads(open(path).read())[0]["depth"] == 6
+    with open(path) as fh:
+        assert json.load(fh)[0]["depth"] == 6
 
 
 def test_analyze_trials_flag_merges(capsys):

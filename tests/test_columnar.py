@@ -141,9 +141,13 @@ def ref_sample_simple(rho, P, params, rng):
 
 
 def ref_gen_general(sigma, params, rng):
-    factors = _factors(np.array([sigma], dtype=np.int32), params.b)[0].tolist()
-    return ref_concat_all([ref_sample_simple(tuple(g), part, params, rng)
-                           for (_, part, _, _), g in zip(_layer_plan(len(sigma), params.b), factors)])
+    # each piece's partition is read off its row of s^-1, which lists the
+    # partition's groups in Lex's group order
+    b = params.b
+    factors = _factors(np.array([sigma], dtype=np.int32), b)[0].tolist()
+    s_inv = _layer_plan(len(sigma), b)[3].tolist()
+    return ref_concat_all([ref_sample_simple(tuple(g), [row[i:i + b] for i in range(0, len(row), b)], params, rng)
+                           for row, g in zip(s_inv, factors)])
 
 
 def ref_expand(gg, tag):
@@ -433,7 +437,7 @@ def test_concat_all_matches_reference(parts):
                          + [(4, 3, 1), (4, 3, 2)])
 def test_gen_general_matches_nested_reference(b, k, p):
     m = 2 * b
-    assert any(swap is not None for *_, swap in _layer_plan(m, b))  # non-Lex pieces
+    assert _layer_plan(m, b)[4].any()  # non-Lex pieces
     params = default_params(m, b, k=k, p=p)
     for sigma in (identity(m), sigma_cross(m), random_perm(m, random.Random(b + k + p))):
         g = gen_general(sigma, params, random.Random(7))
@@ -466,9 +470,10 @@ def test_gen_simple_matches_nested_reference(m, b, p):
     assert swap_perm(nonlex) != identity(m)
     for P in (lex_partition(m, b), nonlex):
         rho = random_simple(P, random.Random(p))
-        assert listed(gen_simple(rho, P, params, random.Random(9))) == ref_sample_simple(
-            rho, P, params, random.Random(9))
-        _, core = sample_simple(rho, P, params, random.Random(9))
+        ref = ref_sample_simple(rho, P, params, random.Random(9))
+        assert listed(gen_simple(rho, P, params, random.Random(9))) == ref
+        sampled, core = sample_simple(rho, P, params, random.Random(9))
+        assert listed(sampled) == ref
         sigmas, L, M = ref_sample_core(params.family.r, params.family.t, b, 2, random.Random(9))
         s = swap_perm(P)
         gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(compose(s, compose(rho, inverse(s))), b))
@@ -476,13 +481,13 @@ def test_gen_simple_matches_nested_reference(m, b, p):
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_sample_simple_parts_join_to_gen_simple(p):
+def test_sample_simple_graph_is_gen_simple(p):
     params = default_params(8, 2, k=2, p=p)
     for P in (lex_partition(8, 2), ((1, 5), (2, 6), (3, 7), (4, 8))):
         rho = random_simple(P, random.Random(p))
-        parts, core = sample_simple(rho, P, params, random.Random(3))
+        sampled, core = sample_simple(rho, P, params, random.Random(3))
         g = gen_simple(rho, P, params, random.Random(3))
-        assert listed(concat_all(parts)) == listed(g)
+        assert listed(sampled) == listed(g)
         assert extract_permutation(g, 8) == rho
         assert len(core["sigmas"]) == 2 and len(core["gamma"]) == 4
 
@@ -494,8 +499,8 @@ def test_gen_general_never_concatenates(p, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built or joined a part while sampling")
 
-    for name in ("gen.concat_all", "blocks.concat_all", "graphs.concat_all", "gen.basic",
-                 "graphs.basic", "graphs.GroupLayeredGraph.expand"):
+    for name in ("gen.concat_all", "blocks.concat_all", "graphs.concat_all", "graphs.basic",
+                 "graphs.GroupLayeredGraph.expand"):
         monkeypatch.setattr(f"permlab.{name}", refuse)
     params = default_params(8, 2, k=2, p=p)
     g = gen_general(sigma_cross(8), params, random.Random(1))

@@ -139,7 +139,7 @@ def test_count_floor_is_a_lower_bound():
     # the general floor's factor: every network layer gives at least one piece
     for b in range(2, 9):
         for m in range(b, 65, b):
-            assert len(_layer_plan(m, b)) >= depth_floor(m, b)
+            assert len(_layer_plan(m, b)[0]) >= depth_floor(m, b)
 
 
 @pytest.mark.parametrize("m, b, k, p", [(8, 2, 2, 40), (8, 2, 2, 10**9), (10**6, 2, 2, 1),
@@ -209,8 +209,7 @@ def test_fake_replay_matches_player_view():
     P = lex_partition(8, 2)
     rng = random.Random(9)
     rho = random_simple(lex_partition(8, 2), rng)
-    parts, core = sample_simple(rho, P, params, random.Random(11))
-    g = concat_all(parts)
+    g, core = sample_simple(rho, P, params, random.Random(11))
     fake = fake_simple_from_core(core["sigmas"], params)
     assert player_edges(fake) == player_edges(g)
     assert extract_permutation(g, 8) == rho
@@ -253,6 +252,15 @@ def test_budget_enforced():
         gen_general(random_perm(64, random.Random(0)), params, random.Random(0))
 
 
+def plan_pieces(m, b):
+    """_layer_plan's rows as (layer index, partition, moving wires, s, s^-1,
+    wrapped): the partition's groups are the rows of s^-1 cut into b-runs,
+    the moving wires are read off the mask."""
+    return [(i, tuple(tuple(row[j:j + b]) for j in range(0, m, b)),
+             {x for x, moves in enumerate(mask, start=1) if moves}, tuple(s), tuple(row), wrapped)
+            for i, mask, s, row, wrapped in zip(*(a.tolist() for a in _layer_plan(m, b)))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(8, 2), (9, 3), (12, 4), (16, 4)]).flatmap(
     lambda mb: st.tuples(st.just(mb), st.permutations(range(1, mb[0] + 1)))))
@@ -262,9 +270,9 @@ def test_piece_split_does_not_depend_on_sigma(case):
     (m, b), sigma = case
     sigma = tuple(sigma)
     factors = [tuple(g) for g in _factors(np.array([sigma], dtype=np.int32), b)[0].tolist()]
-    plan = _layer_plan(m, b)
+    plan = plan_pieces(m, b)
     assert len(factors) == len(plan)
-    assert all(is_simple(g, part) for (_, part, _, _), g in zip(plan, factors))
+    assert all(is_simple(g, part) for (_, part, *_), g in zip(plan, factors))
     assert reduce(compose, factors) == sigma
 
 
@@ -277,20 +285,19 @@ def test_layer_plan_reads_the_network_alone(m, b, monkeypatch):
 
     _layer_plan.cache_clear()
     monkeypatch.setattr("permlab.gen.decompose", refuse)
-    plan = _layer_plan(m, b)
+    plan = plan_pieces(m, b)
     monkeypatch.undo()
     layers = build_sort_network(m, b).layers[::-1]  # decompose's order, as test_sortnet pins
     assert sorted({i for i, *_ in plan}) == list(range(len(layers)))
     assert [i for i, *_ in plan] == sorted(i for i, *_ in plan)  # layer order kept
-    for i, part, placed, swap in plan:
+    for i, part, placed, s, s_inv, wrapped in plan:
         # each piece takes whole groups of its layer, in exact-b groups
         assert {len(g) for g in part} == {b} and sorted(x for g in part for x in g) == list(range(1, m + 1))
         assert all(set(g) <= placed or not set(g) & placed for g in layers[i])
-        assert (swap is None) == (part == lex_partition(m, b))
-        if swap is not None:
-            assert swap == (swap_perm(part), inverse(swap_perm(part)))
+        assert wrapped == (part != lex_partition(m, b))
+        assert (s, s_inv) == (swap_perm(part), inverse(swap_perm(part)))  # the identity on Lex
     for i, layer in enumerate(layers):  # the pieces of a layer share out its moving wires
-        wires = [x for j, _, placed, _ in plan if j == i for x in placed]
+        wires = [x for j, _, placed, *_ in plan if j == i for x in placed]
         assert sorted(wires) == sorted(x for g in layer if len(g) >= 2 for x in g)
 
 
@@ -323,5 +330,5 @@ def test_sampling_decodes_its_draws_in_bulk(p, monkeypatch):
     P = ((1, 5), (2, 6), (3, 7), (4, 8))
     rho = (5, 6, 7, 8, 1, 2, 3, 4)
     assert extract_permutation(gen_simple(rho, P, params, random.Random(2)), 8) == rho
-    parts, core = sample_simple(rho, P, params, random.Random(3))
-    assert extract_permutation(concat_all(parts), 8) == rho and len(core["M"]) == 2
+    g, core = sample_simple(rho, P, params, random.Random(3))
+    assert extract_permutation(g, 8) == rho and len(core["M"]) == 2

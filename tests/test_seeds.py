@@ -41,6 +41,15 @@ def test_shuffled_range_matches_random_shuffle_any_seed(n, seed):
     assert shuffled_range(n, seed).tolist() == ref_shuffle(n, seed)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shuffled_range_across_small_blocks(seed, monkeypatch):
+    # the pointer doubling and the gather of what each step held run a
+    # block of graphs.BLOCK entries at a time; at 7 they cross blocks at small n
+    monkeypatch.setattr("permlab.graphs.BLOCK", 7)
+    for n in (*range(30), 64, 65, 200, 1001):
+        assert shuffled_range(n, seed).tolist() == ref_shuffle(n, seed), n
+
+
 def test_shuffled_range_refuses_sizes_past_int32():
     with pytest.raises(ValueError, match="2\\*\\*31"):
         shuffled_range(2**31, 0)

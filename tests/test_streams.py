@@ -346,8 +346,7 @@ def test_replay_fake_passes_hide_referee_input():
     params = default_params(8, 2, k=2, p=1)
     rng = random.Random(4)
     rho = random_simple(lex_partition(8, 2), rng)
-    parts, core = sample_simple(rho, lex_partition(8, 2), params, random.Random(5))
-    g = concat_all(parts)
+    g, core = sample_simple(rho, lex_partition(8, 2), params, random.Random(5))
     fake = fake_simple_from_core(core["sigmas"], params)
     real_stream = graph_to_stream(g)
     fake_stream = graph_to_stream(fake)
