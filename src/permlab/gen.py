@@ -392,8 +392,8 @@ def _fill(factors: np.ndarray, swaps: tuple, params: GenParams, rng: random.Rand
     core = None
     for level in range(p):
         routes: dict = {}
-        for size, (factors, swaps, drawn, at) in samples.items():
-            made = fill.cores(size, p - level, *fill.pieces(size, p - level, factors, swaps, drawn, at),
+        for size, stack in samples.items():
+            made = fill.cores(size, p - level, *fill.pieces(size, p - level, *stack),
                               top=level == 0, routes=routes)
             core = made if core is None else core
         samples = {}

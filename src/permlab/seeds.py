@@ -189,7 +189,7 @@ def _apply_swaps(j: np.ndarray) -> np.ndarray:
     held[target[start]] = writer[start]
     del start, writer
     held = path_roots(held)   # writers ran before, so no pointer is on a cycle
-    vals = take_in_blocks(held, prior, np.empty(n, dtype=np.int32))   # prior -1 reads held[0]; replaced below
+    vals = take_in_blocks(held, prior, np.empty(n, dtype=np.int32))   # prior -1 reads held[0]: replaced
     del held
     np.copyto(vals, target, where=prior < 0)
     del prior, target

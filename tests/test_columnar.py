@@ -146,8 +146,8 @@ def ref_gen_general(sigma, params, rng):
     b = params.b
     factors = _factors(np.array([sigma], dtype=np.int32), b)[0].tolist()
     s_inv = _layer_plan(len(sigma), b)[3].tolist()
-    return ref_concat_all([ref_sample_simple(tuple(g), [row[i:i + b] for i in range(0, len(row), b)], params, rng)
-                           for row, g in zip(s_inv, factors)])
+    parts = [[row[i:i + b] for i in range(0, len(row), b)] for row in s_inv]
+    return ref_concat_all([ref_sample_simple(tuple(g), part, params, rng) for part, g in zip(parts, factors)])
 
 
 def ref_expand(gg, tag):
@@ -476,7 +476,8 @@ def test_gen_simple_matches_nested_reference(m, b, p):
         assert listed(sampled) == ref
         sigmas, L, M = ref_sample_core(params.family.r, params.family.t, b, 2, random.Random(9))
         s = swap_perm(P)
-        gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(compose(s, compose(rho, inverse(s))), b))
+        on_lex = compose(s, compose(rho, inverse(s)))
+        gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(on_lex, b))
         assert core == {"sigmas": sigmas, "L": L, "M": M, "gamma": gamma}
 
 
