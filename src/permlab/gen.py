@@ -24,7 +24,9 @@ depend on the hidden permutation, so matched seeds give identical player
 edges for different hidden permutations. A sample's draws are decoded in
 bulk, in that order and bit for bit as one random call per draw would give
 them; its gadgets are then built as arrays, a recursion level at a time,
-and written into one edge buffer.
+and written into one edge buffer. Where each gadget goes, and so the layer
+sizes and each edge's layer and tag, depends on the parameters alone: the
+same fill run without draws gives that layout, which verify checks against.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .blocks import multi_block
+from .codec import WINDOW
 from .graphs import LayeredGraph, concat_all
 from .hph import core_bounds, cores_from_draws, force_gamma, recompute_gamma_star, sample_core
 from .perms import Partition, Perm, is_simple, lex_partition, swap_perm
@@ -235,28 +239,99 @@ def _tag_names(k: int) -> tuple[str, ...]:
     return ("fixed", "referee", *(f"player:{a}" for a in range(1, k + 1)))
 
 
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """What a general sample's parameters fix, whatever it hides and draws:
+    its layer sizes and its edges' layers and tags, as edge runs. Run r
+    lies in layer r + 1 with tag id tags[r] into names: run 2i is gadget i,
+    whose two layers have its size, and run 2i + 1 the fixed junction after
+    it."""
+
+    runs: np.ndarray
+    tags: np.ndarray
+    names: tuple[str, ...]
+
+    @classmethod
+    def of(cls, sizes: np.ndarray, tags: np.ndarray, k: int) -> "Layout":
+        """The chain of gadgets with these sizes and tag ids, in layer order,
+        each junction as wide as the smaller of the gadgets it joins."""
+        runs = np.empty(2 * len(sizes) - 1, dtype=np.int64)
+        runs[0::2] = sizes
+        runs[1::2] = np.minimum(sizes[:-1], sizes[1:])
+        run_tags = np.full(len(runs), FIXED, dtype=np.uint16)
+        run_tags[0::2] = tags
+        return cls(*_read_only(runs, run_tags), _tag_names(k))
+
+    @property
+    def edges(self) -> int:
+        return int(self.runs.sum())
+
+    def layers(self) -> list[int]:
+        return np.repeat(self.runs[0::2], 2).tolist()
+
+    def layer_column(self, out: np.ndarray) -> np.ndarray:
+        """Each edge's layer, written into the int32 column out."""
+        out.fill(0)
+        out[np.cumsum(self.runs) - self.runs] = 1
+        return np.cumsum(out, dtype=np.int32, out=out)
+
+    def tag_ids(self) -> np.ndarray:
+        return np.repeat(self.tags, self.runs)
+
+    def tag_text(self) -> Iterator[bytes]:
+        """graph.json's tag rows, '"name", ' an edge, in pieces of about
+        codec.WINDOW bytes, each distinct run of rows spelled once."""
+        spelled = [b'"%s", ' % name.encode() for name in self.names]
+        kinds, kind = np.unique(self.runs * len(spelled) + self.tags, return_inverse=True)
+        table = [spelled[key % len(spelled)] * (key // len(spelled)) for key in kinds.tolist()]
+        ends = np.cumsum(np.array(list(map(len, table)))[kind])
+        for part in np.split(kind, np.searchsorted(ends, np.arange(WINDOW, ends[-1], WINDOW))):
+            yield b"".join(map(table.__getitem__, part.tolist()))
+
+    def problems(self, g: LayeredGraph) -> list[str]:
+        """Where g's layer sizes, its edges' layers and its edges' tags first
+        differ from the layout's, one problem each; edges are counted from 1
+        in the graph's order."""
+        problems, layers = [], self.layers()
+        if g.layers != layers:
+            i = next((i for i, (x, y) in enumerate(zip(g.layers, layers)) if x != y), None)
+            problems.append(f"{len(g.layers)} layers, the layout has {len(layers)}" if i is None
+                            else f"layer {i + 1} has size {g.layers[i]}, the layout's has {layers[i]}")
+        if len(g.edges) != self.edges:
+            return problems + [f"{len(g.edges)} edges, the layout has {self.edges}"]
+
+        def edge(e: int) -> str:
+            return f"edge {e + 1} ({','.join(map(str, g.edges[e].tolist()))})"
+
+        layer = self.layer_column(np.empty(self.edges, dtype=np.int32))
+        if not np.array_equal(g.edges[:, 0], layer):
+            e = int(np.argmax(g.edges[:, 0] != layer))
+            problems.append(f"{edge(e)} is in layer {g.edges[e, 0]}, the layout puts it in layer {layer[e]}")
+        del layer
+        index = {name: i for i, name in enumerate(self.names)}
+        ids = np.array([index.get(t, len(index)) for t in g.tag_names], dtype=np.uint16)[g.tag_ids]
+        want = self.tag_ids()
+        if not np.array_equal(ids, want):
+            e = int(np.argmax(ids != want))
+            problems.append(f"{edge(e)} is tagged {g.tag_names[g.tag_ids[e]]}, "
+                            f"the layout tags it {self.names[want[e]]}")
+        return problems
+
+
 def _filled(perms: np.ndarray, sizes: np.ndarray, tags: np.ndarray, k: int) -> LayeredGraph:
     """The chain of gadgets as one graph: gadget i has sizes[i] entries of
-    perms, in order, and tag id tags[i]; edge run 2i is gadget i (layer
-    2i + 1), run 2i + 1 the junction after it (layer 2i + 2)."""
-    runs = np.empty(2 * len(sizes) - 1, dtype=np.int64)
-    runs[0::2] = sizes
-    runs[1::2] = np.minimum(sizes[:-1], sizes[1:])
-    starts = np.cumsum(runs) - runs
-    edges = np.empty((int(runs.sum()), 3), dtype=np.int32)
+    perms, in order, and tag id tags[i], laid out as Layout.of lays them."""
+    layout = Layout.of(sizes, tags, k)
+    runs = layout.runs
+    edges = np.empty((layout.edges, 3), dtype=np.int32)
     layer, u, v = edges.T
-    layer.fill(0)
-    layer[starts] = 1
-    np.cumsum(layer, dtype=np.int32, out=layer)   # run r is layer r + 1
+    layout.layer_column(layer)
     u.fill(1)
-    u[starts[1:]] -= runs[:-1]
+    u[np.cumsum(runs[:-1])] -= runs[:-1]
     np.cumsum(u, dtype=np.int32, out=u)           # 1, 2, ... within each run
     v[:] = u                                      # junctions are identity matchings
     v[np.repeat(np.arange(len(runs)) % 2 == 0, runs)] = perms
-    run_tags = np.zeros(len(runs), dtype=np.uint16)
-    run_tags[0::2] = tags
-    return LayeredGraph.from_columns(np.repeat(sizes, 2).tolist(), edges, np.repeat(run_tags, runs),
-                                     _tag_names(k))
+    return LayeredGraph.from_columns(layout.layers(), edges, layout.tag_ids(), layout.names)
 
 
 @lru_cache(maxsize=64)
@@ -273,6 +348,16 @@ def _bounds(m: int, b: int, k: int, p: int) -> np.ndarray:
     return _read_only(np.concatenate(parts))[0]
 
 
+@lru_cache(maxsize=256)
+def _draws(m: int, b: int, k: int, p: int) -> int:
+    """len(_bounds(m, b, k, p)), counted without building the bounds."""
+    count = len(core_bounds(2 * m // b, 1, b, k))
+    if p > 1:
+        count += sum(times * _draws(size, b, k, p - 1) * len(_layer_plan(size, b)[0])
+                     for size, times in ((2 * m, 2 * k), (m, 1)))
+    return count
+
+
 def _inverse(perms: np.ndarray) -> np.ndarray:
     """The inverses of one-indexed permutations along the last axis."""
     out = np.empty_like(perms)
@@ -286,40 +371,81 @@ def _extend(perms: np.ndarray, b: int) -> np.ndarray:
 
 
 class _Sample:
-    """One sample's fill: its draws, and its gadgets as they are placed."""
+    """One sample's fill: its draws, and its gadgets as they are placed.
+    Without draws it places each gadget by its size and tag alone, which
+    the parameters fix: the sample's layout."""
 
-    def __init__(self, params: GenParams, rng: random.Random, bounds: np.ndarray, total: int):
+    def __init__(self, params: GenParams, draws: np.ndarray | None, total: int):
         self.b, self.k = params.b, params.k
-        self.draws = randbelow_many(bounds, rng)
-        self.perms = np.empty(total, dtype=np.int32)   # the gadgets' entries, in layer order
+        self.draws = draws
+        self.perms = None if draws is None else np.empty(total, dtype=np.int32)   # the gadgets' entries
         self.placed: list[tuple[np.ndarray, int, object]] = []   # offsets, size, tag id or ids
 
-    def place(self, at: np.ndarray, perms: np.ndarray, tag) -> None:
+    def place(self, at: np.ndarray, size: int, perms: np.ndarray | None, tag) -> None:
         at = at.ravel()
-        size = perms.shape[-1]
-        self.perms[at[:, None] + np.arange(size)] = perms.reshape(len(at), size)
+        if self.perms is not None:
+            self.perms[at[:, None] + np.arange(size)] = perms.reshape(len(at), size)
         self.placed.append((at, size, tag))
 
-    def pieces(self, m: int, p: int, factors: np.ndarray, swaps: tuple, drawn: np.ndarray, at: np.ndarray):
+    def pieces(self, m: int, p: int, factors: np.ndarray | None, swaps: tuple, drawn: np.ndarray,
+               at: np.ndarray):
         """Samples hiding the product of each stack of factors, their draws
         starting at drawn and their gadgets at at: a simple sample of each
         factor, carried onto Lex by its row of swaps = (s, s^-1, wrapped),
         in draw order, the last factor traversed first."""
         s, s_inv, wrapped = swaps
-        n, count = factors.shape[:2]
+        n, count = len(at), len(wrapped)
         piece = np.arange(count)[:, None]
-        rho = s[piece, factors[:, piece, s_inv - 1] - 1]   # s o factor o s^-1
+        # s o factor o s^-1, a row for each factor of each stack
+        rho = None if factors is None else s[piece, factors[:, piece, s_inv - 1] - 1].reshape(n * count, m)
         spans = _count_simple(m, self.b, self.k, p) // 2 + 2 * m * wrapped
         after = spans.sum() - np.cumsum(spans)
-        drawn = drawn[:, None] + np.arange(count) * len(_bounds(m, self.b, self.k, p))
-        return (rho.reshape(n * count, m), drawn.ravel(), (at[:, None] + after).ravel(),
-                np.tile(np.arange(count), n), swaps)
+        drawn = drawn[:, None] + np.arange(count) * _draws(m, self.b, self.k, p)
+        return rho, drawn.ravel(), (at[:, None] + after).ravel(), np.tile(np.arange(count), n), swaps
 
-    def cores(self, m: int, p: int, rho: np.ndarray, drawn: np.ndarray, at: np.ndarray,
-              piece: np.ndarray, swaps, top: bool, routes: dict) -> tuple:
+    def cores(self, m: int, p: int, rho: np.ndarray | None, drawn: np.ndarray, at: np.ndarray,
+              piece: np.ndarray, swaps, top: bool, routes: dict) -> tuple | None:
         """Simple samples hiding each row of rho (Lex-simple; wrapped in its
         piece's relabeling where swaps says): place their gadgets, add their
-        routes' samples to routes at p >= 2, and return the cores' arrays."""
+        routes' samples to routes at p >= 2, and return the cores' arrays
+        (None without draws)."""
+        b, k = self.b, self.k
+        width = 2 * m
+        n = len(at)
+        core, gadgets = (None, (None,) * 4) if rho is None else self._cores(m, rho, drawn)
+        shift, left, right, encoded = gadgets
+
+        # layer order: [s], the shift, blocks k..1 (left route, encoded
+        # layer, right route), [s^-1]
+        s, s_inv, wrapped = swaps
+        wrap = wrapped[piece]
+        head = at + m * wrap
+        shift_span = m if p == 1 else _count_general(m, b, k, p - 1) // 2
+        route_span = width if p == 1 else _count_general(width, b, k, p - 1) // 2
+        block = head[:, None] + shift_span + (k - 1 - np.arange(k)) * (2 * route_span + width)
+        self.place(block + route_span, width, encoded, np.tile(np.arange(2, k + 2), n) if top else REFEREE)
+        self.place(at[wrap], m, s[piece[wrap]], FIXED)
+        self.place(head[wrap] + shift_span + k * (2 * route_span + width), m, s_inv[piece[wrap]], FIXED)
+        right_at = block + route_span + width
+        if p == 1:
+            for gadget_at, size, perms in ((head, m, shift), (block, width, left), (right_at, width, right)):
+                self.place(gadget_at, size, perms, REFEREE)
+        else:
+            after = drawn + len(core_bounds(2 * m // b, 1, b, k))
+            each = _draws(width, b, k, p - 1) * len(_layer_plan(width, b)[0])
+            left_drawn = after[:, None] + 2 * np.arange(k) * each
+            routes.setdefault(width, []).extend([
+                (left, left_drawn.ravel(), block.ravel()),
+                (right, (left_drawn + each).ravel(), right_at.ravel()),
+            ])
+            routes.setdefault(m, []).append((shift, after + 2 * k * each, head))
+        return core
+
+    def _cores(self, m: int, rho: np.ndarray, drawn: np.ndarray) -> tuple[tuple, tuple]:
+        """The cores hiding each row of rho, from their draws at drawn:
+        (matrices, row indices, hypermatchings, shifts), then their gadgets'
+        entries (shift, left routes, right routes, encoded layers), the
+        routes and layers one row per block."""
         b, k = self.b, self.k
         r, half, width = 2 * m // b, m // b, 2 * m
         n = len(rho)
@@ -342,53 +468,30 @@ class _Sample:
         left = np.concatenate((M, np.nonzero(free)[2].reshape(n, k, half) + 1), axis=2)
         left, right = _extend(left, b), _extend(_inverse(left), b)
         encoded = (row + (np.arange(r) * b)[:, None]).reshape(n, k, width)
+        return (sig, L, M, gamma), (shift, left.reshape(n * k, width), right.reshape(n * k, width), encoded)
 
-        # layer order: [s], the shift, blocks k..1 (left route, encoded
-        # layer, right route), [s^-1]
-        s, s_inv, wrapped = swaps
-        wrap = wrapped[piece]
-        head = at + m * wrap
-        shift_span = m if p == 1 else _count_general(m, b, k, p - 1) // 2
-        route_span = width if p == 1 else _count_general(width, b, k, p - 1) // 2
-        block = head[:, None] + shift_span + (k - 1 - np.arange(k)) * (2 * route_span + width)
-        self.place(block + route_span, encoded, np.tile(np.arange(2, k + 2), n) if top else REFEREE)
-        self.place(at[wrap], s[piece[wrap]], FIXED)
-        self.place(head[wrap] + shift_span + k * (2 * route_span + width), s_inv[piece[wrap]], FIXED)
-        right_at = block + route_span + width
-        if p == 1:
-            for gadget_at, perms in ((head, shift), (block, left), (right_at, right)):
-                self.place(gadget_at, perms, REFEREE)
-        else:
-            after = drawn + bounds
-            each = len(_bounds(width, b, k, p - 1)) * len(_layer_plan(width, b)[0])
-            left_drawn = after[:, None] + 2 * np.arange(k) * each
-            routes.setdefault(width, []).extend([
-                (left.reshape(n * k, width), left_drawn.ravel(), block.ravel()),
-                (right.reshape(n * k, width), (left_drawn + each).ravel(), right_at.ravel()),
-            ])
-            routes.setdefault(m, []).append((shift, after + 2 * k * each, head))
-        return sig, L, M, gamma
-
-    def gadgets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def gadgets(self) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
         """The placed gadgets in layer order: their permutations in one
-        buffer, their sizes and their tag ids."""
+        buffer (None without draws), their sizes and their tag ids."""
         order = np.argsort(np.concatenate([at for at, _, _ in self.placed]))
         sizes = np.concatenate([np.full(len(at), size) for at, size, _ in self.placed])
         tags = np.concatenate([np.broadcast_to(np.uint16(tag), at.shape) for at, _, tag in self.placed])
         return self.perms, sizes[order], tags[order]
 
 
-def _fill(factors: np.ndarray, swaps: tuple, params: GenParams, rng: random.Random):
+def _fill(factors: np.ndarray | None, swaps: tuple, params: GenParams, rng: random.Random | None):
     """Draw a sample hiding the product of a stack of factors, the last
     applied first, factor i simple on the partition that row i of
     swaps = (s, s^-1, wrapped) carries onto Lex. Returns its gadgets
     (perms, sizes, tag ids) in layer order and the cores of its factors'
-    simple samples: matrices, row indices, hypermatchings and shifts."""
+    simple samples: matrices, row indices, hypermatchings and shifts.
+    Without factors and rng it draws nothing: perms and cores are None."""
     m, b, k, p = params.m, params.b, params.k, params.p
-    fill = _Sample(params, rng, np.tile(_bounds(m, b, k, p), len(factors)),
-                   _count_pieces(m, b, k, p, swaps[2]) // 2)
+    draws = None if rng is None else randbelow_many(np.tile(_bounds(m, b, k, p), len(swaps[2])), rng)
+    fill = _Sample(params, draws, _count_pieces(m, b, k, p, swaps[2]) // 2)
     zero = np.zeros(1, dtype=np.int64)
-    samples = {m: (factors[None], swaps, zero, zero)}   # factors, relabelings, draw and buffer offsets
+    stack = None if factors is None else factors[None]
+    samples = {m: (stack, swaps, zero, zero)}   # factors, relabelings, draw and buffer offsets
     core = None
     for level in range(p):
         routes: dict = {}
@@ -398,9 +501,19 @@ def _fill(factors: np.ndarray, swaps: tuple, params: GenParams, rng: random.Rand
             core = made if core is None else core
         samples = {}
         for size, parts in routes.items():   # the routes are general samples
-            sigmas, drawn, at = map(np.concatenate, zip(*parts))
-            samples[size] = (_factors(sigmas, b), _layer_plan(size, b)[2:], drawn, at)
+            sigmas, drawn, at = zip(*parts)
+            samples[size] = (None if factors is None else _factors(np.concatenate(sigmas), b),
+                             _layer_plan(size, b)[2:], np.concatenate(drawn), np.concatenate(at))
     return fill.gadgets(), core
+
+
+@lru_cache(maxsize=8)
+def layout(params: GenParams) -> Layout:
+    """The layout every gen_general sample at these parameters has, read off
+    a fill that draws nothing. Raises ValueError over the vertex cap."""
+    vertex_count(params, general=True)
+    (_, sizes, tags), _ = _fill(None, _layer_plan(params.m, params.b)[2:], params, None)
+    return Layout.of(sizes, tags, params.k)
 
 
 def sample_simple(

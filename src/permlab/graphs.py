@@ -23,11 +23,11 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codec import first_difference, format_chunks, json_int, read_rows, tag_table, used_tags
+from .codec import WINDOW, first_difference, format_chunks, json_int, read_rows, tag_table, used_tags
 from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
@@ -97,7 +97,11 @@ class LayeredGraph:
     def validate(self) -> None:
         """Raise ValueError for a graph with no layers or a layer of negative
         size, else naming the first edge, in edge order, that has a layer
-        outside [1, depth-1] or an endpoint outside its layer."""
+        outside [1, depth-1] or an endpoint outside its layer. A graph that
+        passed is not checked again while it holds the same edges array and
+        layer sizes: nothing writes a graph's columns in place."""
+        if getattr(self, "_valid", (None,))[0] is self.edges and self._valid[1] == self.layers:
+            return
         if not self.layers:
             raise ValueError("graph has no layers")
         if min(self.layers) < 0:
@@ -115,6 +119,7 @@ class LayeredGraph:
                 if bad_layer[first]:
                     raise ValueError(f"edge layer {el} out of range")
                 raise ValueError(f"edge ({el},{eu},{ev}) leaves its layers")
+        self._valid = (self.edges, list(self.layers))
 
     def to_json(self) -> bytes:
         """The JSON payload as bytes, as json.dumps(payload, sort_keys=True)
@@ -141,7 +146,8 @@ class LayeredGraph:
         yield b"}"
 
     @classmethod
-    def from_json(cls, data: str | bytes) -> tuple["LayeredGraph", dict]:
+    def from_json(cls, data: str | bytes, layout: Callable[[dict], object] | None = None
+                  ) -> tuple["LayeredGraph", dict]:
         """Read a document holding to_json's payload, as the whole document or
         as its "graph" entry: the graph, and the document's other entries.
 
@@ -151,44 +157,64 @@ class LayeredGraph:
         which checks them by formatting them again; json.loads reads only
         the rest, which is checked by dumping it again. Bytes that these
         writers would not write raise ValueError naming the offset of the
-        first of them."""
+        first of them.
+
+        layout maps the document, read without its arrays, to None or to the
+        tags it expects, as gen.Layout gives them: their count (edges),
+        names, tag_ids() and tag_text(), the tag array's rows, each with its
+        trailing ", ", in pieces. A tag array that is exactly that text, for
+        one tag an edge, is taken as those tags without being read."""
         if isinstance(data, str):
             data = data.encode()
         key = data.find(b'"edges": [')
         if key < 0:
             raise ValueError('no "edges" array')
         start = key + len(b'"edges": ')
-        end = start + 1 if data[start:start + 2] == b"[]" else data.find(b"]]", start) + 1
-        if end == 0:
-            raise ValueError(f"byte {start}: edge array has no end")
-        edges = np.empty((data.count(b"]", start + 1, end), 3), dtype=np.int32)  # one "]" a row
-        read_rows(data, start + 1, end, _EDGE_ROW, list(edges.T), trim=2)
+        end, rows = _edge_array_end(data, start)
         cuts = [(start, end + 1, b"NaN")]  # (start, end, stand-in) of each array read as columns
-        # checked edge rows hold no '"', so the first "tags" key lies outside them
+        # edge rows, as the read below checks them, hold no '"', so the first
+        # "tags" key lies outside them
         key = data.find(b'"tags": [', 0, start)
         key = data.find(b'"tags": [', end + 1) if key < 0 else key
         if key >= 0:
-            start = key + len(b'"tags": ')
-            end = data.find(b"]", start)  # no tag holds a "]"
+            at = key + len(b'"tags": ')
+            cuts.append((at, data.find(b"]", at) + 1, b"Infinity"))  # no tag holds a "]"
+        # the rest is read before the arrays, so that the layout is made
+        # before their columns, but its errors come after theirs
+        doc = error = None
+        if cuts[-1][1] > 0:  # else the tag array has no end, named once the edges are read
+            try:
+                doc = _load_skeleton(data, sorted(cuts))
+            except ValueError as err:
+                error = err
+        expected = None if doc is None or layout is None else layout(doc)
+        edges = np.empty((rows, 3), dtype=np.int32)
+        read_rows(data, start + 1, end, _EDGE_ROW, list(edges.T), trim=2)
+        if key < 0:
+            tag_ids, names = np.zeros(len(edges), dtype=np.uint16), ("fixed",)
+        else:
+            start, end = cuts[1][0], cuts[1][1] - 1
             if end < 0:
                 raise ValueError(f"byte {start}: tag array has no end")
-            tag_ids = np.empty(len(edges), dtype=np.uint16)
-            try:
-                names = read_rows(data, start + 1, end, _TAG_ROW, [], tag_ids, trim=2)
-            except ValueError:  # a wrong tag count is named first
-                tags = data.count(b", ", start, end) + (end > start + 1)  # a ", " between two tags
-                if tags > len(edges):
-                    at = start + 1
-                    for _ in range(len(edges)):  # to the first tag too many
-                        at = data.find(b", ", at) + 2
-                    raise ValueError(f"byte {at}: more tags than the {len(edges)} edges") from None
-                if tags < len(edges):
-                    raise ValueError(f"byte {end}: {tags} tags for {len(edges)} edges") from None
-                raise
-            cuts.append((start, end + 1, b"Infinity"))
-        else:
-            tag_ids, names = np.zeros(len(edges), dtype=np.uint16), ("fixed",)
-        doc = _load_skeleton(data, sorted(cuts))
+            if expected is not None and expected.edges == len(edges) and \
+                    _spells(data, start + 1, end, expected.tag_text()):
+                tag_ids, names = expected.tag_ids(), expected.names
+            else:
+                tag_ids = np.empty(len(edges), dtype=np.uint16)
+                try:
+                    names = read_rows(data, start + 1, end, _TAG_ROW, [], tag_ids, trim=2)
+                except ValueError:  # a wrong tag count is named first
+                    tags = data.count(b", ", start, end) + (end > start + 1)  # a ", " between two tags
+                    if tags > len(edges):
+                        at = start + 1
+                        for _ in range(len(edges)):  # to the first tag too many
+                            at = data.find(b", ", at) + 2
+                        raise ValueError(f"byte {at}: more tags than the {len(edges)} edges") from None
+                    if tags < len(edges):
+                        raise ValueError(f"byte {end}: {tags} tags for {len(edges)} edges") from None
+                    raise
+        if error is not None:
+            raise error
         payload = doc.pop("graph") if "graph" in doc else doc
         # each stand-in is the only one of its kind in the document, so
         # finding it in the payload shows that its array belongs there
@@ -200,6 +226,32 @@ class LayeredGraph:
         g = cls.from_columns(layers, edges, tag_ids, names)
         return g, ({} if payload is doc else doc)
 
+
+def _edge_array_end(data: bytes, start: int) -> tuple[int, int]:
+    """The offset of the "]" closing the edge array that opens at
+    data[start], its first "]]" unless it is empty, and its rows, one "]"
+    each, found in one pass a codec.WINDOW at a time."""
+    if data[start:start + 2] == b"[]":
+        return start + 1, 0
+    buf = np.frombuffer(data, dtype=np.uint8)
+    rows = 0
+    for lo in range(start, len(data), WINDOW):
+        close = buf[lo:lo + WINDOW + 1] == ord("]")  # a byte past the window sees a "]]" across its end
+        pair = np.flatnonzero(close[:-1] & close[1:])
+        if len(pair):
+            return lo + int(pair[0]) + 1, rows + int(np.count_nonzero(close[:pair[0] + 1]))
+        rows += int(np.count_nonzero(close[:WINDOW]))
+    raise ValueError(f"byte {start}: edge array has no end")
+
+
+def _spells(data: bytes, lo: int, end: int, pieces: Iterator[bytes]) -> bool:
+    """Whether data[lo:end] is the pieces' bytes less the last two, compared
+    a piece at a time."""
+    for piece in _trimmed(pieces):
+        if not data.startswith(piece, lo, end):
+            return False
+        lo += len(piece)
+    return lo == end
 
 
 _EDGE_ROW = (b"[", b", ", b", ", b"], ")

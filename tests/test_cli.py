@@ -509,7 +509,7 @@ def test_verify_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
     assert code == 0
     path, stream = str(tmp_path / "graph.json"), str(tmp_path / "stream.txt")
     for message, reported in OUT_OF_MEMORY:
-        def exhausted(data):
+        def exhausted(data, layout=None):
             raise MemoryError(message)
 
         monkeypatch.setattr(LayeredGraph, "from_json", exhausted)
@@ -558,3 +558,91 @@ def test_verify_rejects_instance_files_dump_instance_never_writes(tmp_path, caps
     code, out = run(["verify", str(path)], capsys)
     assert code == 1
     assert json.loads(out)["violations"] == {str(path): [f"unreadable: {problem}"]}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_verify_reads_no_tag_row_of_a_gen_graph(tmp_path, capsys, monkeypatch, p):
+    # the tag array is the text the params' layout spells, so its ids and
+    # names are the layout's; only the edge rows go through read_rows
+    from permlab import graphs
+    from permlab.cli import _header_layout
+
+    code, _ = run(["gen", "random", "--m", "8", "--b", "2", "--p", str(p), "--out", str(tmp_path)], capsys)
+    assert code == 0
+    data = (tmp_path / "graph.json").read_bytes()
+    read = graphs.LayeredGraph.from_json(data)[0]
+    seps = []
+    real = graphs.read_rows
+
+    def spy(data, lo, end, row, *args, **kwargs):
+        seps.append(row)
+        return real(data, lo, end, row, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, "read_rows", spy)
+    g, _ = graphs.LayeredGraph.from_json(data, layout=_header_layout)
+    assert seps == [graphs._EDGE_ROW]
+    assert g.tags == read.tags and g.edges.tolist() == read.edges.tolist() and g.layers == read.layers
+    code, out = run(["verify", str(tmp_path / "graph.json")], capsys)
+    assert code == 0, out
+    assert seps == [graphs._EDGE_ROW] * 2
+
+
+def test_verify_validates_a_graph_once(tmp_path, capsys, monkeypatch):
+    # validate walks the edge column alone; extraction reads the result
+    from permlab import graphs
+
+    code, _ = run(["gen", "cross", "--m", "8", "--b", "2", "--p", "2", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    walks = []
+    real = graphs.in_blocks
+
+    def spy(*columns):
+        walks.append(len(columns))
+        return real(*columns)
+
+    monkeypatch.setattr(graphs, "in_blocks", spy)
+    code, out = run(["verify", str(tmp_path / "graph.json")], capsys)
+    assert code == 0, out
+    assert walks.count(1) == 1
+
+
+def test_verify_checks_the_layout_its_params_fix(tmp_path, capsys):
+    # each edit passed verify while it checked the graph against sigma alone,
+    # except the moved edge, which also breaks extraction
+    code, _ = run(["gen", "random", "--m", "8", "--b", "2", "--p", "2", "--seed", "3",
+                   "--out", str(tmp_path)], capsys)
+    assert code == 0
+    data = (tmp_path / "graph.json").read_bytes()
+    doc = json.loads(data)
+    edges, tags = doc["graph"]["edges"], doc["graph"]["tags"]
+    e = tags.index("referee", 100)
+    at = data.index(b'"tags": [')
+    for _ in range(e):
+        at = data.index(b", ", at) + 2
+    at = data.index(b'"referee"', at)
+    retagged = data[:at] + b'"player:2"' + data[at + len(b'"referee"'):]
+    layers = json.loads(data)
+    layers["graph"]["layers"][5] += 1
+    moved = json.loads(data)
+    moved["graph"]["edges"][-1][0] -= 2
+    short = json.loads(data)
+    del short["graph"]["tags"][-1]
+    short = json.dumps(short).encode()
+    end = short.index(b'"]', short.index(b'"tags": [')) + 1  # the tag array's "]"
+    layer, u, v = edges[-1]
+    cases = [
+        (retagged, [f"edge {e + 1} ({','.join(map(str, edges[e]))}) is tagged player:2, "
+                    f"the layout tags it referee"]),
+        (json.dumps(layers).encode(), [f"layer 6 has size {doc['graph']['layers'][5] + 1}, "
+                                       f"the layout's has {doc['graph']['layers'][5]}", "vertex count"]),
+        (json.dumps(moved).encode(), [f"edge {len(edges)} ({layer - 2},{u},{v}) is in layer {layer - 2}, "
+                                      f"the layout puts it in layer {layer}", "extraction failed"]),
+        (short, [f"unreadable: byte {end}: {len(edges) - 1} tags for {len(edges)} edges"]),
+    ]
+    for i, (bad, want) in enumerate(cases):
+        path = tmp_path / f"edited{i}.json"
+        path.write_bytes(bad)
+        code, out = run(["verify", str(path)], capsys)
+        assert code == 1
+        (problems,) = json.loads(out)["violations"].values()
+        assert len(problems) == len(want) and all(p.startswith(w) for p, w in zip(problems, want)), problems

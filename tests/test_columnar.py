@@ -35,6 +35,7 @@ from permlab.graphs import (
     ExtractionError,
     GroupLayeredGraph,
     LayeredGraph,
+    _edge_array_end,
     _path_hits,
     basic,
     concat_all,
@@ -1348,3 +1349,20 @@ def test_readers_refuse_nul_bytes(artifacts, art, field):
 def test_from_json_rejects_other_documents(text, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         LayeredGraph.from_json(text.encode())
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.text(alphabet="[]1, ", max_size=40), st.integers(1, 9))
+def test_edge_array_end_is_the_first_double_bracket(text, window):
+    # one windowed pass finds what a search for "]]" and a count of "]" find,
+    # also for a "]]" across two windows
+    data = b'{"edges": [' + text.encode()
+    start = len(b'{"edges": ')
+    end = start + 1 if data[start:start + 2] == b"[]" else data.find(b"]]", start) + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("permlab.graphs.WINDOW", window)
+        if end == 0:
+            with pytest.raises(ValueError, match=f"^byte {start}: edge array has no end$"):
+                _edge_array_end(data, start)
+        else:
+            assert _edge_array_end(data, start) == (end, data.count(b"]", start + 1, end))

@@ -10,19 +10,23 @@ from permlab.gen import (
     MAX_K,
     MAX_VERTICES,
     GenParams,
+    _bounds,
     _count_floor,
     _count_general,
     _count_simple,
+    _draws,
     _factors,
     _filled,
     _layer_plan,
     default_params,
     gen_general,
     gen_simple,
+    layout,
     sample_simple,
     vertex_count,
 )
 from permlab.graphs import basic, concat_all, extract_permutation
+from permlab.matching import sigma_cross
 from permlab.perms import (
     compose,
     identity,
@@ -332,3 +336,31 @@ def test_sampling_decodes_its_draws_in_bulk(p, monkeypatch):
     assert extract_permutation(gen_simple(rho, P, params, random.Random(2)), 8) == rho
     g, core = sample_simple(rho, P, params, random.Random(3))
     assert extract_permutation(g, 8) == rho and len(core["M"]) == 2
+
+
+@pytest.mark.parametrize("m, b, k, p", [(8, 2, 2, 1), (16, 4, 3, 1), (12, 3, 1, 2), (8, 2, 2, 2),
+                                        (16, 4, 2, 2)])
+def test_the_params_alone_fix_the_layout(m, b, k, p, monkeypatch):
+    # (16, 4, 3, 1) and (12, 3, 1, 2) have wrapped (non-Lex) pieces; the
+    # layout is read off a fill that makes no draw
+    params = default_params(m, b, k=k, p=p)
+    if (m, b) in ((16, 4), (12, 3)):
+        assert _layer_plan(m, b)[4].any()
+
+    def refuse(*args):
+        raise AssertionError("the layout drew")
+
+    layout.cache_clear()
+    monkeypatch.setattr("permlab.gen.randbelow_many", refuse)
+    want = layout(params)
+    monkeypatch.undo()
+    assert _draws(m, b, k, p) == len(_bounds(m, b, k, p))  # the draw offsets the layout's fill counts
+    column = want.layer_column(np.empty(want.edges, dtype=np.int32))
+    tags = [want.names[i] for i in want.tag_ids().tolist()]
+    for sigma in (identity(m), sigma_cross(m), random_perm(m, random.Random(m + p))):
+        for seed in range(2):
+            g = gen_general(sigma, params, random.Random(seed))
+            assert g.layers == want.layers() and g.vertex_count == vertex_count(params, general=True)
+            assert g.edges[:, 0].tolist() == column.tolist()
+            assert g.tags == tags
+            assert want.problems(g) == []

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permlab.gen import default_params, gen_general, gen_simple, sample_simple
+from permlab.gen import default_params, gen_simple, sample_simple
 from permlab.graphs import basic, concat_all
-from permlab.matching import bipartite_of, instance_to_stream, max_matching, sigma_eq
-from permlab.perms import identity, lex_partition, random_simple
+from permlab.matching import instance_to_stream, max_matching
+from permlab.perms import lex_partition, random_simple
 from permlab.streams import (
     AdvantageReport,
     AugmentingMatching,
