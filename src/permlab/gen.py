@@ -35,12 +35,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
 from .blocks import multi_block
-from .codec import WINDOW
+from .codec import json_int
 from .graphs import LayeredGraph, concat_all
 from .hph import core_bounds, cores_from_draws, force_gamma, recompute_gamma_star, sample_core
 from .perms import Partition, Perm, is_simple, lex_partition, swap_perm
@@ -199,6 +198,12 @@ def _count_floor(m: int, k: int, p: int) -> int:
     return m * c
 
 
+def _vertex_floor(params: GenParams, general: bool) -> int:
+    """A lower bound on vertex_count that builds no sorting network."""
+    floor = _count_floor(params.m, params.k, params.p)
+    return floor * depth_floor(params.m, params.b) if general else floor
+
+
 def vertex_count(params: GenParams, general: bool) -> int:
     """Exact vertex count of any sample at these parameters, or ValueError
     if it is over MAX_VERTICES.
@@ -209,9 +214,7 @@ def vertex_count(params: GenParams, general: bool) -> int:
     counts) are refused before the layer plans, which build sorting networks
     at sizes up to m * 2^(p-1).
     """
-    floor = _count_floor(params.m, params.k, params.p)
-    if general:
-        floor *= depth_floor(params.m, params.b)
+    floor = _vertex_floor(params, general)
     if floor > MAX_VERTICES:
         raise ValueError(f"sample would need at least {floor} vertices, cap is {MAX_VERTICES}")
     count = _count_general if general else _count_simple
@@ -278,20 +281,12 @@ class Layout:
     def tag_ids(self) -> np.ndarray:
         return np.repeat(self.tags, self.runs)
 
-    def tag_text(self) -> Iterator[bytes]:
-        """graph.json's tag rows, '"name", ' an edge, in pieces of about
-        codec.WINDOW bytes, each distinct run of rows spelled once."""
-        spelled = [b'"%s", ' % name.encode() for name in self.names]
-        kinds, kind = np.unique(self.runs * len(spelled) + self.tags, return_inverse=True)
-        table = [spelled[key % len(spelled)] * (key // len(spelled)) for key in kinds.tolist()]
-        ends = np.cumsum(np.array(list(map(len, table)))[kind])
-        for part in np.split(kind, np.searchsorted(ends, np.arange(WINDOW, ends[-1], WINDOW))):
-            yield b"".join(map(table.__getitem__, part.tolist()))
-
     def problems(self, g: LayeredGraph) -> list[str]:
         """Where g's layer sizes, its edges' layers and its edges' tags first
         differ from the layout's, one problem each; edges are counted from 1
-        in the graph's order."""
+        in the graph's order. A graph holding this layout's own names tuple
+        took its tags from the layout, as LayeredGraph.from_json adopts
+        them, so its tags are not compared."""
         problems, layers = [], self.layers()
         if g.layers != layers:
             i = next((i for i, (x, y) in enumerate(zip(g.layers, layers)) if x != y), None)
@@ -308,6 +303,8 @@ class Layout:
             e = int(np.argmax(g.edges[:, 0] != layer))
             problems.append(f"{edge(e)} is in layer {g.edges[e, 0]}, the layout puts it in layer {layer[e]}")
         del layer
+        if g.tag_names is self.names:
+            return problems
         index = {name: i for i, name in enumerate(self.names)}
         ids = np.array([index.get(t, len(index)) for t in g.tag_names], dtype=np.uint16)[g.tag_ids]
         want = self.tag_ids()
@@ -346,16 +343,6 @@ def _bounds(m: int, b: int, k: int, p: int) -> np.ndarray:
         routes = [np.tile(_bounds(size, b, k, p - 1), len(_layer_plan(size, b)[0])) for size in (2 * m, m)]
         parts += routes[:1] * (2 * k) + routes[1:]
     return _read_only(np.concatenate(parts))[0]
-
-
-@lru_cache(maxsize=256)
-def _draws(m: int, b: int, k: int, p: int) -> int:
-    """len(_bounds(m, b, k, p)), counted without building the bounds."""
-    count = len(core_bounds(2 * m // b, 1, b, k))
-    if p > 1:
-        count += sum(times * _draws(size, b, k, p - 1) * len(_layer_plan(size, b)[0])
-                     for size, times in ((2 * m, 2 * k), (m, 1)))
-    return count
 
 
 def _inverse(perms: np.ndarray) -> np.ndarray:
@@ -400,7 +387,7 @@ class _Sample:
         rho = None if factors is None else s[piece, factors[:, piece, s_inv - 1] - 1].reshape(n * count, m)
         spans = _count_simple(m, self.b, self.k, p) // 2 + 2 * m * wrapped
         after = spans.sum() - np.cumsum(spans)
-        drawn = drawn[:, None] + np.arange(count) * _draws(m, self.b, self.k, p)
+        drawn = drawn[:, None] + np.arange(count) * len(_bounds(m, self.b, self.k, p))
         return rho, drawn.ravel(), (at[:, None] + after).ravel(), np.tile(np.arange(count), n), swaps
 
     def cores(self, m: int, p: int, rho: np.ndarray | None, drawn: np.ndarray, at: np.ndarray,
@@ -432,7 +419,7 @@ class _Sample:
                 self.place(gadget_at, size, perms, REFEREE)
         else:
             after = drawn + len(core_bounds(2 * m // b, 1, b, k))
-            each = _draws(width, b, k, p - 1) * len(_layer_plan(width, b)[0])
+            each = len(_bounds(width, b, k, p - 1)) * len(_layer_plan(width, b)[0])
             left_drawn = after[:, None] + 2 * np.arange(k) * each
             routes.setdefault(width, []).extend([
                 (left, left_drawn.ravel(), block.ravel()),
@@ -514,6 +501,23 @@ def layout(params: GenParams) -> Layout:
     vertex_count(params, general=True)
     (_, sizes, tags), _ = _fill(None, _layer_plan(params.m, params.b)[2:], params, None)
     return Layout.of(sizes, tags, params.k)
+
+
+def header_layout(doc: dict, edges: int) -> Layout | None:
+    """The layout that a permgraph document's header fixes for its graph of
+    that many edges, or None unless m, b, k and p are JSON integers that gen
+    accepts, sigma is a list of m entries and there are at least half as
+    many edges as _vertex_floor has vertices, as in every sample (a gadget
+    of size s has 2s vertices and s edges). These checks build no sorting
+    network, so a document too small for its params costs none."""
+    if doc.get("kind") != "permgraph":
+        return None
+    try:
+        params = default_params(*(json_int(doc[key], key) for key in ("m", "b", "k", "p")))
+        sized = isinstance(doc["sigma"], list) and len(doc["sigma"]) == params.m
+        return layout(params) if sized and 2 * edges >= _vertex_floor(params, general=True) else None
+    except (KeyError, ValueError):
+        return None
 
 
 def sample_simple(

@@ -23,10 +23,11 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import gen  # a cycle: gen builds its graphs here, and permlab/__init__ imports gen first
 from .codec import WINDOW, first_difference, format_chunks, json_int, read_rows, tag_table, used_tags
 from .perms import Perm
 
@@ -97,11 +98,7 @@ class LayeredGraph:
     def validate(self) -> None:
         """Raise ValueError for a graph with no layers or a layer of negative
         size, else naming the first edge, in edge order, that has a layer
-        outside [1, depth-1] or an endpoint outside its layer. A graph that
-        passed is not checked again while it holds the same edges array and
-        layer sizes: nothing writes a graph's columns in place."""
-        if getattr(self, "_valid", (None,))[0] is self.edges and self._valid[1] == self.layers:
-            return
+        outside [1, depth-1] or an endpoint outside its layer."""
         if not self.layers:
             raise ValueError("graph has no layers")
         if min(self.layers) < 0:
@@ -119,7 +116,6 @@ class LayeredGraph:
                 if bad_layer[first]:
                     raise ValueError(f"edge layer {el} out of range")
                 raise ValueError(f"edge ({el},{eu},{ev}) leaves its layers")
-        self._valid = (self.edges, list(self.layers))
 
     def to_json(self) -> bytes:
         """The JSON payload as bytes, as json.dumps(payload, sort_keys=True)
@@ -146,8 +142,7 @@ class LayeredGraph:
         yield b"}"
 
     @classmethod
-    def from_json(cls, data: str | bytes, layout: Callable[[dict], object] | None = None
-                  ) -> tuple["LayeredGraph", dict]:
+    def from_json(cls, data: str | bytes) -> tuple["LayeredGraph", dict]:
         """Read a document holding to_json's payload, as the whole document or
         as its "graph" entry: the graph, and the document's other entries.
 
@@ -159,11 +154,9 @@ class LayeredGraph:
         writers would not write raise ValueError naming the offset of the
         first of them.
 
-        layout maps the document, read without its arrays, to None or to the
-        tags it expects, as gen.Layout gives them: their count (edges),
-        names, tag_ids() and tag_text(), the tag array's rows, each with its
-        trailing ", ", in pieces. A tag array that is exactly that text, for
-        one tag an edge, is taken as those tags without being read."""
+        A permgraph document's header fixes its graph's layout
+        (gen.header_layout). A tag array that is byte for byte the text of
+        the layout's tags is taken as those tags without being read."""
         if isinstance(data, str):
             data = data.encode()
         key = data.find(b'"edges": [')
@@ -185,9 +178,9 @@ class LayeredGraph:
         if cuts[-1][1] > 0:  # else the tag array has no end, named once the edges are read
             try:
                 doc = _load_skeleton(data, sorted(cuts))
-            except ValueError as err:
+            except (ValueError, RecursionError) as err:  # raised after the arrays' errors
                 error = err
-        expected = None if doc is None or layout is None else layout(doc)
+        expected = None if doc is None else gen.header_layout(doc, rows)
         edges = np.empty((rows, 3), dtype=np.int32)
         read_rows(data, start + 1, end, _EDGE_ROW, list(edges.T), trim=2)
         if key < 0:
@@ -197,7 +190,7 @@ class LayeredGraph:
             if end < 0:
                 raise ValueError(f"byte {start}: tag array has no end")
             if expected is not None and expected.edges == len(edges) and \
-                    _spells(data, start + 1, end, expected.tag_text()):
+                    _spells(data, start + 1, end, expected):
                 tag_ids, names = expected.tag_ids(), expected.names
             else:
                 tag_ids = np.empty(len(edges), dtype=np.uint16)
@@ -244,9 +237,16 @@ def _edge_array_end(data: bytes, start: int) -> tuple[int, int]:
     raise ValueError(f"byte {start}: edge array has no end")
 
 
-def _spells(data: bytes, lo: int, end: int, pieces: Iterator[bytes]) -> bool:
-    """Whether data[lo:end] is the pieces' bytes less the last two, compared
-    a piece at a time."""
+def _spells(data: bytes, lo: int, end: int, layout: gen.Layout) -> bool:
+    """Whether data[lo:end] is the tag array's rows for the layout's tags,
+    compared a piece of about codec.WINDOW bytes at a time; the rows of each
+    distinct run are spelled once."""
+    spelled = [_TAG_ROW[0] + name.encode() + _TAG_ROW[1] for name in layout.names]
+    kinds, kind = np.unique(layout.runs * len(spelled) + layout.tags, return_inverse=True)
+    table = [spelled[key % len(spelled)] * (key // len(spelled)) for key in kinds.tolist()]
+    ends = np.cumsum(np.array(list(map(len, table)))[kind])
+    pieces = (b"".join(map(table.__getitem__, part.tolist()))
+              for part in np.split(kind, np.searchsorted(ends, np.arange(WINDOW, ends[-1], WINDOW))))
     for piece in _trimmed(pieces):
         if not data.startswith(piece, lo, end):
             return False
@@ -362,7 +362,7 @@ class ExtractionError(Exception):
         )
 
 
-def extract_permutation(g: LayeredGraph, m: int) -> Perm:
+def extract_permutation(g: LayeredGraph, m: int, *, validated: bool = False) -> Perm:
     """Recover sigma from reachability, or raise ExtractionError.
 
     Source i must reach exactly one of the first m sinks, and the map must be
@@ -371,10 +371,12 @@ def extract_permutation(g: LayeredGraph, m: int) -> Perm:
     source is its path's root (path_roots). Any other graph takes one sweep
     over the layers that carries, for every vertex, the set of sources
     reaching it as a Python int with bit i-1 for source i.
+
+    validated says that g.validate() has passed, so it is not run again.
     """
     if g.first_size() < m or g.last_size() < m:
         raise ValueError(f"boundary layers smaller than m={m}")
-    hits = _path_hits(g, m)
+    hits = _path_hits(g, m, validated)
     if hits is None:
         hits = _swept_hits(g, m)
     for i, sinks in enumerate(hits, start=1):
@@ -423,11 +425,13 @@ def path_roots(up: np.ndarray) -> np.ndarray | None:
     return root if np.array_equal(take_in_blocks(up, root, step), root) else None
 
 
-def _path_hits(g: LayeredGraph, m: int) -> list[list[int]] | None:
+def _path_hits(g: LayeredGraph, m: int, validated: bool = False) -> list[list[int]] | None:
     """Each source's sinks among the first m, read off path roots, or None
-    unless the graph is valid and no vertex has two edges in or two out."""
+    unless the graph is valid (validated: known to be) and no vertex has two
+    edges in or two out."""
     try:
-        g.validate()
+        if not validated:
+            g.validate()
         gu, gv = g.global_ids()
     except ValueError:  # invalid, or too many vertices for int32 ids
         return None

@@ -509,7 +509,7 @@ def test_verify_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
     assert code == 0
     path, stream = str(tmp_path / "graph.json"), str(tmp_path / "stream.txt")
     for message, reported in OUT_OF_MEMORY:
-        def exhausted(data, layout=None):
+        def exhausted(data):
             raise MemoryError(message)
 
         monkeypatch.setattr(LayeredGraph, "from_json", exhausted)
@@ -527,7 +527,7 @@ def test_verify_reports_running_out_of_memory_in_extraction(tmp_path, capsys, mo
     failures = [(MemoryError(message), f"out of memory: {reported}") for message, reported in OUT_OF_MEMORY]
     failures.append((ValueError("boundary layers"), "extraction failed: boundary layers"))
     for err, problem in failures:
-        def failing(g, m):
+        def failing(g, m, **_):
             raise err
 
         monkeypatch.setattr("permlab.cli.extract_permutation", failing)
@@ -563,14 +563,14 @@ def test_verify_rejects_instance_files_dump_instance_never_writes(tmp_path, caps
 @pytest.mark.parametrize("p", [1, 2])
 def test_verify_reads_no_tag_row_of_a_gen_graph(tmp_path, capsys, monkeypatch, p):
     # the tag array is the text the params' layout spells, so its ids and
-    # names are the layout's; only the edge rows go through read_rows
-    from permlab import graphs
-    from permlab.cli import _header_layout
+    # names are the layout's; only the edge rows go through read_rows, and
+    # verify does not compare the adopted tags with the layout's again
+    from permlab import gen, graphs
 
     code, _ = run(["gen", "random", "--m", "8", "--b", "2", "--p", str(p), "--out", str(tmp_path)], capsys)
     assert code == 0
     data = (tmp_path / "graph.json").read_bytes()
-    read = graphs.LayeredGraph.from_json(data)[0]
+    read = json.loads(data)["graph"]
     seps = []
     real = graphs.read_rows
 
@@ -579,12 +579,21 @@ def test_verify_reads_no_tag_row_of_a_gen_graph(tmp_path, capsys, monkeypatch, p
         return real(data, lo, end, row, *args, **kwargs)
 
     monkeypatch.setattr(graphs, "read_rows", spy)
-    g, _ = graphs.LayeredGraph.from_json(data, layout=_header_layout)
+    g, _ = graphs.LayeredGraph.from_json(data)
     assert seps == [graphs._EDGE_ROW]
-    assert g.tags == read.tags and g.edges.tolist() == read.edges.tolist() and g.layers == read.layers
+    assert g.tags == read["tags"] and g.edges.tolist() == read["edges"] and g.layers == read["layers"]
+    spelled = []
+    real_ids = gen.Layout.tag_ids
+
+    def tag_ids(layout):
+        spelled.append(layout)
+        return real_ids(layout)
+
+    monkeypatch.setattr(gen.Layout, "tag_ids", tag_ids)
     code, out = run(["verify", str(tmp_path / "graph.json")], capsys)
     assert code == 0, out
     assert seps == [graphs._EDGE_ROW] * 2
+    assert len(spelled) == 1  # the ids from_json adopts
 
 
 def test_verify_validates_a_graph_once(tmp_path, capsys, monkeypatch):
@@ -634,7 +643,7 @@ def test_verify_checks_the_layout_its_params_fix(tmp_path, capsys):
         (retagged, [f"edge {e + 1} ({','.join(map(str, edges[e]))}) is tagged player:2, "
                     f"the layout tags it referee"]),
         (json.dumps(layers).encode(), [f"layer 6 has size {doc['graph']['layers'][5] + 1}, "
-                                       f"the layout's has {doc['graph']['layers'][5]}", "vertex count"]),
+                                       f"the layout's has {doc['graph']['layers'][5]}"]),
         (json.dumps(moved).encode(), [f"edge {len(edges)} ({layer - 2},{u},{v}) is in layer {layer - 2}, "
                                       f"the layout puts it in layer {layer}", "extraction failed"]),
         (short, [f"unreadable: byte {end}: {len(edges) - 1} tags for {len(edges)} edges"]),
@@ -646,3 +655,40 @@ def test_verify_checks_the_layout_its_params_fix(tmp_path, capsys):
         assert code == 1
         (problems,) = json.loads(out)["violations"].values()
         assert len(problems) == len(want) and all(p.startswith(w) for p, w in zip(problems, want)), problems
+
+
+def test_verify_builds_no_layer_plan_for_a_document_too_small_for_its_params(tmp_path, capsys, monkeypatch):
+    # m = 80,000 at b = 2, k = 1, p = 1 passes the vertex floor, so its
+    # vertex count and layout need its sorting network; a document this
+    # small gets its sigma or extraction report without one
+    def refuse(m, b):
+        raise AssertionError("a layer plan was built")
+
+    monkeypatch.setattr("permlab.gen._layer_plan", refuse)
+    head = {"kind": "permgraph", "m": 80000, "b": 2, "k": 1, "p": 1}
+    graph = {"edges": [[1, 1, 1], [1, 2, 2]], "layers": [2, 2], "tags": ["referee", "referee"]}
+    cases = [({**head, "sigma": []}, "sigma acts on [0] but m=80000"),
+             ({**head, "sigma": list(range(1, 80001))},
+              "extraction failed: boundary layers smaller than m=80000")]
+    for i, (doc, want) in enumerate(cases):
+        path = tmp_path / f"small{i}.json"
+        path.write_text(json.dumps({**doc, "graph": graph}, sort_keys=True))
+        code, out = run(["verify", str(path)], capsys)
+        assert code == 1
+        assert json.loads(out)["violations"] == {str(path): [want]}
+
+
+def test_verify_checks_a_graph_too_small_for_its_params_after_extraction(tmp_path, capsys):
+    # four edges extract sigma, but a sample at these params has more
+    from permlab.gen import default_params, layout
+
+    want = layout(default_params(4, 2, k=2, p=1))
+    doc = {"kind": "permgraph", "m": 4, "b": 2, "k": 2, "p": 1, "sigma": [1, 2, 3, 4],
+           "graph": {"edges": [[1, u, u] for u in range(1, 5)], "layers": [4, 4]}}
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    code, out = run(["verify", str(path)], capsys)
+    assert code == 1
+    problems = json.loads(out)["violations"][str(path)]
+    assert problems[:2] == [f"2 layers, the layout has {len(want.layers())}",
+                            f"4 edges, the layout has {want.edges}"]

@@ -14,7 +14,6 @@ from permlab.gen import (
     _count_floor,
     _count_general,
     _count_simple,
-    _draws,
     _factors,
     _filled,
     _layer_plan,
@@ -354,7 +353,6 @@ def test_the_params_alone_fix_the_layout(m, b, k, p, monkeypatch):
     monkeypatch.setattr("permlab.gen.randbelow_many", refuse)
     want = layout(params)
     monkeypatch.undo()
-    assert _draws(m, b, k, p) == len(_bounds(m, b, k, p))  # the draw offsets the layout's fill counts
     column = want.layer_column(np.empty(want.edges, dtype=np.int32))
     tags = [want.names[i] for i in want.tag_ids().tolist()]
     for sigma in (identity(m), sigma_cross(m), random_perm(m, random.Random(m + p))):
