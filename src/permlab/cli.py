@@ -25,10 +25,11 @@ import numpy as np
 from . import __version__, dists
 from .codec import json_int
 from .gen import default_params, gen_general, header_layout, layout, vertex_count
-from .graphs import ExtractionError, LayeredGraph, extract_permutation
+# extract_permutation is not called here, but perfbench/tracing.py looks the name up on this module
+from .graphs import ExtractionError, LayeredGraph, extract_permutation, path_labels, read_permutation
 from .hph import parse_instance, referee_answer
-from .matching import (BipartiteInstance, bipartite_of, dichotomy_size, instance_to_stream, max_matching,
-                       sigma_cross, sigma_eq)
+from .matching import (BipartiteInstance, bipartite_of, certified_size, dichotomy_size, instance_to_stream,
+                       matching_size, max_matching, sigma_cross, sigma_eq)
 from .perms import parse_perm, random_perm
 from .rs import parse_rs, validate_rs
 from .seeds import rng_for
@@ -135,8 +136,12 @@ def cmd_gen(args) -> int:
 def _verify_permgraph(doc: dict, g: LayeredGraph) -> tuple[list[str], BipartiteInstance | None, int | None]:
     """Check a permgraph document, read without its graph, against the graph:
     the problems found, then the matching instance and the size that
-    max_matching must certify on it, or None, None when the dichotomy says
-    nothing. The instance holds no reference to the graph."""
+    max_matching must certify on it, or None, None when no oracle is left to
+    run. The instance holds no reference to the graph.
+
+    A graph whose sigma is read off vertex-disjoint paths has its maximum
+    matching read off the same path labels (certified_size) for every sigma;
+    any other graph is sent to the oracle for sigma_eq and sigma_cross."""
     m, b, k, p = (json_int(doc[key], key) for key in ("m", "b", "k", "p"))
     sigma = tuple(json_int(x, "sigma") for x in doc["sigma"])
     if len(sigma) != m:
@@ -148,25 +153,31 @@ def _verify_permgraph(doc: dict, g: LayeredGraph) -> tuple[list[str], BipartiteI
     expected = header_layout(doc, len(g.edges))
     problems = [] if expected is None else expected.problems(g)
     try:
-        got = extract_permutation(g, m, validated=True)
+        roots = path_labels(g)
+        got = read_permutation(g, m, roots)
         if got != sigma:
             problems.append(f"extracted {got}, expected {sigma}")
     except (ExtractionError, ValueError) as err:
         return problems + [f"extraction failed: {err}"], None, None
     if expected is None:  # too few edges for the params, or params over the vertex cap, where layout raises
         problems = layout(default_params(m, b, k=k, p=p)).problems(g) + problems
-    want_size = dichotomy_size(sigma, g.vertex_count)
+    want_size = (dichotomy_size if roots is None else matching_size)(sigma, g.vertex_count)
     if want_size is None:
         return problems, None, None
+    if roots is not None:
+        size = certified_size(g, m, roots)
+        if size is not None:  # else a check failed, and the oracle decides
+            return problems + _size_problems(size, want_size), None, None
     return problems, bipartite_of(g, m), want_size
+
+
+def _size_problems(size: int, want_size: int) -> list[str]:
+    return [] if size == want_size else [f"max matching {size}, expected {want_size}"]
 
 
 def _verify_matching(inst: BipartiteInstance, want_size: int) -> list[str]:
     res = max_matching(inst)
-    problems = [] if res.certified else ["matching certificate failed"]
-    if res.size != want_size:
-        problems.append(f"max matching {res.size}, expected {want_size}")
-    return problems
+    return ([] if res.certified else ["matching certificate failed"]) + _size_problems(res.size, want_size)
 
 
 def _verify_manifest(manifest: RunManifest, folder: str) -> list[str]:

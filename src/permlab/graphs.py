@@ -83,17 +83,22 @@ class LayeredGraph:
     def global_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """Each edge's endpoints as int32 global ids, vertices numbered from 1
         layer by layer. Raise ValueError for 2**31 vertices or more."""
+        gu, gv = (np.empty(len(self.edges), dtype=np.int32) for _ in range(2))
+        for (ub, vb), (to_u, to_v) in zip(self.id_blocks(), in_blocks(gu, gv)):
+            to_u[:], to_v[:] = ub, vb
+        return gu, gv
+
+    def id_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """global_ids a BLOCK of edges at a time, as new int32 arrays."""
         if self.vertex_count >= 2**31:
             raise ValueError(f"{self.vertex_count} vertices do not fit in int32 ids")
         start = np.cumsum([0, *self.layers]).astype(np.int32)  # vertices before layer i+1
-        gu, gv = (np.empty(len(self.edges), dtype=np.int32) for _ in range(2))
-        for rows, ub, vb in in_blocks(self.edges, gu, gv):
-            li = rows[:, 0].astype(np.intp)
-            np.take(start, li - 1, out=ub)
-            np.take(start, li, out=vb)
-            ub += rows[:, 1]
-            vb += rows[:, 2]
-        return gu, gv
+        for li, u, v in in_blocks(*self.edges.T):
+            li = li.astype(np.intp)
+            ub, vb = start.take(li - 1), start.take(li)
+            ub += u
+            vb += v
+            yield ub, vb
 
     def validate(self) -> None:
         """Raise ValueError for a graph with no layers or a layer of negative
@@ -362,23 +367,30 @@ class ExtractionError(Exception):
         )
 
 
-def extract_permutation(g: LayeredGraph, m: int, *, validated: bool = False) -> Perm:
+def extract_permutation(g: LayeredGraph, m: int) -> Perm:
     """Recover sigma from reachability, or raise ExtractionError.
 
     Source i must reach exactly one of the first m sinks, and the map must be
     a bijection on [m]. A valid graph whose vertices all have in- and
-    out-degree at most 1 is a union of vertex-disjoint paths, and each sink's
-    source is its path's root (path_roots). Any other graph takes one sweep
-    over the layers that carries, for every vertex, the set of sources
-    reaching it as a Python int with bit i-1 for source i.
-
-    validated says that g.validate() has passed, so it is not run again.
+    out-degree at most 1 is read off its path labels (path_labels); any
+    other graph takes read_permutation's sweep.
     """
+    try:
+        g.validate()
+    except ValueError:
+        return read_permutation(g, m, None)
+    return read_permutation(g, m, path_labels(g))
+
+
+def read_permutation(g: LayeredGraph, m: int, roots: np.ndarray | None) -> Perm:
+    """sigma, read off the valid graph g's path labels roots (path_labels),
+    or, when roots is None, found by one sweep over the layers that carries,
+    for every vertex, the set of sources reaching it as a Python int with bit
+    i-1 for source i. Raise ValueError for boundary layers smaller than m,
+    and ExtractionError as extract_permutation does."""
     if g.first_size() < m or g.last_size() < m:
         raise ValueError(f"boundary layers smaller than m={m}")
-    hits = _path_hits(g, m, validated)
-    if hits is None:
-        hits = _swept_hits(g, m)
+    hits = _swept_hits(g, m) if roots is None else _path_hits(g, m, roots)
     for i, sinks in enumerate(hits, start=1):
         if len(sinks) != 1:
             raise ExtractionError(i, sinks)
@@ -411,46 +423,44 @@ def take_in_blocks(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
-def path_roots(up: np.ndarray) -> np.ndarray | None:
+def path_roots(up: np.ndarray) -> np.ndarray:
     """The root of every vertex under the parent map up, whose entries index
     up and where up[x] == x marks a root, by pointer doubling: after round k
-    each vertex points 2**k steps up its path or at its root. None when some
-    vertex's parents run into a cycle and never reach a root."""
+    each vertex points 2**k steps up its path or at its root. Every vertex's
+    parents must reach a root; on a cycle the labels are cycle vertices."""
     root, step = up.copy(), np.empty_like(up)
     for _ in range(len(up).bit_length() + 1):
         take_in_blocks(root, root, step)
         if np.array_equal(step, root):
             break
         root, step = step, root
-    return root if np.array_equal(take_in_blocks(up, root, step), root) else None
+    return root
 
 
-def _path_hits(g: LayeredGraph, m: int, validated: bool = False) -> list[list[int]] | None:
-    """Each source's sinks among the first m, read off path roots, or None
-    unless the graph is valid (validated: known to be) and no vertex has two
-    edges in or two out."""
-    try:
-        if not validated:
-            g.validate()
-        gu, gv = g.global_ids()
-    except ValueError:  # invalid, or too many vertices for int32 ids
+def path_labels(g: LayeredGraph) -> np.ndarray | None:
+    """The valid graph g's path labels: each vertex's path root as an int32
+    global id, indexed by global id (index 0 is no vertex). None unless every
+    vertex has in- and out-degree at most 1, which makes the graph a union of
+    vertex-disjoint paths, and the ids fit in int32."""
+    if g.vertex_count >= 2**31:
         return None
     n = g.vertex_count
+    up = np.arange(n + 1, dtype=np.int32)
+    has_out, has_in = np.zeros(n + 1, dtype=bool), np.zeros(n + 1, dtype=bool)
+    for gu, gv in g.id_blocks():
+        has_out[gu] = has_in[gv] = True
+        up[gv] = gu
+    if np.count_nonzero(has_out) < len(g.edges) or np.count_nonzero(has_in) < len(g.edges):
+        return None  # two edges out of or into some vertex
+    del has_out, has_in
+    return path_roots(up)  # paths run forward through the layers, so none is cyclic
 
-    def once_each(ids: np.ndarray) -> bool:
-        seen = np.zeros(n + 1, dtype=bool)
-        seen[ids] = True
-        return np.count_nonzero(seen) == len(ids)
 
-    if not (once_each(gu) and once_each(gv)):
-        return None
-    up = np.arange(n + 1, dtype=np.int32)  # id 0 is no vertex
-    up[gv] = gu
-    del gu, gv
-    root = path_roots(up)  # paths run forward through the layers, so none is cyclic
-    del up
+def _path_hits(g: LayeredGraph, m: int, roots: np.ndarray) -> list[list[int]]:
+    """Each source's sinks among the first m, read off the path labels."""
+    n = g.vertex_count
     hits: list[list[int]] = [[] for _ in range(m)]
-    for sink, source in enumerate(root[n - g.last_size() + 1:][:m].tolist(), start=1):
+    for sink, source in enumerate(roots[n - g.last_size() + 1:][:m].tolist(), start=1):
         if source <= m:  # a path from one of the first m sources
             hits[source - 1].append(sink)
     return hits

@@ -5,23 +5,25 @@ the first half of the sources and sinks. A canonical matching pairs every
 vertex with its own copy; augmenting paths of that matching correspond to
 source-to-sink paths among the first m/2 positions. Hiding the identity gives
 a perfect matching of n + m/2; hiding the cross permutation pins the maximum
-at exactly n.
+at exactly n. When the graph is a union of vertex-disjoint paths, hiding any
+sigma gives n plus the i <= m/2 with sigma(i) <= m/2.
 
 The oracle grows that canonical matching to a maximum one and certifies it
 with a Koenig vertex cover of equal size. When no vertex has two non-seed
 edges, as in every reduction of a graph whose vertices have in- and
 out-degree at most 1, the matching and the cover are read off the
 alternating paths, labelled by pointer doubling, and checked against every
-edge. Any other instance, or one whose reading fails a check, gets an
-iterative Hopcroft-Karp search, the only step that needs the instance's CSR
-columns; they are built on first use.
+edge (_certificate). certified_size does the same from the graph's own path
+labels without building the instance. Any other instance, or one whose
+reading fails a check, gets an iterative Hopcroft-Karp search, the only step
+that needs the instance's CSR columns; they are built on first use.
 """
-
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,19 +43,26 @@ def sigma_cross(m: int) -> Perm:
     return tuple(list(range(half + 1, m + 1)) + list(range(1, half + 1)))
 
 
-def dichotomy_size(sigma: Perm, n: int) -> int | None:
-    """The size max_matching must certify on bipartite_of(g, m) when the
-    n-vertex graph g hides sigma on [m]: n + m/2 for sigma_eq(m), n for
-    sigma_cross(m). None for any other sigma and for odd m, where the
-    dichotomy says nothing."""
+def matching_size(sigma: Perm, n: int) -> int | None:
+    """The size max_matching certifies on bipartite_of(g, m) when the
+    n-vertex graph g is a union of vertex-disjoint paths hiding sigma on [m]:
+    n, plus one augmenting path for each source i <= m/2 with sigma(i) <= m/2.
+    None at odd m, which has no reduction."""
     m = len(sigma)
     if m % 2:
         return None
-    if sigma == sigma_eq(m):
-        return n + m // 2
-    if sigma == sigma_cross(m):
-        return n
-    return None
+    return n + sum(j <= m // 2 for j in sigma[:m // 2])
+
+
+def dichotomy_size(sigma: Perm, n: int) -> int | None:
+    """The size max_matching must certify on bipartite_of(g, m) when the
+    n-vertex graph g hides sigma on [m], whatever its shape: n + m/2 for
+    sigma_eq(m), n for sigma_cross(m). None for any other sigma and for odd
+    m, where the dichotomy says nothing."""
+    m = len(sigma)
+    if m % 2 or sigma not in (sigma_eq(m), sigma_cross(m)):
+        return None
+    return matching_size(sigma, n)
 
 
 @dataclass
@@ -115,6 +124,21 @@ class BipartiteInstance:
 
 
 def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
+    edges = reduction_edges(g, m)
+    n, half = g.vertex_count, m // 2
+    left, right = (np.empty(len(g.edges) + n + m, dtype=np.int32) for _ in range(2))
+    at = 0
+    for lb, rb in edges:
+        left[at:at + len(lb)], right[at:at + len(rb)] = lb, rb
+        at += len(lb)
+    return BipartiteInstance.from_edges(n, half, left, right, np.arange(n, dtype=np.int32))
+
+
+def reduction_edges(g: LayeredGraph, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """bipartite_of(g, m)'s edges as int32 (left, right) blocks, in its edge
+    order: graph edges, canonical copy edges (v, v), terminal to source copy,
+    sink copy to terminal. Raise ValueError for odd m, boundary layers
+    smaller than m/2 and sides too large for int32 ids."""
     if m % 2:
         raise ValueError("m must be even")
     half = m // 2
@@ -123,20 +147,53 @@ def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
     n = g.vertex_count
     if n + half >= 2**31:
         raise ValueError(f"{n + half} vertices a side do not fit in int32 ids")
-    gu, gv = g.global_ids()
-    gu -= 1
-    gv -= 1
-    copies = np.arange(n, dtype=np.int32)
-    terminals = np.arange(n, n + half, dtype=np.int32)
-    sinks = np.arange(half, dtype=np.int32) + (n - g.last_size())
-    # graph edges, canonical copy edges, terminal to source copy, sink copy to terminal.
+    return _reduction_blocks(g, n, half)
+
+
+def _reduction_blocks(g: LayeredGraph, n: int, half: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # From int32 edge columns, an edge that leaves the graph's vertices gets an
     # id below 0 (wrapped, in int32) or past n + half at worst, which from_edges rejects.
-    left = np.concatenate([gu, copies, terminals, sinks], dtype=np.int32)
-    del gu
-    right = np.concatenate([gv, copies, copies[:half], terminals], dtype=np.int32)
-    del gv
-    return BipartiteInstance.from_edges(n, half, left, right, copies)
+    for gu, gv in g.id_blocks():
+        gu -= 1
+        gv -= 1
+        yield gu, gv
+    for lo in range(0, n, BLOCK):
+        copies = np.arange(lo, min(lo + BLOCK, n), dtype=np.int32)
+        yield copies, copies
+    terminals = np.arange(n, n + half, dtype=np.int32)
+    yield terminals, terminals - n
+    yield terminals - g.last_size(), terminals
+
+
+def certified_size(g: LayeredGraph, m: int, roots: np.ndarray) -> int | None:
+    """max_matching(bipartite_of(g, m)).size, read off the path labels roots
+    of g (graphs.path_labels) without building the instance, or None when
+    the matching and cover read off them fail a check against an edge of
+    reduction_edges(g, m). Raise ValueError as reduction_edges does.
+
+    The instance's alternating path from terminal n + i - 1 runs through the copy
+    pairs of source i's path, and augments when that path ends at a sink
+    j <= m/2, whose copy's edge leads on to the free terminal n + j - 1."""
+    edges = reduction_edges(g, m)
+    n, half = g.vertex_count, m // 2
+    side = n + half
+    sinks = np.arange(n - g.last_size(), n - g.last_size() + half, dtype=np.int32)  # the first m/2, 0-based
+    # state[r] for the path whose root has global id r: 1 when it augments,
+    # 2 when it starts at a source r <= m/2 and does not, else 0; take_in_blocks
+    # clips the other ids to 0 or m/2 + 1, which read 0
+    state = np.full(half + 2, 2, dtype=np.int8)
+    state[[0, -1]] = 0
+    ends = roots[sinks + 1]
+    state[ends[(ends >= 1) & (ends <= half)]] = 1
+    labels = np.empty(side, dtype=np.int8)
+    take_in_blocks(state, roots[1:], labels[:n])
+    labels[n:] = state[1:half + 1]     # terminal n + i - 1 starts source i's path
+    on, reached = labels == 1, labels == 2
+    del labels
+    seeded = np.zeros(side, dtype=bool)
+    seeded[:n] = True
+    cert = _certificate(seeded, on, reached, edges)
+    return None if cert is None else cert[0]
 
 
 @dataclass
@@ -176,7 +233,7 @@ def _path_matching(inst: BipartiteInstance) -> MatchingResult | None:
     seeded = np.zeros(side, dtype=bool)
     for (cb,) in in_blocks(inst.canonical):
         seeded[cb] = True
-    nxt = np.full(side, -1, dtype=np.int32)          # each left vertex's non-seed right end
+    has_out = np.zeros(side, dtype=bool)             # left ends of non-seed edges
     up = np.full(side, -1, dtype=np.int32)           # each right vertex's non-seed left end
     exits = np.zeros(side, dtype=bool)               # left ends of non-seed edges to free rights
     count = 0                                        # non-seed edges
@@ -184,18 +241,19 @@ def _path_matching(inst: BipartiteInstance) -> MatchingResult | None:
         lb, rb = lb.astype(np.intp), rb.astype(np.intp)  # converted once, not per index use
         other = (lb != rb) | ~seeded[lb]             # the non-seed edges
         lb, rb = lb[other], rb[other]
-        nxt[lb], up[rb] = rb, lb
+        has_out[lb], up[rb] = True, lb
         exits[lb[~seeded[rb]]] = True
         count += len(lb)
-    if np.count_nonzero(nxt >= 0) < count or np.count_nonzero(up >= 0) < count:
+    if np.count_nonzero(has_out) < count or np.count_nonzero(up >= 0) < count:
         return None                                  # a vertex with two non-seed edges
+    del has_out
     # the left vertex before each on its path: seed partner r continues the
     # path of the left vertex whose non-seed edge reaches right r
     np.copyto(up, np.arange(side, dtype=np.int32), where=(up < 0) | ~seeded)
     root = path_roots(up)
+    if not np.array_equal(take_in_blocks(up, root, np.empty_like(up)), root):
+        return None                                  # a cycle of seeded vertices: labels that are no roots
     del up
-    if root is None:
-        return None                                  # a cycle of seeded vertices
     augments = np.zeros(side, dtype=bool)            # roots of augmenting paths
     augments[root[exits]] = True
     augments &= ~seeded                              # only paths from free left vertices
@@ -203,36 +261,56 @@ def _path_matching(inst: BipartiteInstance) -> MatchingResult | None:
     on = take_in_blocks(augments, root, np.empty(side, dtype=bool))
     reached = take_in_blocks(quiet, root, np.empty(side, dtype=bool))
     del root, augments, quiet, exits
+    cert = _certificate(seeded, on, reached, in_blocks(inst.left, inst.right))
+    if cert is None:
+        return None
+    size, match, in_cl, in_cr = cert
+    del cert, seeded, on, reached
+    match_left = array("i")
+    match_left.frombytes(memoryview(match).cast("B"))  # one copy, not two
+    del match
+    return MatchingResult(size, match_left, _int32_nonzero(in_cl), _int32_nonzero(in_cr), True)
+
+
+def _certificate(seeded: np.ndarray, on: np.ndarray, reached: np.ndarray,
+                 edges: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The matching and Koenig cover that path labels give, checked against
+    every edge of the instance, which edges yields as (left, right) blocks:
+    (size, match, in_cl, in_cr), the int32 right vertex of each left one (-1
+    for none) and the cover's left and right vertices as masks, or None when
+    a check fails.
+
+    Left vertices on augmenting paths (on) take their non-seed edge, the
+    other seeded ones keep their seed pair, whose copy edge every instance
+    holds; so every pair is an edge. The cover is every left vertex off the
+    free paths that do not augment (reached), and the right neighbours of
+    those on them. Those are their copies: a reached vertex's non-seed edge
+    leads to a seed pair on its own path, as one to a free right vertex would
+    augment it. The checks: the cover meets every edge, no right vertex is
+    used twice, and the cover is as large as the matching."""
+    side = len(seeded)
     match = np.arange(side, dtype=np.int32)
     match[~seeded] = -1
-    np.copyto(match, nxt, where=on)
-    del on
-    # cover: left vertices off the reached paths, right neighbours of those on.
-    # Those are their copies: a reached vertex's non-seed edge leads to a seed
-    # pair on its own path, as one to a free right vertex would augment it.
     in_cl, in_cr = ~reached, reached & seeded
-    del nxt, reached
+    for lb, rb in edges:
+        lb, rb = lb.astype(np.intp), rb.astype(np.intp)  # converted once, not per index use
+        if not (in_cl[lb] | in_cr[rb]).all():
+            return None                              # an edge the cover misses
+        at = np.flatnonzero(on[lb])
+        lb, rb = lb[at], rb[at]
+        other = (lb != rb) | ~seeded[lb]             # non-seed edges of vertices on augmenting paths
+        match[lb[other]] = rb[other]
     size = 0
-    used, paired = np.zeros(side, dtype=bool), np.zeros(side, dtype=bool)
+    used = np.zeros(side, dtype=bool)
     for (mb,) in in_blocks(match):
         mb = mb[mb >= 0]
         used[mb] = True
         size += len(mb)
-    for lb, rb in in_blocks(inst.left, inst.right):
-        lb, rb = lb.astype(np.intp), rb.astype(np.intp)
-        paired[lb[match[lb] == rb]] = True
-        if not (in_cl[lb] | in_cr[rb]).all():
-            return None                              # an edge the cover misses
-    if np.count_nonzero(used) != size or not np.array_equal(paired, match >= 0):
-        return None                                  # a pair twice or a pair no edge joins
-    del used, paired
-    match_left = array("i")
-    match_left.frombytes(memoryview(match).cast("B"))  # one copy, not two
-    del match
-    cover_left, cover_right = _int32_nonzero(in_cl), _int32_nonzero(in_cr)
-    if len(cover_left) + len(cover_right) != size:
+    if np.count_nonzero(used) != size:
+        return None                                  # a right vertex in two pairs
+    if np.count_nonzero(in_cl) + np.count_nonzero(in_cr) != size:
         return None
-    return MatchingResult(size, match_left, cover_left, cover_right, True)
+    return size, match, in_cl, in_cr
 
 
 def _hopcroft_karp(inst: BipartiteInstance) -> MatchingResult:

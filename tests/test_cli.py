@@ -460,28 +460,69 @@ def test_verify_refuses_a_sigma_on_another_range(tmp_path, capsys):
     assert json.loads(out)["violations"] == {str(path): ["sigma acts on [2] but m=4"]}
 
 
-def test_verify_runs_the_oracle_exactly_on_id_and_cross(tmp_path, capsys, monkeypatch):
+def test_verify_runs_the_oracle_on_every_sigma(tmp_path, capsys, monkeypatch):
+    # gen's graphs are vertex-disjoint paths, so every sigma's maximum
+    # matching is read off the path labels that extraction made, once, and
+    # never by bipartite_of; the paths are labelled once
+    from permlab.graphs import path_roots
+    from permlab.matching import certified_size
+
+    sizes, labelled = [], []
+
+    def counted(g, m, roots):
+        size = certified_size(g, m, roots)
+        sizes.append((g.vertex_count, size))
+        return size
+
+    def labelling(up):
+        labelled.append(len(up))
+        return path_roots(up)
+
+    def refuse(*args):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr("permlab.cli.certified_size", counted)
+    monkeypatch.setattr("permlab.graphs.path_roots", labelling)
+    monkeypatch.setattr("permlab.cli.bipartite_of", refuse)
+    for spec, half in (("id", 2), ("cross", 0), ("random", None), ("2,1,3,4", 2), ("1,3,2,4", 1)):
+        out = tmp_path / spec
+        code, _ = run(["gen", spec, "--m", "4", "--b", "2", "--out", str(out)], capsys)
+        assert code == 0
+        code, report = run(["verify", str(out / "graph.json")], capsys)
+        assert code == 0, report
+        if half is None:  # one augmenting path per i <= 2 with sigma(i) <= 2
+            sigma = json.loads((out / "graph.json").read_text())["sigma"]
+            half = sum(j <= 2 for j in sigma[:2])
+        ((n, size),) = sizes
+        assert size == n + half and labelled == [n + 1]
+        sizes.clear()
+        labelled.clear()
+
+
+def test_verify_sends_graphs_that_are_not_paths_to_the_oracle(tmp_path, capsys, monkeypatch):
+    # vertex 3 of layer 1 has two edges out, to sinks past m: sigma is swept,
+    # and id and cross alone go to bipartite_of and max_matching
     from permlab.matching import max_matching
 
     sizes = []
 
     def counted(inst):
         res = max_matching(inst)
-        sizes.append((inst.n, res.size))
+        sizes.append((inst.n, res.size, res.certified))
         return res
 
     monkeypatch.setattr("permlab.cli.max_matching", counted)
-    for spec, half in (("id", 2), ("cross", 0), ("random", None), ("2,1,3,4", None)):
-        out = tmp_path / spec
-        code, _ = run(["gen", spec, "--m", "4", "--b", "2", "--out", str(out)], capsys)
-        assert code == 0
-        code, report = run(["verify", str(out / "graph.json")], capsys)
-        assert code == 0, report
-        if half is None:
-            assert sizes == []
-        else:
-            ((n, size),) = sizes
-            assert size == n + half
+    edges = [[1, 3, 3], [1, 3, 4]]
+    for sigma, want in (([1, 2], [(8, 9, True)]), ([2, 1], [(8, 8, True)])):
+        rows = edges + [[1, u, v] for u, v in enumerate(sigma, start=1)]
+        doc = {"kind": "permgraph", "m": 2, "b": 2, "k": 1, "p": 1, "sigma": sigma,
+               "graph": {"edges": rows, "layers": [4, 4]}}
+        path = tmp_path / f"branch{sigma[0]}.json"
+        path.write_text(json.dumps(doc, sort_keys=True))
+        code, out = run(["verify", str(path)], capsys)
+        problems = json.loads(out)["violations"][str(path)]
+        assert code == 1 and not any("matching" in p or "extract" in p for p in problems), problems
+        assert sizes == want
         sizes.clear()
 
 
@@ -521,19 +562,22 @@ def test_verify_reports_running_out_of_memory(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_reports_running_out_of_memory_in_extraction(tmp_path, capsys, monkeypatch):
+    # extraction labels the graph's paths, then reads sigma off them
     code, _ = run(["gen", "cross", "--m", "4", "--b", "2", "--out", str(tmp_path)], capsys)
     assert code == 0
     path = str(tmp_path / "graph.json")
     failures = [(MemoryError(message), f"out of memory: {reported}") for message, reported in OUT_OF_MEMORY]
     failures.append((ValueError("boundary layers"), "extraction failed: boundary layers"))
-    for err, problem in failures:
-        def failing(g, m, **_):
-            raise err
+    for name in ("path_labels", "read_permutation"):
+        for err, problem in failures:
+            def failing(*args):
+                raise err
 
-        monkeypatch.setattr("permlab.cli.extract_permutation", failing)
-        code, out = run(["verify", path], capsys)
-        assert code == 1
-        assert json.loads(out)["violations"] == {path: [problem]}
+            with monkeypatch.context() as patch:
+                patch.setattr(f"permlab.cli.{name}", failing)
+                code, out = run(["verify", path], capsys)
+            assert code == 1
+            assert json.loads(out)["violations"] == {path: [problem]}
 
 
 @pytest.mark.parametrize("field, value, problem", [

@@ -36,10 +36,10 @@ from permlab.graphs import (
     GroupLayeredGraph,
     LayeredGraph,
     _edge_array_end,
-    _path_hits,
     basic,
     concat_all,
     extract_permutation,
+    path_labels,
 )
 from permlab.hph import force_gamma, recompute_gamma_star
 from permlab.matching import (
@@ -708,7 +708,7 @@ def path_graphs(draw):
                                       (2, 1, 3), (2, 2, 1), (2, 3, 2)])))  # a permutation
 def test_extract_reads_paths_off_their_roots(mg):
     m, g = mg
-    assert _path_hits(g, m) is not None
+    assert path_labels(g) is not None
     check_extract(g, m)
 
 
@@ -719,14 +719,18 @@ def test_extract_reads_paths_off_their_roots(mg):
 ])
 def test_extract_sweeps_graphs_that_are_not_paths(edges):
     g = LayeredGraph([2, 3], edges)
-    assert _path_hits(g, 2) is None
+    assert path_labels(g) is None
     check_extract(g, 2)
 
 
-def test_extract_sweeps_invalid_graphs():
-    # an edge from position 0 leaves its layers; the sweep reads no source there
+def test_extract_sweeps_invalid_graphs(monkeypatch):
+    # an edge from position 0 leaves its layers; the sweep reads no source
+    # there, and the graph gets no path labels
+    def refuse(g):
+        raise AssertionError("an invalid graph was labelled")
+
     g = LayeredGraph([2, 3], [(1, 0, 1), (1, 2, 2)])
-    assert _path_hits(g, 2) is None
+    monkeypatch.setattr("permlab.graphs.path_labels", refuse)
     with pytest.raises(ExtractionError) as got:
         extract_permutation(g, 2)
     assert (got.value.source, got.value.sinks) == (1, [])

@@ -6,21 +6,24 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from permlab import matching
 from permlab.gen import default_params, gen_general, vertex_count
-from permlab.graphs import basic, path_roots
+from permlab.graphs import LayeredGraph, basic, path_labels, path_roots
 from permlab.matching import (
     BipartiteInstance,
     bipartite_of,
+    certified_size,
     dichotomy_size,
+    matching_size,
     max_matching,
     sigma_cross,
     sigma_eq,
 )
 from permlab.perms import identity, random_perm
-from test_columnar import adjacency, adjacency_lists, instance_of, matching_lists, ref_max_matching
+from test_columnar import (adjacency, adjacency_lists, instance_of, matching_lists, path_graphs,
+                           ref_bipartite_adj, ref_max_matching)
 
 
 def brute_max_matching(inst):
@@ -127,7 +130,12 @@ def test_dichotomy_size():
         for _ in range(3):
             res = max_matching(bipartite_of(gen_general(sigma, params, rng), 4))
             assert res.certified and res.size == want
-    # the dichotomy says nothing of any other sigma, nor at odd m
+    # the dichotomy says nothing of any other sigma, nor at odd m; a graph
+    # of vertex-disjoint paths has one augmenting path per i <= m/2 with
+    # sigma(i) <= m/2
+    assert [matching_size(s, n) for s in ((2, 1, 3, 4), (1, 3, 2, 4), (3, 2, 1, 4))] == [346, 345, 345]
+    assert matching_size(sigma_eq(4), n) == 346 and matching_size(sigma_cross(4), n) == 344
+    assert matching_size(identity(3), n) is None
     assert dichotomy_size((2, 1, 3, 4), n) is None
     assert dichotomy_size((1, 3, 2, 4), n) is None
     assert dichotomy_size(identity(3), n) is None
@@ -303,13 +311,21 @@ def test_cyclic_seed_pairs_fall_back():
     ([0], [0]),
     ([0, 0, 1, 2, 3], [0, 0, 0, 0, 0]),
     ([4, 0, 1, 2, 4, 5], [4, 4, 4, 4, 4, 5]),
-    ([1, 0], None),                     # cycles of length 2, 3 and 4 ...
-    ([1, 2, 0], None),
-    ([1, 2, 3, 0, 0, 4], None),         # ... with a tail, and a root beside them
-], ids=["root", "chain", "two_paths", "cycle_2", "cycle_3", "cycle_4_tail"])
+], ids=["root", "chain", "two_paths"])
 def test_path_roots(up, want):
-    root = path_roots(np.array(up, dtype=np.int32))
-    assert (root if root is None else root.tolist()) == want
+    assert path_roots(np.array(up, dtype=np.int32)).tolist() == want
+
+
+@pytest.mark.parametrize("length", [2, 3, 4], ids=["cycle_2", "cycle_3", "cycle_4"])
+def test_path_matching_declines_labels_that_are_no_roots(length):
+    # left i -> right i + 1 (mod length) closes a cycle of seed pairs beside
+    # the free terminal's path; pointer doubling never reaches a root on it,
+    # and at length 4 it stops at labels that point at themselves
+    adj = [[i, (i + 1) % length] for i in range(length)] + [[length]]
+    inst = instance_of(adj, half=1, canonical=range(length))
+    assert matching._path_matching(inst) is None
+    res = max_matching(inst)
+    assert res.certified and matching_lists(res) == ref_max_matching(length + 1, adj, range(length))
 
 
 @pytest.mark.parametrize("labels", [
@@ -325,3 +341,69 @@ def test_path_certificate_checks_reject_wrong_labels(monkeypatch, labels):
     assert matching._path_matching(inst) is None
     res = max_matching(inst)
     assert res.certified and matching_lists(res) == ref_max_matching(4, adj, range(3))
+
+
+def certificate_and_oracle(g, m):
+    roots = path_labels(g)
+    assert roots is not None
+    res = max_matching(bipartite_of(g, m))
+    assert res.certified
+    return certified_size(g, m, roots), res.size
+
+
+@pytest.mark.parametrize("m, b, k, p", [(8, 2, 2, 1), (16, 4, 2, 1), (8, 2, 2, 2), (12, 3, 1, 2)])
+def test_certificate_equals_the_oracle_on_generated_graphs(m, b, k, p):
+    params = default_params(m, b, k=k, p=p)
+    for sigma in (sigma_eq(m), sigma_cross(m), random_perm(m, random.Random(m + p))):
+        g = gen_general(sigma, params, random.Random(7))
+        size, want = certificate_and_oracle(g, m)
+        assert size == want == matching_size(sigma, g.vertex_count)
+
+
+@settings(deadline=None, max_examples=150)
+@given(path_graphs())
+@example((2, LayeredGraph([2], [])))                                       # depth 1
+@example((2, LayeredGraph([2, 2, 2], [(1, 1, 1), (1, 2, 2), (2, 2, 1)])))  # stops at layer 2
+@example((2, LayeredGraph([2, 3], [(1, 1, 3), (1, 2, 1)])))                # ends at sink 3 > m
+def test_certificate_equals_the_oracle_on_any_union_of_paths(mg):
+    m, g = mg
+    m -= m % 2
+    size, want = certificate_and_oracle(g, m)
+    assert size == want
+
+
+def test_certificate_checks_every_edge_of_the_reduction(monkeypatch):
+    # the blocks the certificate is checked against are bipartite_of's edges
+    # (one multiset), and the reference's
+    real = matching._certificate
+    checked = []
+
+    def spy(seeded, on, reached, edges):
+        edges = list(edges)
+        checked.extend(zip(*map(np.concatenate, zip(*edges))))
+        return real(seeded, on, reached, edges)
+
+    monkeypatch.setattr(matching, "BLOCK", 7)
+    monkeypatch.setattr(matching, "_certificate", spy)
+    g = gen_general(sigma_cross(4), default_params(4, 2, k=1, p=2), random.Random(1))
+    assert certified_size(g, 4, path_labels(g)) == g.vertex_count
+    inst = bipartite_of(g, 4)
+    want = sorted(zip(inst.left.tolist(), inst.right.tolist()))
+    assert sorted(map(tuple, np.array(checked).tolist())) == want
+    ref = ref_bipartite_adj(g.layers, [tuple(e) for e in g.edges.tolist()], 4)
+    assert want == sorted((l, r) for l, row in enumerate(ref) for r in row)
+
+
+@settings(deadline=None, max_examples=200)
+@given(path_graphs(), st.data())
+def test_corrupted_labels_never_certify_a_wrong_size(mg, data):
+    # the true labels with some entries changed to any value: the
+    # certificate is right or declines
+    m, g = mg
+    m -= m % 2
+    n = g.vertex_count
+    roots = path_labels(g)
+    for at in data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4)):
+        roots[at] = data.draw(st.integers(-1, n + 2))
+    size = certified_size(g, m, roots)
+    assert size is None or size == max_matching(bipartite_of(g, m)).size
