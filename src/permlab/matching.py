@@ -23,6 +23,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -139,6 +140,11 @@ def reduction_edges(g: LayeredGraph, m: int) -> Iterator[tuple[np.ndarray, np.nd
     order: graph edges, canonical copy edges (v, v), terminal to source copy,
     sink copy to terminal. Raise ValueError for odd m, boundary layers
     smaller than m/2 and sides too large for int32 ids."""
+    n, half = _reduction_sides(g, m)
+    return chain(_graph_edges(g), _copy_edges(n), _terminal_edges(g, n, half))
+
+
+def _reduction_sides(g: LayeredGraph, m: int) -> tuple[int, int]:
     if m % 2:
         raise ValueError("m must be even")
     half = m // 2
@@ -147,19 +153,25 @@ def reduction_edges(g: LayeredGraph, m: int) -> Iterator[tuple[np.ndarray, np.nd
     n = g.vertex_count
     if n + half >= 2**31:
         raise ValueError(f"{n + half} vertices a side do not fit in int32 ids")
-    return _reduction_blocks(g, n, half)
+    return n, half
 
 
-def _reduction_blocks(g: LayeredGraph, n: int, half: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _graph_edges(g: LayeredGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # From int32 edge columns, an edge that leaves the graph's vertices gets an
     # id below 0 (wrapped, in int32) or past n + half at worst, which from_edges rejects.
     for gu, gv in g.id_blocks():
         gu -= 1
         gv -= 1
         yield gu, gv
+
+
+def _copy_edges(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for lo in range(0, n, BLOCK):
         copies = np.arange(lo, min(lo + BLOCK, n), dtype=np.int32)
         yield copies, copies
+
+
+def _terminal_edges(g: LayeredGraph, n: int, half: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     terminals = np.arange(n, n + half, dtype=np.int32)
     yield terminals, terminals - n
     yield terminals - g.last_size(), terminals
@@ -169,13 +181,13 @@ def certified_size(g: LayeredGraph, m: int, roots: np.ndarray) -> int | None:
     """max_matching(bipartite_of(g, m)).size, read off the path labels roots
     of g (graphs.path_labels) without building the instance, or None when
     the matching and cover read off them fail a check against an edge of
-    reduction_edges(g, m). Raise ValueError as reduction_edges does.
+    reduction_edges(g, m), its copy edges (v, v) included. Raise ValueError
+    as reduction_edges does.
 
     The instance's alternating path from terminal n + i - 1 runs through the copy
     pairs of source i's path, and augments when that path ends at a sink
     j <= m/2, whose copy's edge leads on to the free terminal n + j - 1."""
-    edges = reduction_edges(g, m)
-    n, half = g.vertex_count, m // 2
+    n, half = _reduction_sides(g, m)
     side = n + half
     sinks = np.arange(n - g.last_size(), n - g.last_size() + half, dtype=np.int32)  # the first m/2, 0-based
     # state[r] for the path whose root has global id r: 1 when it augments,
@@ -192,7 +204,7 @@ def certified_size(g: LayeredGraph, m: int, roots: np.ndarray) -> int | None:
     del labels
     seeded = np.zeros(side, dtype=bool)
     seeded[:n] = True
-    cert = _certificate(seeded, on, reached, edges)
+    cert = _certificate(seeded, on, reached, chain(_graph_edges(g), _terminal_edges(g, n, half)))
     return None if cert is None else cert[0]
 
 
@@ -275,10 +287,13 @@ def _path_matching(inst: BipartiteInstance) -> MatchingResult | None:
 def _certificate(seeded: np.ndarray, on: np.ndarray, reached: np.ndarray,
                  edges: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
     """The matching and Koenig cover that path labels give, checked against
-    every edge of the instance, which edges yields as (left, right) blocks:
-    (size, match, in_cl, in_cr), the int32 right vertex of each left one (-1
-    for none) and the cover's left and right vertices as masks, or None when
-    a check fails.
+    every edge of the instance: (size, match, in_cl, in_cr), the int32 right
+    vertex of each left one (-1 for none) and the cover's left and right
+    vertices as masks, or None when a check fails. edges yields the edges as
+    (left, right) blocks; it may leave out the copy edges (v, v) of the
+    seeded vertices, which every instance holds and the cover meets by
+    construction: v's left copy is in it unless v is reached, and then v's
+    right copy is.
 
     Left vertices on augmenting paths (on) take their non-seed edge, the
     other seeded ones keep their seed pair, whose copy edge every instance

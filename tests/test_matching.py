@@ -373,14 +373,16 @@ def test_certificate_equals_the_oracle_on_any_union_of_paths(mg):
 
 
 def test_certificate_checks_every_edge_of_the_reduction(monkeypatch):
-    # the blocks the certificate is checked against are bipartite_of's edges
-    # (one multiset), and the reference's
+    # the blocks the certificate is checked against, with the copy edges of
+    # the seeded vertices, are bipartite_of's edges (one multiset), and the
+    # reference's
     real = matching._certificate
     checked = []
 
     def spy(seeded, on, reached, edges):
         edges = list(edges)
         checked.extend(zip(*map(np.concatenate, zip(*edges))))
+        checked.extend((v, v) for v in np.flatnonzero(seeded).tolist())
         return real(seeded, on, reached, edges)
 
     monkeypatch.setattr(matching, "BLOCK", 7)
