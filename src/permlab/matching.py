@@ -18,6 +18,7 @@ labels without building the instance. Any other instance, or one whose
 reading fails a check, gets an iterative Hopcroft-Karp search, the only step
 that needs the instance's CSR columns; they are built on first use.
 """
+
 from __future__ import annotations
 
 from array import array
@@ -125,23 +126,18 @@ class BipartiteInstance:
 
 
 def bipartite_of(g: LayeredGraph, m: int) -> BipartiteInstance:
-    edges = reduction_edges(g, m)
-    n, half = g.vertex_count, m // 2
+    """The reduction of g, hiding a permutation of [m]: graph edges, canonical
+    copy edges (v, v), terminal to source copy, sink copy to terminal, in that
+    order. Raise ValueError for odd m, boundary layers smaller than m/2 and
+    sides too large for int32 ids."""
+    n, half = _reduction_sides(g, m)
+    copies = np.arange(n, dtype=np.int32)
     left, right = (np.empty(len(g.edges) + n + m, dtype=np.int32) for _ in range(2))
     at = 0
-    for lb, rb in edges:
+    for lb, rb in chain(_graph_edges(g), [(copies, copies)], _terminal_edges(g, n, half)):
         left[at:at + len(lb)], right[at:at + len(rb)] = lb, rb
         at += len(lb)
-    return BipartiteInstance.from_edges(n, half, left, right, np.arange(n, dtype=np.int32))
-
-
-def reduction_edges(g: LayeredGraph, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """bipartite_of(g, m)'s edges as int32 (left, right) blocks, in its edge
-    order: graph edges, canonical copy edges (v, v), terminal to source copy,
-    sink copy to terminal. Raise ValueError for odd m, boundary layers
-    smaller than m/2 and sides too large for int32 ids."""
-    n, half = _reduction_sides(g, m)
-    return chain(_graph_edges(g), _copy_edges(n), _terminal_edges(g, n, half))
+    return BipartiteInstance.from_edges(n, half, left, right, copies)
 
 
 def _reduction_sides(g: LayeredGraph, m: int) -> tuple[int, int]:
@@ -165,12 +161,6 @@ def _graph_edges(g: LayeredGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield gu, gv
 
 
-def _copy_edges(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    for lo in range(0, n, BLOCK):
-        copies = np.arange(lo, min(lo + BLOCK, n), dtype=np.int32)
-        yield copies, copies
-
-
 def _terminal_edges(g: LayeredGraph, n: int, half: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     terminals = np.arange(n, n + half, dtype=np.int32)
     yield terminals, terminals - n
@@ -180,9 +170,9 @@ def _terminal_edges(g: LayeredGraph, n: int, half: int) -> Iterator[tuple[np.nda
 def certified_size(g: LayeredGraph, m: int, roots: np.ndarray) -> int | None:
     """max_matching(bipartite_of(g, m)).size, read off the path labels roots
     of g (graphs.path_labels) without building the instance, or None when
-    the matching and cover read off them fail a check against an edge of
-    reduction_edges(g, m), its copy edges (v, v) included. Raise ValueError
-    as reduction_edges does.
+    the matching and cover read off them fail a check against the edges of
+    bipartite_of(g, m) (_certificate). Raise ValueError as bipartite_of
+    does.
 
     The instance's alternating path from terminal n + i - 1 runs through the copy
     pairs of source i's path, and augments when that path ends at a sink
