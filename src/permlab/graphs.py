@@ -427,7 +427,7 @@ def path_roots(up: np.ndarray) -> np.ndarray:
     """The root of every vertex under the parent map up, whose entries index
     up and where up[x] == x marks a root, by pointer doubling: after round k
     each vertex points 2**k steps up its path or at its root. Every vertex's
-    parents must reach a root; on a cycle the labels are cycle vertices."""
+    parents must reach a root: up has no cycle."""
     root, step = up.copy(), np.empty_like(up)
     for _ in range(len(up).bit_length() + 1):
         take_in_blocks(root, root, step)

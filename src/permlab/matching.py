@@ -8,15 +8,12 @@ a perfect matching of n + m/2; hiding the cross permutation pins the maximum
 at exactly n. When the graph is a union of vertex-disjoint paths, hiding any
 sigma gives n plus the i <= m/2 with sigma(i) <= m/2.
 
-The oracle grows that canonical matching to a maximum one and certifies it
-with a Koenig vertex cover of equal size. When no vertex has two non-seed
-edges, as in every reduction of a graph whose vertices have in- and
-out-degree at most 1, the matching and the cover are read off the
-alternating paths, labelled by pointer doubling, and checked against every
-edge (_certificate). certified_size does the same from the graph's own path
-labels without building the instance. Any other instance, or one whose
-reading fails a check, gets an iterative Hopcroft-Karp search, the only step
-that needs the instance's CSR columns; they are built on first use.
+The oracle, max_matching, grows that canonical matching to a maximum one by
+an iterative Hopcroft-Karp search over the instance's CSR columns, built on
+first use, and certifies it with a Koenig vertex cover of equal size. When
+the graph is a union of vertex-disjoint paths, certified_size reads the same
+size off the graph's own path labels without building the instance, and
+checks the matching and cover it reads against every edge (_certificate).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import BLOCK, LayeredGraph, in_blocks, path_roots, take_in_blocks
+from .graphs import BLOCK, LayeredGraph, in_blocks, take_in_blocks
 from .perms import Perm, identity
 
 
@@ -192,10 +189,49 @@ def certified_size(g: LayeredGraph, m: int, roots: np.ndarray) -> int | None:
     labels[n:] = state[1:half + 1]     # terminal n + i - 1 starts source i's path
     on, reached = labels == 1, labels == 2
     del labels
-    seeded = np.zeros(side, dtype=bool)
-    seeded[:n] = True
-    cert = _certificate(seeded, on, reached, chain(_graph_edges(g), _terminal_edges(g, n, half)))
-    return None if cert is None else cert[0]
+    return _certificate(n, on, reached, chain(_graph_edges(g), _terminal_edges(g, n, half)))
+
+
+def _certificate(n: int, on: np.ndarray, reached: np.ndarray,
+                 edges: Iterable[tuple[np.ndarray, np.ndarray]]) -> int | None:
+    """The size of the matching and Koenig cover that certified_size's labels
+    give, checked against every edge of the reduction, or None when a check
+    fails. Left vertices on augmenting paths are marked on, those on free
+    paths that do not augment reached; the first n vertices of each side are
+    the graph's copies, seeded with the pairs (v, v). edges yields the other
+    edges as (left, right) blocks: the cover meets the copy edges by
+    construction, as v's left copy is in it unless v is reached, and then v's
+    right copy is.
+
+    Left vertices on augmenting paths take their edge along the path, the
+    other copies keep their copy pair; so every pair is an edge. The cover
+    is every left vertex off the reached paths, and the right copies of those
+    on them: a reached vertex's edge leads to a copy on its own path, as one
+    to a free right vertex would augment it. The checks: the cover meets
+    every edge, no right vertex is used twice, and the cover is as large as
+    the matching."""
+    side = len(on)
+    match = np.arange(side, dtype=np.int32)
+    match[n:] = -1
+    in_cl, in_cr = ~reached, reached.copy()
+    in_cr[n:] = False
+    for lb, rb in edges:
+        lb, rb = lb.astype(np.intp), rb.astype(np.intp)  # converted once, not per index use
+        if not (in_cl[lb] | in_cr[rb]).all():
+            return None                              # an edge the cover misses
+        at = np.flatnonzero(on[lb])
+        match[lb[at]] = rb[at]
+    size = 0
+    used = np.zeros(side, dtype=bool)
+    for (mb,) in in_blocks(match):
+        mb = mb[mb >= 0]
+        used[mb] = True
+        size += len(mb)
+    if np.count_nonzero(used) != size:
+        return None                                  # a right vertex in two pairs
+    if np.count_nonzero(in_cl) + np.count_nonzero(in_cr) != size:
+        return None
+    return size
 
 
 @dataclass
@@ -208,123 +244,12 @@ class MatchingResult:
 
 
 def max_matching(inst: BipartiteInstance) -> MatchingResult:
-    """Exact maximum matching from the canonical seed, certified by a minimum
-    vertex cover of equal size. Read off the alternating paths when the
-    instance's non-seed edges allow it (_path_matching), else found by
-    Hopcroft-Karp phases (_hopcroft_karp); both give the same result."""
-    res = _path_matching(inst)
-    return res if res is not None else _hopcroft_karp(inst)
-
-
-def _path_matching(inst: BipartiteInstance) -> MatchingResult | None:
-    """The matching and Koenig cover read off the alternating paths, or None
-    unless no vertex on either side has two non-seed edges (all edges but the
-    canonical copy pairs), the paths have no cycle, and every check holds.
-
-    Then each free left vertex starts one alternating path: its non-seed edge
-    leads to a right vertex, that vertex's seed partner's non-seed edge leads
-    on, and so on, until a right vertex outside the seed (the path augments)
-    or a left vertex with no non-seed edge. A right vertex has one non-seed
-    edge in, so these paths are vertex-disjoint and pointer doubling over the
-    left vertex before each (graphs.path_roots) labels every left vertex with
-    its path's root. Hopcroft-Karp augments all augmenting paths in its first
-    phase, and its last search reaches exactly the rest of the free paths;
-    the result below is that one, and it counts only once checked against
-    the edge columns."""
-    side = inst.side
-    seeded = np.zeros(side, dtype=bool)
-    for (cb,) in in_blocks(inst.canonical):
-        seeded[cb] = True
-    has_out = np.zeros(side, dtype=bool)             # left ends of non-seed edges
-    up = np.full(side, -1, dtype=np.int32)           # each right vertex's non-seed left end
-    exits = np.zeros(side, dtype=bool)               # left ends of non-seed edges to free rights
-    count = 0                                        # non-seed edges
-    for lb, rb in in_blocks(inst.left, inst.right):
-        lb, rb = lb.astype(np.intp), rb.astype(np.intp)  # converted once, not per index use
-        other = (lb != rb) | ~seeded[lb]             # the non-seed edges
-        lb, rb = lb[other], rb[other]
-        has_out[lb], up[rb] = True, lb
-        exits[lb[~seeded[rb]]] = True
-        count += len(lb)
-    if np.count_nonzero(has_out) < count or np.count_nonzero(up >= 0) < count:
-        return None                                  # a vertex with two non-seed edges
-    del has_out
-    # the left vertex before each on its path: seed partner r continues the
-    # path of the left vertex whose non-seed edge reaches right r
-    np.copyto(up, np.arange(side, dtype=np.int32), where=(up < 0) | ~seeded)
-    root = path_roots(up)
-    if not np.array_equal(take_in_blocks(up, root, np.empty_like(up)), root):
-        return None                                  # a cycle of seeded vertices: labels that are no roots
-    del up
-    augments = np.zeros(side, dtype=bool)            # roots of augmenting paths
-    augments[root[exits]] = True
-    augments &= ~seeded                              # only paths from free left vertices
-    quiet = ~(seeded | augments)                     # roots of free paths that do not augment
-    on = take_in_blocks(augments, root, np.empty(side, dtype=bool))
-    reached = take_in_blocks(quiet, root, np.empty(side, dtype=bool))
-    del root, augments, quiet, exits
-    cert = _certificate(seeded, on, reached, in_blocks(inst.left, inst.right))
-    if cert is None:
-        return None
-    size, match, in_cl, in_cr = cert
-    del cert, seeded, on, reached
-    match_left = array("i")
-    match_left.frombytes(memoryview(match).cast("B"))  # one copy, not two
-    del match
-    return MatchingResult(size, match_left, _int32_nonzero(in_cl), _int32_nonzero(in_cr), True)
-
-
-def _certificate(seeded: np.ndarray, on: np.ndarray, reached: np.ndarray,
-                 edges: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The matching and Koenig cover that path labels give, checked against
-    every edge of the instance: (size, match, in_cl, in_cr), the int32 right
-    vertex of each left one (-1 for none) and the cover's left and right
-    vertices as masks, or None when a check fails. edges yields the edges as
-    (left, right) blocks; it may leave out the copy edges (v, v) of the
-    seeded vertices, which every instance holds and the cover meets by
-    construction: v's left copy is in it unless v is reached, and then v's
-    right copy is.
-
-    Left vertices on augmenting paths (on) take their non-seed edge, the
-    other seeded ones keep their seed pair, whose copy edge every instance
-    holds; so every pair is an edge. The cover is every left vertex off the
-    free paths that do not augment (reached), and the right neighbours of
-    those on them. Those are their copies: a reached vertex's non-seed edge
-    leads to a seed pair on its own path, as one to a free right vertex would
-    augment it. The checks: the cover meets every edge, no right vertex is
-    used twice, and the cover is as large as the matching."""
-    side = len(seeded)
-    match = np.arange(side, dtype=np.int32)
-    match[~seeded] = -1
-    in_cl, in_cr = ~reached, reached & seeded
-    for lb, rb in edges:
-        lb, rb = lb.astype(np.intp), rb.astype(np.intp)  # converted once, not per index use
-        if not (in_cl[lb] | in_cr[rb]).all():
-            return None                              # an edge the cover misses
-        at = np.flatnonzero(on[lb])
-        lb, rb = lb[at], rb[at]
-        other = (lb != rb) | ~seeded[lb]             # non-seed edges of vertices on augmenting paths
-        match[lb[other]] = rb[other]
-    size = 0
-    used = np.zeros(side, dtype=bool)
-    for (mb,) in in_blocks(match):
-        mb = mb[mb >= 0]
-        used[mb] = True
-        size += len(mb)
-    if np.count_nonzero(used) != size:
-        return None                                  # a right vertex in two pairs
-    if np.count_nonzero(in_cl) + np.count_nonzero(in_cr) != size:
-        return None
-    return size, match, in_cl, in_cr
-
-
-def _hopcroft_karp(inst: BipartiteInstance) -> MatchingResult:
-    """Hopcroft-Karp phases from the canonical seed, certified by a minimum
-    vertex cover of equal size read off the last phase's search. Augmenting
-    paths are walked with an explicit stack, so their length is bounded by
-    memory, not by the recursion limit. The state lives in C int arrays, and
-    each phase touches only the free left vertices and what its search
-    reaches, never every vertex."""
+    """Exact maximum matching by Hopcroft-Karp phases from the canonical
+    seed, certified by a minimum vertex cover of equal size read off the last
+    phase's search. Augmenting paths are walked with an explicit stack, so
+    their length is bounded by memory, not by the recursion limit. The state
+    lives in C int arrays, and each phase touches only the free left vertices
+    and what its search reaches, never every vertex."""
     side = inst.side
     ptr, nbr = array("q", inst.indptr.tobytes()), array("i", inst.indices.tobytes())
     seed = np.full(side, -1, dtype=np.int32)

@@ -609,7 +609,8 @@ def adjacency_lists(draw):
 @given(adjacency_lists())
 @example(([], 0, []))                              # empty instance
 @example(([[], [], []], 1, []))                    # isolated vertices only
-@example(([[0, 1], [1], [0]], 1, [0, 1]))          # a terminal, two copy pairs
+@example(([[0, 1], [1], [0]], 1, [0, 1]))          # one free path through both copy pairs
+@example(([[0], [1, 2], [0]], 1, [0, 1]))          # a path that augments
 def test_max_matching_matches_list_reference(case):
     adj, half, canonical = case
     inst = instance_of(adj, half, canonical)

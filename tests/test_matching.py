@@ -196,12 +196,14 @@ def test_from_edges_rejects_out_of_range_vertices(left, right, canonical, messag
         BipartiteInstance.from_edges(2, 1, left, right, canonical)
 
 
-@pytest.mark.parametrize("sigma", [sigma_eq(128), sigma_cross(128)], ids=["id", "cross"])
-def test_max_matching_memory_per_vertex_and_edge(sigma):
+@pytest.mark.parametrize("sigma, p", [(sigma_eq(128), 1), (sigma_cross(128), 1), (sigma_eq(16), 2)],
+                         ids=["id", "cross", "p2_id"])
+def test_max_matching_memory_per_vertex_and_edge(sigma, p):
     # the oracle's own allocations, its result included, over the instance it
     # reads: state in C int arrays, not in lists of int objects
-    g = gen_general(sigma, default_params(128, 4, k=2, p=1), random.Random(3))
-    inst = bipartite_of(g, 128)
+    m = len(sigma)
+    g = gen_general(sigma, default_params(m, 4, k=2, p=p), random.Random(3))
+    inst = bipartite_of(g, m)
     tracemalloc.start()
     try:
         res = max_matching(inst)
@@ -213,24 +215,15 @@ def test_max_matching_memory_per_vertex_and_edge(sigma):
     assert peak <= 24 * (inst.side + inst.edge_count)
 
 
-def hopcroft_karp_only(inst):
-    """max_matching with the path certificate declining, so by Hopcroft-Karp."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matching, "_path_matching", lambda inst: None)
-        return max_matching(inst)
-
-
 @pytest.mark.parametrize("m, b, p", [(8, 2, 1), (16, 4, 1), (8, 2, 2), (12, 3, 2)])
 def test_path_certificate_equals_hopcroft_karp_on_generated_graphs(m, b, p):
+    # the size read off the graph's path labels is the one Hopcroft-Karp certifies
     params = default_params(m, b, k=2, p=p)
     for sigma in (sigma_eq(m), sigma_cross(m), random_perm(m, random.Random(m + p))):
         g = gen_general(sigma, params, random.Random(5))
         inst = bipartite_of(g, m)
         res = max_matching(inst)
-        # read off the paths: the CSR was never built
-        assert "indices" not in inst.__dict__ and "indptr" not in inst.__dict__
-        assert res.certified
-        assert matching_lists(res) == matching_lists(hopcroft_karp_only(bipartite_of(g, m)))
+        assert res.certified and certified_size(g, m, path_labels(g)) == res.size
         want = dichotomy_size(sigma, inst.n)
         assert want is None or res.size == want
 
@@ -243,56 +236,66 @@ def test_covers_are_int32_on_both_paths(p, monkeypatch):
     for sigma in (sigma_eq(m), sigma_cross(m), random_perm(m, random.Random(p))):
         g = gen_general(sigma, default_params(m, 2, k=2, p=p), random.Random(5))
         inst = bipartite_of(g, m)
-        want = ref_max_matching(inst.side, adjacency(inst), inst.canonical.tolist())
-        paths = matching._path_matching(bipartite_of(g, m))
-        assert paths is not None
-        for res in paths, hopcroft_karp_only(inst):
-            assert res.cover_left.dtype == res.cover_right.dtype == np.int32
-            assert matching_lists(res) == want
+        res = max_matching(inst)
+        assert res.cover_left.dtype == res.cover_right.dtype == np.int32
+        assert matching_lists(res) == ref_max_matching(inst.side, adjacency(inst), inst.canonical.tolist())
+
+
+def assert_koenig(inst, res):
+    # the result certifies itself: its pairs are distinct edges, its cover
+    # meets every edge, and the two are the same size
+    adj = adjacency(inst)
+    pairs = [(l, r) for l, r in enumerate(res.match_left.tolist()) if r >= 0]
+    assert all(r in adj[l] for l, r in pairs)
+    assert len({r for _, r in pairs}) == len(pairs) == res.size
+    cl, cr = set(res.cover_left.tolist()), set(res.cover_right.tolist())
+    assert all(l in cl or r in cr for l in range(len(adj)) for r in adj[l])
+    assert len(cl) + len(cr) == res.size
 
 
 @settings(deadline=None, max_examples=200)
 @given(adjacency_lists())
 @example(([[0, 1], [1], [0]], 1, [0, 1]))          # one free path through both seed pairs
-@example(([[0], [1, 2], [0]], 1, [0, 1]))          # a path that augments
+@example(([[0], [1, 2], [0]], 1, [0, 1]))          # a free path beside a free right vertex
 def test_path_certificate_equals_hopcroft_karp_on_any_instance(case):
+    # on any instance, Hopcroft-Karp's own certificate holds and the result
+    # is the reference's
     adj, half, canonical = case
-    res = max_matching(instance_of(adj, half, canonical))
-    hk = hopcroft_karp_only(instance_of(adj, half, canonical))
-    assert matching_lists(res) == matching_lists(hk)
+    inst = instance_of(adj, half, canonical)
+    res = max_matching(inst)
+    assert res.certified
+    assert_koenig(inst, res)
     assert matching_lists(res) == ref_max_matching(len(adj), adj, canonical)
 
 
 def test_path_certificate_reads_examples():
-    # both @example instances above take the path certificate
-    for adj in ([[0, 1], [1], [0]], [[0], [1, 2], [0]]):
-        res = matching._path_matching(instance_of(adj, 1, [0, 1]))
-        assert res is not None
+    # both @example instances above: the free terminal's path reaches no free
+    # right vertex, so the copy pairs stay the maximum matching
+    for adj, cover in (([[0, 1], [1], [0]], ([], [0, 1])), ([[0], [1, 2], [0]], ([1], [0]))):
+        inst = instance_of(adj, 1, [0, 1])
+        res = max_matching(inst)
+        assert_koenig(inst, res)
+        assert matching_lists(res) == (2, [0, 1, -1], *cover, True)
         assert matching_lists(res) == ref_max_matching(3, adj, [0, 1])
 
 
 def test_long_path_certificate_and_its_degree_2_fallback():
-    # the long augmenting path instance passes the degree test; one more edge
-    # out of left 0 fails it, and Hopcroft-Karp finds the same matching
+    # the long augmenting path, then the same instance with one more edge
+    # out of left 0, so that two non-seed edges reach right 2
     n = 2_000
     adj = [[i, i + 1] for i in range(n)] + [[0]]
     inst = instance_of(adj, half=1, canonical=range(n))
-    assert matching._path_matching(inst) is not None
     want = ref_max_matching(n + 1, adj, range(n))
     assert matching_lists(max_matching(inst)) == want and want[0] == n + 1
     adj[0].append(2)
-    inst = instance_of(adj, half=1, canonical=range(n))
-    assert matching._path_matching(inst) is None
-    res = max_matching(inst)
+    res = max_matching(instance_of(adj, half=1, canonical=range(n)))
     assert res.certified and matching_lists(res) == ref_max_matching(n + 1, adj, range(n))
 
 
 def test_two_non_seed_edges_into_a_right_vertex_fall_back():
     # free terminals 1 and 2 both see right 0 only, left 0's seed partner
     adj = [[0], [0], [0]]
-    inst = instance_of(adj, half=2, canonical=[0])
-    assert matching._path_matching(inst) is None
-    res = max_matching(inst)
+    res = max_matching(instance_of(adj, half=2, canonical=[0]))
     assert res.certified and matching_lists(res) == ref_max_matching(3, adj, [0])
 
 
@@ -300,9 +303,7 @@ def test_cyclic_seed_pairs_fall_back():
     # left 0 -> right 1 and left 1 -> right 0 close a cycle of seed pairs that
     # no free path enters; the free terminal 2 reaches the free right 2
     adj = [[0, 1], [1, 0], [2]]
-    inst = instance_of(adj, half=1, canonical=[0, 1])
-    assert matching._path_matching(inst) is None
-    res = max_matching(inst)
+    res = max_matching(instance_of(adj, half=1, canonical=[0, 1]))
     assert res.certified and res.size == 3
     assert matching_lists(res) == ref_max_matching(3, adj, [0, 1])
 
@@ -317,30 +318,28 @@ def test_path_roots(up, want):
 
 
 @pytest.mark.parametrize("length", [2, 3, 4], ids=["cycle_2", "cycle_3", "cycle_4"])
-def test_path_matching_declines_labels_that_are_no_roots(length):
+def test_seed_pair_cycles_beside_a_free_path(length):
     # left i -> right i + 1 (mod length) closes a cycle of seed pairs beside
-    # the free terminal's path; pointer doubling never reaches a root on it,
-    # and at length 4 it stops at labels that point at themselves
+    # the free terminal's path
     adj = [[i, (i + 1) % length] for i in range(length)] + [[length]]
-    inst = instance_of(adj, half=1, canonical=range(length))
-    assert matching._path_matching(inst) is None
-    res = max_matching(inst)
+    res = max_matching(instance_of(adj, half=1, canonical=range(length)))
     assert res.certified and matching_lists(res) == ref_max_matching(length + 1, adj, range(length))
 
 
-@pytest.mark.parametrize("labels", [
-    [0, 1, 2, 3],   # every vertex its own root: the cover misses edge (3, 0)
-    [3, 1, 3, 3],   # left 1 cut off its path: left 0 and left 1 both take right 1
+@pytest.mark.parametrize("sigma, at, root", [
+    # sink 1 (global id 3) moved off source 1's path: the cover misses the
+    # edge from left 0 to right 2, and unchecked the size would read 4, not 5
+    ((1, 2), 3, 2),
+    # sink 1 put on source 1's path: left 0 takes its edge to right 3, which
+    # left 3 keeps as its seed pair, and unchecked the size would read 5, not 4
+    ((2, 1), 3, 1),
 ], ids=["cover_misses_an_edge", "pairs_share_a_right_vertex"])
-def test_path_certificate_checks_reject_wrong_labels(monkeypatch, labels):
-    # free left 3 -> right 0 = left 0 -> right 1 = left 1 -> right 2 = left 2 -> free right 3
-    adj = [[0, 1], [1, 2], [2, 3], [0]]
-    inst = instance_of(adj, half=1, canonical=range(3))
-    assert matching._path_matching(inst) is not None
-    monkeypatch.setattr(matching, "path_roots", lambda up: np.array(labels, dtype=np.int32))
-    assert matching._path_matching(inst) is None
-    res = max_matching(inst)
-    assert res.certified and matching_lists(res) == ref_max_matching(4, adj, range(3))
+def test_path_certificate_checks_reject_wrong_labels(sigma, at, root):
+    g = basic(sigma)
+    roots = path_labels(g)
+    assert certified_size(g, 2, roots) == max_matching(bipartite_of(g, 2)).size
+    roots[at] = root
+    assert certified_size(g, 2, roots) is None
 
 
 def certificate_and_oracle(g, m):
@@ -374,16 +373,16 @@ def test_certificate_equals_the_oracle_on_any_union_of_paths(mg):
 
 def test_certificate_checks_every_edge_of_the_reduction(monkeypatch):
     # the blocks the certificate is checked against, with the copy edges of
-    # the seeded vertices, are bipartite_of's edges (one multiset), and the
+    # the graph's vertices, are bipartite_of's edges (one multiset), and the
     # reference's
     real = matching._certificate
     checked = []
 
-    def spy(seeded, on, reached, edges):
+    def spy(n, on, reached, edges):
         edges = list(edges)
         checked.extend(zip(*map(np.concatenate, zip(*edges))))
-        checked.extend((v, v) for v in np.flatnonzero(seeded).tolist())
-        return real(seeded, on, reached, edges)
+        checked.extend((v, v) for v in range(n))
+        return real(n, on, reached, edges)
 
     monkeypatch.setattr(matching, "BLOCK", 7)
     monkeypatch.setattr(matching, "_certificate", spy)

@@ -40,3 +40,25 @@ def test_the_oracle_imports_no_generator_module():
         elif isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[-1] for alias in node.names}
     assert imported & {"gen", "blocks", "hph", "sortnet", "rs"} == set()
+
+
+def test_every_private_function_has_a_caller():
+    # a _-prefixed function or method that nothing in the package names,
+    # apart from its own body, is dead code
+    defined, named = {}, set()
+
+    def visit(node, inside, module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                defined.setdefault(node.name, f"{module}:{node.lineno}")
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            named.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside, module)
+
+    for path in sorted(Path(permlab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), frozenset(), path.name)
+    assert sorted(where for name, where in defined.items() if name not in named) == []
