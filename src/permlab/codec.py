@@ -101,17 +101,18 @@ def format_chunks(seps: Sequence[bytes], cols: Sequence[np.ndarray],
 def _chunk(seps: Sequence[bytes], parts: list[np.ndarray], tags: np.ndarray | None) -> bytes:
     """The rows of the int32 columns parts and of the 0-padded tags, laid
     out as one byte matrix (a matrix row per text row, a column block per
-    separator or field), then compacted by dropping its 0 cells."""
+    separator or field) that starts as copies of one template row holding
+    the separators, then compacted by dropping its 0 cells."""
     mags = [np.abs(part).view(np.uint32) for part in parts]  # abs(-2**31) too
     signs = [(part < 0).view(np.uint8) for part in parts]
     signs = [sign if sign.any() else None for sign in signs]  # a sign column only when needed
     widths = [(sign is not None) + len(str(int(mag.max()))) for mag, sign in zip(mags, signs)]
     widths += [] if tags is None else [tags.itemsize]
-    matrix = np.empty((len(parts[0]) if parts else len(tags), sum(map(len, seps)) + sum(widths)),
-                      dtype=np.uint8)
+    template = b"".join(sep + bytes(width) for sep, width in zip(seps, [*widths, 0]))  # a row, 0 in the fields
+    text = bytearray(template) * (len(parts[0]) if parts else len(tags))
+    matrix = np.frombuffer(text, dtype=np.uint8).reshape(-1, len(template))
     at = 0
     for i, (sep, width) in enumerate(zip(seps, [*widths, 0])):
-        matrix[:, at:at + len(sep)] = np.frombuffer(sep, dtype=np.uint8)
         at += len(sep)
         field = matrix[:, at:at + width]
         if i < len(parts):
@@ -122,8 +123,7 @@ def _chunk(seps: Sequence[bytes], parts: list[np.ndarray], tags: np.ndarray | No
         elif i == len(parts) and tags is not None:
             field.view(tags.dtype)[:, 0] = tags
         at += width
-    flat = matrix.ravel()
-    return flat[flat != 0].tobytes()
+    return bytes(text.translate(None, b"\0"))
 
 
 def _digits(out: np.ndarray, mags: np.ndarray) -> None:

@@ -130,19 +130,20 @@ class LayeredGraph:
         return b"".join(self.json_chunks())
 
     def json_chunks(self) -> Iterator[bytes]:
-        """to_json's bytes, a codec.CHUNK of edge or tag rows at a time. The
-        tags are checked before the first chunk is made."""
-        tagged = bool(set(used_tags(self.tag_names, self.tag_ids)) - {"fixed"})
-        return self._json_chunks(tagged)
+        """to_json's bytes, a codec.CHUNK of edge rows or about a
+        codec.WINDOW of tag rows at a time. The tags are checked before the
+        first chunk is made."""
+        runs, tags = _tag_runs(self.tag_ids)
+        tagged = bool(set(used_tags(self.tag_names, tags)) - {"fixed"})
+        return self._json_chunks(runs, tags if tagged else None)
 
-    def _json_chunks(self, tagged: bool) -> Iterator[bytes]:
+    def _json_chunks(self, runs: np.ndarray, tags: np.ndarray | None) -> Iterator[bytes]:
         yield b'{"edges": ['
         yield from _trimmed(format_chunks(_EDGE_ROW, list(self.edges.T)))
         yield b'], "layers": ' + json.dumps(self.layers).encode()
-        if tagged:
+        if tags is not None:
             yield b', "tags": ['
-            table = [name.encode() for name in self.tag_names]
-            yield from _trimmed(format_chunks(_TAG_ROW, [], self.tag_ids, table))
+            yield from _tag_text(runs, tags, self.tag_names)
             yield b"]"
         yield b"}"
 
@@ -244,19 +245,37 @@ def _edge_array_end(data: bytes, start: int) -> tuple[int, int]:
 
 def _spells(data: bytes, lo: int, end: int, layout: gen.Layout) -> bool:
     """Whether data[lo:end] is the tag array's rows for the layout's tags,
-    compared a piece of about codec.WINDOW bytes at a time; the rows of each
-    distinct run are spelled once."""
-    spelled = [_TAG_ROW[0] + name.encode() + _TAG_ROW[1] for name in layout.names]
-    kinds, kind = np.unique(layout.runs * len(spelled) + layout.tags, return_inverse=True)
-    table = [spelled[key % len(spelled)] * (key // len(spelled)) for key in kinds.tolist()]
-    ends = np.cumsum(np.array(list(map(len, table)))[kind])
-    pieces = (b"".join(map(table.__getitem__, part.tolist()))
-              for part in np.split(kind, np.searchsorted(ends, np.arange(WINDOW, ends[-1], WINDOW))))
-    for piece in _trimmed(pieces):
+    compared a piece of _tag_text at a time."""
+    for piece in _tag_text(layout.runs, layout.tags, layout.names):
         if not data.startswith(piece, lo, end):
             return False
         lo += len(piece)
     return lo == end
+
+
+def _tag_runs(tag_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths and tag ids of the runs of equal tag ids, in order."""
+    opens = np.ones(len(tag_ids), dtype=bool)  # a run starts here
+    np.not_equal(tag_ids[1:], tag_ids[:-1], out=opens[1:])
+    start = np.flatnonzero(opens)
+    return np.diff(start, append=len(tag_ids)), tag_ids[start]
+
+
+def _tag_text(runs: np.ndarray, tags: np.ndarray, names: Sequence[str]) -> Iterator[bytes]:
+    """The tag array's rows, less the last row's trailing separator, for
+    runs[r] edges tagged names[tags[r]], run after run, in pieces of about
+    codec.WINDOW bytes. A run longer than a piece is cut into parts of at
+    most a piece, and the rows of each distinct part are spelled once."""
+    spelled = [_TAG_ROW[0] + name.encode() + _TAG_ROW[1] for name in names]
+    cap = np.maximum(WINDOW // np.array(list(map(len, spelled)), dtype=np.int64), 1)[tags]  # rows a part
+    parts = -(-runs // cap)
+    lengths, part_tags = np.repeat(cap, parts), np.repeat(tags, parts)
+    lengths[np.cumsum(parts)[parts > 0] - 1] = (runs - (parts - 1) * cap)[parts > 0]  # each run's last part
+    kinds, kind = np.unique(lengths * len(spelled) + part_tags, return_inverse=True)
+    table = [spelled[key % len(spelled)] * (key // len(spelled)) for key in kinds.tolist()]
+    ends = np.cumsum(np.array(list(map(len, table)), dtype=np.int64)[kind])
+    cuts = np.searchsorted(ends, np.arange(WINDOW, ends[-1] if len(ends) else 0, WINDOW))
+    yield from _trimmed(b"".join(map(table.__getitem__, part.tolist())) for part in np.split(kind, cuts))
 
 
 _EDGE_ROW = (b"[", b", ", b", ", b"], ")

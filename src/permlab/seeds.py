@@ -17,7 +17,7 @@ import random
 
 import numpy as np
 
-from .graphs import path_roots, take_in_blocks
+from .graphs import in_blocks, path_roots, take_in_blocks
 
 
 def derive(seed: int, label: str) -> int:
@@ -38,10 +38,11 @@ def shuffled_range(n: int, seed: int) -> np.ndarray:
     shifted down to (i + 1).bit_length() bits, is below i + 1. The words are
     read in bulk (getrandbits of a multiple of 32 bits is the next words,
     least significant first), the draws are decided in vectorised windows,
-    and the swaps are then resolved by grouping and pointer jumping (Shun et
-    al., SODA 2015). The generator is private to the call and discarded
-    after it, so it does not matter that the last window reads words past
-    the last draw."""
+    and the swaps are then resolved by pointer jumping (Shun et al., SODA
+    2015) over the steps grouped by target, which one in-place sort of the
+    distinct int64 keys (target << 32) | step gives. The generator is
+    private to the call and discarded after it, so it does not matter that
+    the last window reads words past the last draw."""
     if not 0 <= n < 1 << 31:
         raise ValueError(f"shuffled_range needs 0 <= n < 2**31, got {n}")
     return _apply_swaps(_swap_targets(n, random.Random(seed)))
@@ -167,28 +168,25 @@ def _apply_swaps(j: np.ndarray) -> np.ndarray:
     there is none. A step carries what its own position held when it ran,
     which follows the same rule; j[0] = 0 stands for position 0 as a step."""
     n = len(j)
-    # steps grouped by target, ascending within a group (a stable sort), so
-    # the step after another in its group is the one that ran just before it
-    step = _stable_order(j)
-    target = j[step]
+    # steps grouped by target, ascending within a group, so the step after
+    # another in its group is the one that ran just before it: one sort of
+    # the distinct keys (target << 32) | step, read back as their halves
+    key = np.empty(n, dtype="<i8")
+    halves = key.view("<i4").reshape(n, 2)
+    halves[:, 1] = j
+    del j   # shuffled_range's only reference, so its swap targets go here
+    halves[:, 0] = np.arange(n, dtype=np.int32)
+    key.sort()
+    step, target = halves[:, 0].copy(), halves[:, 1].copy()
+    del key, halves
     opens = np.empty(n, dtype=bool)   # a group starts here
     opens[:1] = True
     np.not_equal(target[1:], target[:-1], out=opens[1:])
     prior = np.full(n, -1, dtype=np.int32)
     np.copyto(prior[:-1], step[1:], where=~opens[1:])
-    start = np.flatnonzero(opens)
+    held = _first_writers(step, target, prior, np.flatnonzero(opens))
     del opens
-    # held[s]: what position s held when step s ran. It is s if no step
-    # wrote there before, else what the last such writer held, so held
-    # starts as that writer and pointer jumping reads it off the root. The
-    # first step of a group is the last writer unless it is the target
-    # itself, which runs after the rest of its group.
-    writer = np.where(step == target, prior, step)
-    np.copyto(writer, target, where=writer < 0)
-    held = np.arange(n, dtype=np.int32)
-    held[target[start]] = writer[start]
-    del start, writer
-    held = path_roots(held)   # writers ran before, so no pointer is on a cycle
+    held = path_roots(held)   # what each writer held; writers ran before, so no pointer is on a cycle
     vals = take_in_blocks(held, prior, np.empty(n, dtype=np.int32))   # prior -1 reads held[0]: replaced
     del held
     np.copyto(vals, target, where=prior < 0)
@@ -198,12 +196,16 @@ def _apply_swaps(j: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stable_order(j: np.ndarray) -> np.ndarray:
-    """np.argsort(j, kind="stable") as int32, for int32 j in [0, 2**31).
-    numpy sorts 16-bit keys stably by radix sort, so this sorts by the low
-    half, then stably by the high half (one pass while n <= 2**16)."""
-    low = np.argsort(j.astype(np.uint16), kind="stable").astype(np.int32)
-    if len(j) <= 1 << 16:
-        return low
-    high = np.argsort((j >> 16).astype(np.uint16)[low], kind="stable").astype(np.int32)
-    return low[high]
+def _first_writers(step: np.ndarray, target: np.ndarray, prior: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """held[s], what position s held when step s ran, as pointer jumping
+    starts it: s if no step wrote there before, else the last such writer,
+    whose own held value is then read off the root. The first step of each
+    group (the sorted positions in start) is the last writer to its target
+    unless it is the target itself, which runs after the rest of its group
+    (prior gives the step after it)."""
+    held = np.arange(len(step), dtype=np.int32)
+    for (at,) in in_blocks(start):
+        s, t, p = step[at], target[at], prior[at]
+        writer = np.where(s == t, p, s)
+        held[t] = np.where(writer < 0, t, writer)
+    return held

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .codec import FormatError, expect, format_chunks, read_rows, tag_table, used_tags
-from .graphs import LayeredGraph
+from .graphs import LayeredGraph, take_in_blocks
 from .matching import BipartiteInstance, max_matching
 from .seeds import shuffled_range
 
@@ -115,8 +115,10 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
         order = shuffled if order is None else order[shuffled]
     gu, gv = g.global_ids()
     tag_ids = g.tag_ids
-    if order is not None:
-        gu, gv, tag_ids = gu[order], gv[order], tag_ids[order]
+    if order is not None:  # a column at a time, so that one at most is held twice
+        gu = take_in_blocks(gu, order, np.empty_like(gu))
+        gv = take_in_blocks(gv, order, np.empty_like(gv))
+        tag_ids = take_in_blocks(tag_ids, order, np.empty_like(tag_ids))
     return EdgeStream.from_columns(g.vertex_count, True, gu, gv, tag_ids, names)
 
 

@@ -29,13 +29,14 @@ from permlab.gen import (
     sample_simple,
     vertex_count,
 )
-from permlab import codec
+from permlab import codec, gen
 from permlab.codec import CHUNK, WINDOW, FormatError, format_chunks, format_rows, tag_table
 from permlab.graphs import (
     ExtractionError,
     GroupLayeredGraph,
     LayeredGraph,
     _edge_array_end,
+    _spells,
     basic,
     concat_all,
     extract_permutation,
@@ -922,8 +923,9 @@ def test_writers_match_reference_across_chunks():
 @pytest.mark.parametrize("tagged", [False, True], ids=["no-tags", "tags"])
 @pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 8, 9])
 def test_graph_json_chunks_join_to_the_payload(rows, tagged, monkeypatch):
-    # four rows a chunk: the edge and tag arrays each lose their trailing
-    # separator from their last chunk, however the rows fall into chunks
+    # four rows a chunk: the edge array loses its trailing separator from
+    # its last chunk, however the rows fall into chunks; the tag array, spelled
+    # from runs, is one piece at these sizes
     monkeypatch.setattr("permlab.codec.CHUNK", 4)
     rng = np.random.default_rng(rows)
     edges = rng.integers(1, 10**rng.integers(1, 10, rows), dtype=np.int64).repeat(3).reshape(rows, 3)
@@ -932,7 +934,67 @@ def test_graph_json_chunks_join_to_the_payload(rows, tagged, monkeypatch):
     chunks = list(g.json_chunks())
     assert b"".join(chunks) == g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True).encode()
     per_array = -(-rows // 4)
-    assert len(chunks) == 3 + per_array + (2 + per_array if ids.any() else 0)
+    assert len(chunks) == 3 + per_array + (3 if ids.any() else 0)
+
+
+TAG_RUNS = {
+    "long_runs": ["referee"] * 300 + ["player:1"] * 1000 + ["fixed"] * 2 + ["player:10"] * 500,
+    "alternating": ["referee", "player:1"] * 400 + ["fixed"],
+    "one_edge": ["player:2"],
+    "all_fixed": ["fixed"] * 50,
+}
+
+
+@pytest.mark.parametrize("window", [WINDOW, 64, 5])
+@pytest.mark.parametrize("case", TAG_RUNS)
+def test_tag_array_is_spelled_from_runs(case, window, monkeypatch):
+    # the tag array is written a run of equal tags at a time, in pieces of
+    # about a window; a small window cuts pieces inside the long runs
+    tags = TAG_RUNS[case]
+    g = LayeredGraph([7, 7], [(1, i % 7 + 1, (5 * i) % 7 + 1) for i in range(len(tags))], tags)
+    monkeypatch.setattr("permlab.graphs.WINDOW", window)
+    chunks = list(g.json_chunks())
+    assert b"".join(chunks) == g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True).encode()
+    if case == "all_fixed":
+        assert b'"tags"' not in g.to_json()
+        return
+    pieces = chunks[chunks.index(b', "tags": [') + 1:-2]
+    assert b"".join(pieces) == ", ".join(f'"{t}"' for t in tags).encode()
+    assert all(len(piece) <= 2 * window + len(b'"player:10", ') for piece in pieces)
+
+
+@pytest.mark.parametrize("m, b, k, p", [(8, 2, 2, 1), (8, 2, 2, 2)])
+@pytest.mark.parametrize("window", [WINDOW, 64])
+def test_layout_spells_a_gen_tag_array_in_small_pieces(m, b, k, p, window, monkeypatch):
+    # the speller that writes a tag array compares one with the layout, also
+    # with pieces cut inside runs, and finds a retagged edge
+    params = default_params(m, b, k=k, p=p)
+    g = gen_general(random_perm(m, random.Random(m)), params, random.Random(2))
+    text = g.to_json()
+    lo = text.index(b'"tags": [') + len(b'"tags": [')
+    end = text.index(b"]", lo)
+    layout = gen.layout(params)
+    monkeypatch.setattr("permlab.graphs.WINDOW", window)
+    assert _spells(text, lo, end, layout)
+    at = text.index(b'"referee"', (lo + end) // 2)
+    retagged = text[:at] + b'"player:1"' + text[at + len(b'"referee"'):]
+    assert not _spells(retagged, lo, end + 1, layout)
+
+
+@pytest.mark.parametrize("m, b, k, p", [(6, 3, 1, 1), (8, 2, 2, 1), (4, 2, 1, 2)])
+def test_stream_gathers_across_small_blocks(m, b, k, p, monkeypatch):
+    # graph_to_stream gathers its three columns a graphs.BLOCK of the order
+    # at a time; at 7 the gathers cross blocks, shuffled or not, in gen's row
+    # order and in reverse (which the lexsort puts back)
+    g = gen_general(random_perm(m, random.Random(m + p)), default_params(m, b, k=k, p=p),
+                    random.Random(3))
+    backwards = LayeredGraph.from_columns(g.layers, g.edges[::-1].copy(), g.tag_ids[::-1].copy(),
+                                          g.tag_names)
+    monkeypatch.setattr("permlab.graphs.BLOCK", 7)
+    for graph in (g, backwards):
+        for shuffle_seed in (None, 0, 11):
+            stream = graph_to_stream(graph, shuffle_seed=shuffle_seed)
+            assert (stream.edges, stream.tags) == ref_stream(*listed(graph), shuffle_seed)
 
 
 @st.composite

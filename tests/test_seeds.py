@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,21 @@ def test_shuffled_range_across_small_blocks(seed, monkeypatch):
     monkeypatch.setattr("permlab.graphs.BLOCK", 7)
     for n in (*range(30), 64, 65, 200, 1001):
         assert shuffled_range(n, seed).tolist() == ref_shuffle(n, seed), n
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shuffled_range_memory_per_element(seed):
+    # at most the sorted steps and targets, each step's prior, and the swap
+    # map with pointer jumping's two buffers: 25.0 B an element measured
+    n = 568_432
+    shuffled_range(1000, seed)
+    tracemalloc.start()
+    try:
+        shuffled_range(n, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * n
 
 
 def test_shuffled_range_refuses_sizes_past_int32():
