@@ -98,7 +98,7 @@ def format_chunks(seps: Sequence[bytes], cols: Sequence[np.ndarray],
                    None if ids is None else names[ids[lo:lo + CHUNK]]) for lo in range(0, n, CHUNK))
 
 
-def _chunk(seps: Sequence[bytes], parts: list[np.ndarray], tags: np.ndarray | None) -> bytes:
+def _chunk(seps: Sequence[bytes], parts: list[np.ndarray], tags: np.ndarray | None) -> bytearray:
     """The rows of the int32 columns parts and of the 0-padded tags, laid
     out as one byte matrix (a matrix row per text row, a column block per
     separator or field) that starts as copies of one template row holding
@@ -123,7 +123,7 @@ def _chunk(seps: Sequence[bytes], parts: list[np.ndarray], tags: np.ndarray | No
         elif i == len(parts) and tags is not None:
             field.view(tags.dtype)[:, 0] = tags
         at += width
-    return bytes(text.translate(None, b"\0"))
+    return text.translate(None, b"\0")
 
 
 def _digits(out: np.ndarray, mags: np.ndarray) -> None:

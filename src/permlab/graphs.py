@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import gen  # a cycle: gen builds its graphs here, and permlab/__init__ imports gen first
-from .codec import WINDOW, first_difference, format_chunks, json_int, read_rows, tag_table, used_tags
+from .codec import CHUNK, WINDOW, first_difference, format_chunks, json_int, read_rows, tag_table, used_tags
 from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
@@ -263,11 +263,19 @@ def _tag_runs(tag_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _tag_text(runs: np.ndarray, tags: np.ndarray, names: Sequence[str]) -> Iterator[bytes]:
     """The tag array's rows, less the last row's trailing separator, for
-    runs[r] edges tagged names[tags[r]], run after run, in pieces of about
-    codec.WINDOW bytes. A run longer than a piece is cut into parts of at
-    most a piece, and the rows of each distinct part are spelled once."""
+    runs[r] edges tagged names[tags[r]], run after run, in pieces of at most
+    about codec.WINDOW bytes, spelled a codec.CHUNK of runs at a time."""
     spelled = [_TAG_ROW[0] + name.encode() + _TAG_ROW[1] for name in names]
-    cap = np.maximum(WINDOW // np.array(list(map(len, spelled)), dtype=np.int64), 1)[tags]  # rows a part
+    cap = np.maximum(WINDOW // np.array(list(map(len, spelled)), dtype=np.int64), 1)  # rows a part
+    yield from _trimmed(piece for lo in range(0, len(runs), CHUNK)
+                        for piece in _run_pieces(runs[lo:lo + CHUNK], tags[lo:lo + CHUNK], spelled, cap))
+
+
+def _run_pieces(runs: np.ndarray, tags: np.ndarray, spelled: list[bytes], cap: np.ndarray) -> Iterator[bytes]:
+    """The rows of runs[r] edges spelled spelled[tags[r]], in pieces of
+    about codec.WINDOW bytes. A run is cut into parts of at most cap[tag]
+    rows, and the rows of each distinct part are spelled once."""
+    cap = cap[tags]
     parts = -(-runs // cap)
     lengths, part_tags = np.repeat(cap, parts), np.repeat(tags, parts)
     lengths[np.cumsum(parts)[parts > 0] - 1] = (runs - (parts - 1) * cap)[parts > 0]  # each run's last part
@@ -275,7 +283,7 @@ def _tag_text(runs: np.ndarray, tags: np.ndarray, names: Sequence[str]) -> Itera
     table = [spelled[key % len(spelled)] * (key // len(spelled)) for key in kinds.tolist()]
     ends = np.cumsum(np.array(list(map(len, table)), dtype=np.int64)[kind])
     cuts = np.searchsorted(ends, np.arange(WINDOW, ends[-1] if len(ends) else 0, WINDOW))
-    yield from _trimmed(b"".join(map(table.__getitem__, part.tolist())) for part in np.split(kind, cuts))
+    return (b"".join(map(table.__getitem__, part.tolist())) for part in np.split(kind, cuts))
 
 
 _EDGE_ROW = (b"[", b", ", b", ", b"], ")

@@ -45,13 +45,14 @@ def shuffled_range(n: int, seed: int) -> np.ndarray:
     the last window reads words past the last draw."""
     if not 0 <= n < 1 << 31:
         raise ValueError(f"shuffled_range needs 0 <= n < 2**31, got {n}")
-    return _apply_swaps(_swap_targets(n, random.Random(seed)))
+    return _apply_swaps(n, random.Random(seed))
 
 
-def _swap_targets(n: int, rng: random.Random) -> np.ndarray:
-    """j[i] = rng._randbelow(i + 1) for i = n-1 down to 1, drawn in that
-    order as shuffle draws them, and j[0] = 0."""
-    j = np.zeros(n, dtype=np.int32)
+def _swap_targets(rng: random.Random, j: np.ndarray) -> None:
+    """Fill j with j[i] = rng._randbelow(i + 1) for i = n-1 down to 1,
+    drawn in that order as shuffle draws them, and j[0] = 0."""
+    n = len(j)
+    j[:1] = 0
     words = np.empty(0, dtype="<u4")   # read from rng, not yet used by a draw
     b = n   # the bound of the next draw: step b - 1 draws below b
     while b > 1:
@@ -85,7 +86,6 @@ def _swap_targets(n: int, rng: random.Random) -> np.ndarray:
         words = words[used:]
         j[b - len(taken):b] = r[taken][::-1]
         b -= len(taken)
-    return j
 
 
 def _words(rng: random.Random, n: int) -> np.ndarray:
@@ -160,21 +160,21 @@ def _high_words_taken(words: np.ndarray, low: np.ndarray, runs: np.ndarray, limi
     return taken
 
 
-def _apply_swaps(j: np.ndarray) -> np.ndarray:
-    """range(n) after swapping positions i and j[i] for i = n-1 down to 1.
+def _apply_swaps(n: int, rng: random.Random) -> np.ndarray:
+    """range(n) after swapping positions i and j[i] for i = n-1 down to 1,
+    with the swap targets j that _swap_targets draws from rng.
 
     Position i ends with what position j[i] held when step i ran: what the
     last earlier-run step with target j[i] carried there, or j[i] itself if
     there is none. A step carries what its own position held when it ran,
     which follows the same rule; j[0] = 0 stands for position 0 as a step."""
-    n = len(j)
     # steps grouped by target, ascending within a group, so the step after
     # another in its group is the one that ran just before it: one sort of
-    # the distinct keys (target << 32) | step, read back as their halves
+    # the distinct keys (target << 32) | step, read back as their halves;
+    # the targets are drawn straight into their halves
     key = np.empty(n, dtype="<i8")
     halves = key.view("<i4").reshape(n, 2)
-    halves[:, 1] = j
-    del j   # shuffled_range's only reference, so its swap targets go here
+    _swap_targets(rng, halves[:, 1])
     halves[:, 0] = np.arange(n, dtype=np.int32)
     key.sort()
     step, target = halves[:, 0].copy(), halves[:, 1].copy()

@@ -945,14 +945,16 @@ TAG_RUNS = {
 }
 
 
-@pytest.mark.parametrize("window", [WINDOW, 64, 5])
+@pytest.mark.parametrize("window, chunk", [(WINDOW, CHUNK), (64, CHUNK), (5, CHUNK), (64, 3)])
 @pytest.mark.parametrize("case", TAG_RUNS)
-def test_tag_array_is_spelled_from_runs(case, window, monkeypatch):
+def test_tag_array_is_spelled_from_runs(case, window, chunk, monkeypatch):
     # the tag array is written a run of equal tags at a time, in pieces of
-    # about a window; a small window cuts pieces inside the long runs
+    # about a window, a chunk of runs at a time; a small window cuts pieces
+    # inside the long runs, and a small chunk cuts the runs into slices
     tags = TAG_RUNS[case]
     g = LayeredGraph([7, 7], [(1, i % 7 + 1, (5 * i) % 7 + 1) for i in range(len(tags))], tags)
     monkeypatch.setattr("permlab.graphs.WINDOW", window)
+    monkeypatch.setattr("permlab.graphs.CHUNK", chunk)
     chunks = list(g.json_chunks())
     assert b"".join(chunks) == g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True).encode()
     if case == "all_fixed":
