@@ -22,8 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from . import __version__, dists
-from .codec import json_int
+from . import __version__, codec, dists
+from .codec import Window, json_int
 from .gen import default_params, gen_general, header_layout, layout, vertex_count
 # extract_permutation is not called here, but perfbench/tracing.py looks the name up on this module
 from .graphs import ExtractionError, LayeredGraph, extract_permutation, path_labels, read_permutation
@@ -32,10 +32,10 @@ from .matching import (BipartiteInstance, bipartite_of, certified_size, dichotom
                        matching_size, max_matching, sigma_cross, sigma_eq)
 from .perms import parse_perm, random_perm
 from .rs import parse_rs, validate_rs
-from .seeds import rng_for
+from .seeds import rng_for, shuffled_range
 from .sortnet import build_sort_network, depth_bound
-# dump_stream is not used here, but perfbench/tracing.py looks the name up on this module
-from .streams import FullMemory, advantage_estimate, dump_stream, graph_to_stream, parse_stream, stream_text
+# dump_stream and graph_to_stream are not used here, but perfbench/tracing.py looks the names up on this module
+from .streams import FullMemory, advantage_estimate, dump_stream, graph_text, graph_to_stream, parse_stream
 
 OUT_ENV = "PERMLAB_OUT"
 
@@ -108,12 +108,13 @@ def cmd_gen(args) -> int:
     # key that sorts before "graph", holds an int, so the first null is it
     head, tail = json.dumps(doc, sort_keys=True).encode().split(b"null", 1)
     try:
+        # the order first, while the heap is small: the params fix the edge
+        # count, and the shuffle's temporaries are gone before the graph is made
+        order = None if args.shuffle_seed is None else shuffled_range(layout(params).edges, args.shuffle_seed)
         g = gen_general(sigma, params, rng_for(args.seed, "gen"))
         outputs = {"graph.json": _write(os.path.join(out, "graph.json"),
                                         chain([head], g.json_chunks(), [tail, b"\n"]))}
-        stream = graph_to_stream(g, shuffle_seed=args.shuffle_seed)
-        del g  # the graph's columns go before the stream's text is formatted
-        outputs["stream.txt"] = _write(os.path.join(out, "stream.txt"), stream_text(stream))
+        outputs["stream.txt"] = _write(os.path.join(out, "stream.txt"), graph_text(g, order))
     except MemoryError as err:
         print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 1
@@ -202,19 +203,41 @@ def _verify_manifest(manifest: RunManifest, folder: str) -> list[str]:
     return problems
 
 
+def _kind(fh) -> str:
+    """What the file holds, by its first bytes past any whitespace: "{" for
+    a JSON document, "permgraph" for one that names that kind (sorted keys
+    put "kind" after the graph), "PHSTREAM" for a stream, else ""."""
+    src, at = Window(fh), 0
+    while at < src.size:
+        piece = src.read(at, at + codec.WINDOW)
+        rest = piece.lstrip()
+        at += len(piece) - len(rest)
+        if rest:
+            break
+    head = src.read(at, at + len(b"PHSTREAM"))
+    if head.startswith(b"{"):
+        return "permgraph" if src.rfind(b'"permgraph"', 0, src.size) >= 0 else "{"
+    return "PHSTREAM" if head == b"PHSTREAM" else ""
+
+
 def _verify_file(path: str) -> list[str]:
     with open(path, "rb") as fh:
-        data = fh.read()
-    stripped = data.lstrip()
-    if stripped.startswith(b"{"):
-        if data.rfind(b'"permgraph"') >= 0:  # sorted keys put "kind" after the graph
-            g, doc = LayeredGraph.from_json(data)
-            del data, stripped  # free the file's bytes before the matching runs
-            if doc.get("kind") != "permgraph":
-                return [f"unrecognized JSON document in {path}"]
-            problems, inst, want_size = _verify_permgraph(doc, g)
-            del g  # and the graph: no reference to it is left while the oracle runs
-            return problems + ([] if inst is None else _verify_matching(inst, want_size))
+        kind = _kind(fh)
+        if kind == "permgraph":  # read through one window, never whole
+            g, doc = LayeredGraph.from_json(fh)
+        elif kind == "PHSTREAM":
+            parse_stream(fh)
+            return []
+        else:  # a manifest, an instance or an RS family, all small
+            fh.seek(0)
+            data = fh.read()
+    if kind == "permgraph":
+        if doc.get("kind") != "permgraph":
+            return [f"unrecognized JSON document in {path}"]
+        problems, inst, want_size = _verify_permgraph(doc, g)
+        del g  # no reference to the graph is left while the oracle runs
+        return problems + ([] if inst is None else _verify_matching(inst, want_size))
+    if kind == "{":
         doc = json.loads(data)
         if doc.keys() == {field.name for field in fields(RunManifest)}:
             return _verify_manifest(RunManifest(**doc), os.path.dirname(path))
@@ -226,9 +249,6 @@ def _verify_file(path: str) -> list[str]:
                 return [f"referee answered {answer}, instance says {inst.answer}"]
             return []
         return [f"unrecognized JSON document in {path}"]
-    if stripped.startswith(b"PHSTREAM"):
-        parse_stream(data)
-        return []
     # otherwise treat as an RS family file
     try:
         g = parse_rs(data.decode())

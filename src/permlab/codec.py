@@ -23,6 +23,12 @@ copies little: each field's start and end are a view of one array of run
 bounds, ints are combined in place, and a tag's id is looked up among the
 tags already numbered before any sort.
 
+The input is a binary file read through a Window, one reused buffer that
+readinto fills (bytes are read as an io.BytesIO). The searches around a
+read, for a key, an array's end or a line count, run over the same Window
+at absolute offsets, so a reader holds its columns and one window of the
+file, never the whole file.
+
 A tag is a non-empty run of ASCII letters, digits and "_:.-". It needs no
 JSON escaping and holds no separator byte, so a tag field ends at the
 first separator.
@@ -30,9 +36,10 @@ first separator.
 
 from __future__ import annotations
 
+import io
 import json
 import re
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -64,7 +71,10 @@ def tag_table(tags: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
 def used_tags(names: Sequence[str], ids: np.ndarray) -> list[str]:
     """The names that ids use, in table order. Raises ValueError for one
     that is no tag."""
-    used = [names[i] for i in np.flatnonzero(np.bincount(ids)).tolist()]
+    seen = np.zeros(len(names), dtype=bool)
+    for lo in range(0, len(ids), CHUNK):  # bincount would copy all the ids to intp at once
+        seen[ids[lo:lo + CHUNK]] = True
+    used = [names[i] for i in np.flatnonzero(seen).tolist()]
     for name in used:
         if not TAG.fullmatch(name):
             raise ValueError(f"tag {name!r} is not a non-empty run of ASCII letters, digits and _:.-")
@@ -148,12 +158,11 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-def expect(data: bytes, lo: int, hi: int, want: bytes) -> None:
-    """Raise FormatError naming the first offset where data[lo:hi] and want differ."""
-    got = data[lo:hi]
-    if got != want:
-        at = lo + first_difference(got, want)
-        raise FormatError(at, f"expected {want[at - lo:at - lo + 12]!r}, found {data[at:at + 12]!r}")
+def expect(src: "Window", lo: int, hi: int, want: bytes) -> None:
+    """Raise FormatError naming the first offset where src's bytes lo..hi and want differ."""
+    if hi - lo != len(want) or not src.startswith(want, lo, hi):
+        at = lo + first_difference(src.view(lo, hi), want)
+        raise FormatError(at, f"expected {want[at - lo:at - lo + 12]!r}, found {src.read(at, at + 12)!r}")
 
 
 def first_difference(a: bytes, b: bytes) -> int:
@@ -162,16 +171,109 @@ def first_difference(a: bytes, b: bytes) -> int:
     return int(diff[0]) if len(diff) else n
 
 
-def read_rows(data: bytes, lo: int, end: int, seps: Sequence[bytes], cols: Sequence[np.ndarray],
+class Window:
+    """A binary file read through one reused buffer, which readinto fills:
+    buf[:hi - lo] holds the file's bytes lo..hi. Every read and search
+    takes absolute offsets and loads only the bytes it lacks, keeping the
+    held bytes it can, so a pass from start to end reads each byte once.
+    A search loads up to 2 * WINDOW bytes at a time."""
+
+    def __init__(self, fh: BinaryIO):
+        self.fh = fh
+        self.size = fh.seek(0, io.SEEK_END)
+        self.buf = bytearray()
+        self.lo = self.hi = 0
+
+    @classmethod
+    def of(cls, data: "str | bytes | BinaryIO") -> "Window":
+        """A Window over a binary file, or over bytes or a str (encoded) through io.BytesIO."""
+        if isinstance(data, str):
+            data = data.encode()
+        return cls(io.BytesIO(data) if isinstance(data, (bytes, bytearray, memoryview)) else data)
+
+    def hold(self, lo: int, hi: int) -> None:
+        """Make buf hold the bytes lo..hi, clipped to the file: the held
+        bytes from lo on move to its front, and the rest are read."""
+        hi = min(hi, self.size)
+        if self.lo <= lo and hi <= self.hi:
+            return
+        keep = self.hi - lo if self.lo <= lo < self.hi else 0
+        if len(self.buf) < hi - lo:
+            buf = bytearray(hi - lo)
+            buf[:keep] = self.buf[lo - self.lo:self.hi - self.lo]
+            self.buf = buf
+        elif keep:
+            self.buf[:keep] = self.buf[lo - self.lo:self.hi - self.lo]
+        self.fh.seek(lo + keep)
+        view = memoryview(self.buf)[:max(hi - lo, 0)]
+        filled = keep
+        while filled < len(view) and (got := self.fh.readinto(view[filled:])):
+            filled += got
+        self.lo, self.hi = lo, lo + filled
+
+    def view(self, lo: int, hi: int) -> memoryview:
+        """The bytes lo..hi, clipped to the file, as a view of buf, which
+        the next load overwrites."""
+        hi = max(lo, min(hi, self.size))
+        self.hold(lo, hi)
+        return memoryview(self.buf)[lo - self.lo:hi - self.lo]
+
+    def read(self, lo: int, hi: int) -> bytes:
+        return bytes(self.view(lo, hi))
+
+    def startswith(self, prefix: bytes, lo: int, hi: int) -> bool:
+        """Whether the bytes lo..hi start with prefix."""
+        if lo > min(hi, self.size):
+            return False
+        self.hold(lo, lo + len(prefix))
+        return self.buf.startswith(prefix, lo - self.lo, min(hi, self.hi) - self.lo)
+
+    def find(self, sub: bytes, lo: int, hi: int | None = None) -> int:
+        """bytes.find over the bytes lo..hi, at absolute offsets."""
+        hi = self.size if hi is None else min(hi, self.size)
+        while lo + len(sub) <= hi:
+            if not (self.lo <= lo and lo + len(sub) <= self.hi):
+                self.hold(lo, min(hi, lo + max(2 * WINDOW, len(sub))))
+            found = self.buf.find(sub, lo - self.lo, min(hi, self.hi) - self.lo)
+            if found >= 0 or self.hi >= hi:
+                return found if found < 0 else found + self.lo
+            lo = self.hi - len(sub) + 1
+        return -1
+
+    def rfind(self, sub: bytes, lo: int, hi: int) -> int:
+        """bytes.rfind over the bytes lo..hi, at absolute offsets."""
+        hi = min(hi, self.size)
+        while hi - lo >= len(sub):
+            at = max(lo, hi - max(2 * WINDOW, len(sub)))
+            self.hold(at, hi)
+            found = self.buf.rfind(sub, at - self.lo, hi - self.lo)
+            if found >= 0 or at == lo:
+                return found if found < 0 else found + self.lo
+            hi = at + len(sub) - 1
+        return -1
+
+    def count(self, sub: bytes, lo: int, hi: int) -> int:
+        """bytes.count over the bytes lo..hi, for a sub that cannot overlap itself."""
+        hi, total = min(hi, self.size), 0
+        while lo + len(sub) <= hi:
+            self.hold(lo, min(hi, lo + max(2 * WINDOW, len(sub))))
+            stop = min(hi, self.hi)
+            total += self.buf.count(sub, lo - self.lo, stop - self.lo)
+            lo = stop - len(sub) + 1  # an occurrence that starts before here ends by stop
+        return total
+
+
+def read_rows(src: Window, lo: int, end: int, seps: Sequence[bytes], cols: Sequence[np.ndarray],
               ids: np.ndarray | None = None, trim: int = 0) -> tuple[str, ...]:
-    """Read data[lo:end], which must be format_rows(seps, ...) less its last
-    trim bytes, into the given columns, whose length is the number of rows
-    it must hold: int32 columns for the int fields, then, when ids is given,
-    the tag ids. Returns the tag names, numbered in order of first
-    appearance. Bytes format_rows would not write, and more or fewer rows
-    than the columns hold, raise FormatError naming the offset of the first
-    of them."""
-    buf = np.frombuffer(data, dtype=np.uint8)
+    """Read the bytes lo..end of src, which must be format_rows(seps, ...)
+    less its last trim bytes, into the given columns, whose length is the
+    number of rows they must hold: int32 columns for the int fields, then,
+    when ids is given, the tag ids. Returns the tag names, numbered in order of first appearance. Bytes
+    format_rows would not write, and more or fewer rows than the columns
+    hold, raise FormatError naming the offset of the first of them.
+
+    The rows are read WINDOW bytes at a time, each window completed to a
+    whole row, and no window's temporaries outlive it."""
     stops = bytes(set(b"".join(seps)))  # the bytes that end a field
     width = len(seps) - 1  # fields a row
     ints = width - (ids is not None)
@@ -179,26 +281,28 @@ def read_rows(data: bytes, lo: int, end: int, seps: Sequence[bytes], cols: Seque
     tags = _Tags()
     at = 0
     while lo < end:
-        hi = data.find(seps[-1] + seps[0], lo + WINDOW, end)
+        src.hold(lo, min(end, lo + 2 * WINDOW))  # from lo, so that the row ending the window is held too
+        hi = src.find(seps[-1] + seps[0], lo + WINDOW, end)
         hi = end if hi < 0 else hi + len(seps[-1])  # whole rows
-        bounds = _fields(buf, lo, hi, stops)
+        buf = np.frombuffer(src.view(lo, hi), dtype=np.uint8)  # offsets in it are from lo
+        bounds = _fields(buf, stops)
         rows = -(-len(bounds) // width)
         if len(bounds) == rows * width:
             bounds = bounds.reshape(rows, width, 2)  # a view: [row, field] is (start, end)
         else:  # a short last row is completed with the window's first fields, which the check sees
             bounds = np.resize(bounds, (rows, width, 2))
         starts, ends = bounds[:, :, 0], bounds[:, :, 1]
-        words, base = _words(buf, lo, hi)
-        vals = _ints(buf, words, base, starts[:, :ints], ends[:, :ints], data.find(b"-", lo, hi) >= 0)
+        words, base = _words(buf)
+        vals = _ints(buf, words, base, starts[:, :ints], ends[:, :ints], src.find(b"-", lo, hi) >= 0)
         got = None
         if ids is not None:
             got = tags.ids(buf, words, base, starts[:, -1], ends[:, -1])
             if len(tags.index) > np.iinfo(ids.dtype).max + 1:
                 raise ValueError(f"at most {np.iinfo(ids.dtype).max + 1} distinct tags")
         text = format_rows(seps, list(vals.T), got, tags.table)
-        expect(data, lo, hi, text if hi < end else text[:len(text) - trim])
+        expect(src, lo, hi, text if hi < end else text[:len(text) - trim])
         if at + rows > size:
-            raise FormatError(int(starts[size - at, 0]) - len(seps[0]), f"more than {size} rows")
+            raise FormatError(lo + int(starts[size - at, 0]) - len(seps[0]), f"more than {size} rows")
         # filled in place, so no window's rows outlive it
         for out, col in zip(cols, vals.T):
             out[at:at + rows] = col
@@ -210,25 +314,23 @@ def read_rows(data: bytes, lo: int, end: int, seps: Sequence[bytes], cols: Seque
     return tuple(token.decode() for token in tags.index)
 
 
-def _fields(buf: np.ndarray, lo: int, hi: int, stops: bytes) -> np.ndarray:
-    """(start, end) offsets, one row each, of the runs of bytes in buf[lo:hi]
-    that are none of stops."""
-    stop = np.zeros(hi - lo + 2, dtype=bool)
+def _fields(buf: np.ndarray, stops: bytes) -> np.ndarray:
+    """(start, end) offsets, one row each, of the runs of bytes in buf that
+    are none of stops."""
+    stop = np.zeros(len(buf) + 2, dtype=bool)
     stop[[0, -1]] = True  # either end stops a run too
     for byte in stops:  # one compare per byte value is faster than a 256-entry table lookup
-        stop[1:-1] |= buf[lo:hi] == byte
-    bounds = np.flatnonzero(stop[1:] != stop[:-1])  # each run's start, then its end
-    bounds += lo
-    return bounds.reshape(-1, 2)
+        stop[1:-1] |= buf == byte
+    return np.flatnonzero(stop[1:] != stop[:-1]).reshape(-1, 2)  # each run's start, then its end
 
 
-def _words(buf: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, int]:
+def _words(buf: np.ndarray) -> tuple[np.ndarray, int]:
     """(words, base): words[o - base] is the little-endian 8-byte word at
-    offsets o..o+7 of buf[lo:hi], for lo - 16 <= o <= hi, with 0 read
-    outside [lo, hi)."""
-    pad = np.zeros(hi - lo + 24, dtype=np.uint8)
-    pad[16:16 + hi - lo] = buf[lo:hi]
-    return np.ndarray((len(pad) - 7,), dtype="<u8", buffer=pad, strides=(1,)), lo - 16
+    offsets o..o+7 of buf, for -16 <= o <= len(buf), with 0 read outside
+    buf."""
+    pad = np.zeros(len(buf) + 24, dtype=np.uint8)
+    pad[16:16 + len(buf)] = buf
+    return np.ndarray((len(pad) - 7,), dtype="<u8", buffer=pad, strides=(1,)), -16
 
 
 _U64 = np.uint64

@@ -23,12 +23,13 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import gen  # a cycle: gen builds its graphs here, and permlab/__init__ imports gen first
-from .codec import CHUNK, WINDOW, first_difference, format_chunks, json_int, read_rows, tag_table, used_tags
+from .codec import (CHUNK, WINDOW, Window, first_difference, format_chunks, json_int, read_rows, tag_table,
+                    used_tags)
 from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
@@ -80,25 +81,30 @@ class LayeredGraph:
     def last_size(self) -> int:
         return self.layers[-1]
 
-    def global_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each edge's endpoints as int32 global ids, vertices numbered from 1
-        layer by layer. Raise ValueError for 2**31 vertices or more."""
-        gu, gv = (np.empty(len(self.edges), dtype=np.int32) for _ in range(2))
-        for (ub, vb), (to_u, to_v) in zip(self.id_blocks(), in_blocks(gu, gv)):
-            to_u[:], to_v[:] = ub, vb
-        return gu, gv
-
-    def id_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """global_ids a BLOCK of edges at a time, as new int32 arrays."""
+    def id_blocks(self, order: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each edge's endpoints as global ids, vertices numbered from 1 layer
+        by layer, in new int32 arrays, and its tag ids, a BLOCK of edges at a
+        time: of the edges in their own order, or of edges order[0],
+        order[1], ..., gathered a BLOCK of order at a time. Raise ValueError
+        for 2**31 vertices or more."""
         if self.vertex_count >= 2**31:
             raise ValueError(f"{self.vertex_count} vertices do not fit in int32 ids")
         start = np.cumsum([0, *self.layers]).astype(np.int32)  # vertices before layer i+1
-        for li, u, v in in_blocks(*self.edges.T):
-            li = li.astype(np.intp)
-            ub, vb = start.take(li - 1), start.take(li)
-            ub += u
-            vb += v
-            yield ub, vb
+        for lo in range(0, len(self.edges), BLOCK):
+            yield self._id_block(start, slice(lo, lo + BLOCK) if order is None else order[lo:lo + BLOCK])
+
+    def _id_block(self, start: np.ndarray, at: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """id_blocks's arrays for the rows at, a slice or positions; the
+        gathered rows are gone before the caller works on the block."""
+        if not isinstance(at, slice):
+            at = at.astype(np.intp)  # converted once for both gathers
+        rows, tags = self.edges[at], self.tag_ids[at]
+        li = rows[:, 0].astype(np.intp)
+        li -= 1
+        ub, vb = start.take(li), start[1:].take(li)
+        ub += rows[:, 1]
+        vb += rows[:, 2]
+        return ub, vb, tags
 
     def validate(self) -> None:
         """Raise ValueError for a graph with no layers or a layer of negative
@@ -148,9 +154,11 @@ class LayeredGraph:
         yield b"}"
 
     @classmethod
-    def from_json(cls, data: str | bytes) -> tuple["LayeredGraph", dict]:
+    def from_json(cls, data: str | bytes | BinaryIO) -> tuple["LayeredGraph", dict]:
         """Read a document holding to_json's payload, as the whole document or
         as its "graph" entry: the graph, and the document's other entries.
+        data is a binary file, or the document's bytes or text, which are
+        read as an io.BytesIO.
 
         The document must be the bytes json.dumps writes with its default
         separators (keys in any order, one final newline allowed). The edge
@@ -158,37 +166,38 @@ class LayeredGraph:
         which checks them by formatting them again; json.loads reads only
         the rest, which is checked by dumping it again. Bytes that these
         writers would not write raise ValueError naming the offset of the
-        first of them.
+        first of them. The file is read through one codec.Window, which
+        every search for a key or an array's end shares, so the read holds
+        the graph's columns and a window, never the whole document.
 
         A permgraph document's header fixes its graph's layout
         (gen.header_layout). A tag array that is byte for byte the text of
         the layout's tags is taken as those tags without being read."""
-        if isinstance(data, str):
-            data = data.encode()
-        key = data.find(b'"edges": [')
+        src = Window.of(data)
+        key = src.find(b'"edges": [', 0)
         if key < 0:
             raise ValueError('no "edges" array')
         start = key + len(b'"edges": ')
-        end, rows = _edge_array_end(data, start)
+        end, rows = _edge_array_end(src, start)
         cuts = [(start, end + 1, b"NaN")]  # (start, end, stand-in) of each array read as columns
         # edge rows, as the read below checks them, hold no '"', so the first
         # "tags" key lies outside them
-        key = data.find(b'"tags": [', 0, start)
-        key = data.find(b'"tags": [', end + 1) if key < 0 else key
+        key = src.find(b'"tags": [', 0, start)
+        key = src.find(b'"tags": [', end + 1) if key < 0 else key
         if key >= 0:
             at = key + len(b'"tags": ')
-            cuts.append((at, data.find(b"]", at) + 1, b"Infinity"))  # no tag holds a "]"
+            cuts.append((at, src.find(b"]", at) + 1, b"Infinity"))  # no tag holds a "]"
         # the rest is read before the arrays, so that the layout is made
         # before their columns, but its errors come after theirs
         doc = error = None
         if cuts[-1][1] > 0:  # else the tag array has no end, named once the edges are read
             try:
-                doc = _load_skeleton(data, sorted(cuts))
+                doc = _load_skeleton(src, sorted(cuts))
             except (ValueError, RecursionError) as err:  # raised after the arrays' errors
                 error = err
         expected = None if doc is None else gen.header_layout(doc, rows)
         edges = np.empty((rows, 3), dtype=np.int32)
-        read_rows(data, start + 1, end, _EDGE_ROW, list(edges.T), trim=2)
+        read_rows(src, start + 1, end, _EDGE_ROW, list(edges.T), trim=2)
         if key < 0:
             tag_ids, names = np.zeros(len(edges), dtype=np.uint16), ("fixed",)
         else:
@@ -196,18 +205,18 @@ class LayeredGraph:
             if end < 0:
                 raise ValueError(f"byte {start}: tag array has no end")
             if expected is not None and expected.edges == len(edges) and \
-                    _spells(data, start + 1, end, expected):
+                    _spells(src, start + 1, end, expected):
                 tag_ids, names = expected.tag_ids(), expected.names
             else:
                 tag_ids = np.empty(len(edges), dtype=np.uint16)
                 try:
-                    names = read_rows(data, start + 1, end, _TAG_ROW, [], tag_ids, trim=2)
+                    names = read_rows(src, start + 1, end, _TAG_ROW, [], tag_ids, trim=2)
                 except ValueError:  # a wrong tag count is named first
-                    tags = data.count(b", ", start, end) + (end > start + 1)  # a ", " between two tags
+                    tags = src.count(b", ", start, end) + (end > start + 1)  # a ", " between two tags
                     if tags > len(edges):
                         at = start + 1
                         for _ in range(len(edges)):  # to the first tag too many
-                            at = data.find(b", ", at) + 2
+                            at = src.find(b", ", at) + 2
                         raise ValueError(f"byte {at}: more tags than the {len(edges)} edges") from None
                     if tags < len(edges):
                         raise ValueError(f"byte {end}: {tags} tags for {len(edges)} edges") from None
@@ -226,16 +235,16 @@ class LayeredGraph:
         return g, ({} if payload is doc else doc)
 
 
-def _edge_array_end(data: bytes, start: int) -> tuple[int, int]:
-    """The offset of the "]" closing the edge array that opens at
-    data[start], its first "]]" unless it is empty, and its rows, one "]"
-    each, found in one pass a codec.WINDOW at a time."""
-    if data[start:start + 2] == b"[]":
+def _edge_array_end(src: Window, start: int) -> tuple[int, int]:
+    """The offset of the "]" closing the edge array that opens at offset
+    start, its first "]]" unless it is empty, and its rows, one "]" each,
+    found in one pass a codec.WINDOW at a time."""
+    if src.read(start, start + 2) == b"[]":
         return start + 1, 0
-    buf = np.frombuffer(data, dtype=np.uint8)
     rows = 0
-    for lo in range(start, len(data), WINDOW):
-        close = buf[lo:lo + WINDOW + 1] == ord("]")  # a byte past the window sees a "]]" across its end
+    for lo in range(start, src.size, WINDOW):
+        # a byte past the window sees a "]]" across its end
+        close = np.frombuffer(src.view(lo, lo + WINDOW + 1), dtype=np.uint8) == ord("]")
         pair = np.flatnonzero(close[:-1] & close[1:])
         if len(pair):
             return lo + int(pair[0]) + 1, rows + int(np.count_nonzero(close[:pair[0] + 1]))
@@ -243,11 +252,11 @@ def _edge_array_end(data: bytes, start: int) -> tuple[int, int]:
     raise ValueError(f"byte {start}: edge array has no end")
 
 
-def _spells(data: bytes, lo: int, end: int, layout: gen.Layout) -> bool:
-    """Whether data[lo:end] is the tag array's rows for the layout's tags,
-    compared a piece of _tag_text at a time."""
+def _spells(src: Window, lo: int, end: int, layout: gen.Layout) -> bool:
+    """Whether the bytes lo..end are the tag array's rows for the layout's
+    tags, compared a piece of _tag_text at a time."""
     for piece in _tag_text(layout.runs, layout.tags, layout.names):
-        if not data.startswith(piece, lo, end):
+        if not src.startswith(piece, lo, end):
             return False
         lo += len(piece)
     return lo == end
@@ -302,17 +311,17 @@ def _trimmed(chunks: Iterator[bytes]) -> Iterator[bytes]:
         yield last[:-2]
 
 
-def _load_skeleton(data: bytes, cuts: list[tuple[int, int, bytes]]) -> dict:
-    """json.loads of data with each cut data[start:end] replaced by its
-    stand-in, which must occur in the document only there. The rest must be
-    what json.dumps writes, plus at most one final newline."""
+def _load_skeleton(src: Window, cuts: list[tuple[int, int, bytes]]) -> dict:
+    """json.loads of the document with each cut, its bytes start..end,
+    replaced by its stand-in, which must occur in the document only there.
+    The rest must be what json.dumps writes, plus at most one final newline."""
     pieces, at = [], 0
     for start, end, stand_in in cuts:
         if start < at:
             raise ValueError(f"byte {start}: inside the array before it")
-        pieces += [data[at:start], stand_in]
+        pieces += [src.read(at, start), stand_in]
         at = end
-    skeleton = b"".join([*pieces, data[at:]])
+    skeleton = b"".join([*pieces, src.read(at, src.size)])
 
     def offset(pos: int) -> int:  # from the skeleton to the document
         for start, end, stand_in in cuts:
@@ -454,11 +463,13 @@ def path_roots(up: np.ndarray) -> np.ndarray:
     """The root of every vertex under the parent map up, whose entries index
     up and where up[x] == x marks a root, by pointer doubling: after round k
     each vertex points 2**k steps up its path or at its root. Every vertex's
-    parents must reach a root: up has no cycle."""
-    root, step = up.copy(), np.empty_like(up)
+    parents must reach a root: up has no cycle. The pointers jump in up
+    itself, which is overwritten (its callers never read it again), and in
+    one more array, either of which is returned."""
+    root, step = up, np.empty_like(up)
     for _ in range(len(up).bit_length() + 1):
         take_in_blocks(root, root, step)
-        if np.array_equal(step, root):
+        if all(np.array_equal(a, b) for a, b in in_blocks(step, root)):  # no whole-column compare
             break
         root, step = step, root
     return root
@@ -474,7 +485,7 @@ def path_labels(g: LayeredGraph) -> np.ndarray | None:
     n = g.vertex_count
     up = np.arange(n + 1, dtype=np.int32)
     has_out, has_in = np.zeros(n + 1, dtype=bool), np.zeros(n + 1, dtype=bool)
-    for gu, gv in g.id_blocks():
+    for gu, gv, _ in g.id_blocks():
         has_out[gu] = has_in[gv] = True
         up[gv] = gu
     if np.count_nonzero(has_out) < len(g.edges) or np.count_nonzero(has_in) < len(g.edges):

@@ -152,7 +152,7 @@ def _reduction_sides(g: LayeredGraph, m: int) -> tuple[int, int]:
 def _graph_edges(g: LayeredGraph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # From int32 edge columns, an edge that leaves the graph's vertices gets an
     # id below 0 (wrapped, in int32) or past n + half at worst, which from_edges rejects.
-    for gu, gv in g.id_blocks():
+    for gu, gv, _ in g.id_blocks():
         gu -= 1
         gv -= 1
         yield gu, gv
@@ -209,27 +209,25 @@ def _certificate(n: int, on: np.ndarray, reached: np.ndarray,
     on them: a reached vertex's edge leads to a copy on its own path, as one
     to a free right vertex would augment it. The checks: the cover meets
     every edge, no right vertex is used twice, and the cover is as large as
-    the matching."""
+    the matching. Only the pairs of the left vertices on augmenting paths
+    are held, as few as the vertices of m/2 paths in a union of paths."""
     side = len(on)
-    match = np.arange(side, dtype=np.int32)
-    match[n:] = -1
-    in_cl, in_cr = ~reached, reached.copy()
-    in_cr[n:] = False
+    lefts = np.flatnonzero(on)  # ascending
+    match = lefts.astype(np.int32)  # lefts[i]'s pair so far
+    match[lefts >= n] = -1
     for lb, rb in edges:
         lb, rb = lb.astype(np.intp), rb.astype(np.intp)  # converted once, not per index use
-        if not (in_cl[lb] | in_cr[rb]).all():
+        if (reached[lb] & ~(reached[rb] & (rb < n))).any():
             return None                              # an edge the cover misses
         at = np.flatnonzero(on[lb])
-        match[lb[at]] = rb[at]
-    size = 0
-    used = np.zeros(side, dtype=bool)
-    for (mb,) in in_blocks(match):
-        mb = mb[mb >= 0]
-        used[mb] = True
-        size += len(mb)
-    if np.count_nonzero(used) != size:
+        match[np.searchsorted(lefts, lb[at])] = rb[at]
+    del lefts
+    match = np.sort(match[match >= 0])  # np.unique would hold several times more
+    # the copies off the augmenting paths use their own right copies
+    if (match[1:] == match[:-1]).any() or not on[match[match < n]].all():
         return None                                  # a right vertex in two pairs
-    if np.count_nonzero(in_cl) + np.count_nonzero(in_cr) != size:
+    size = n - np.count_nonzero(on[:n]) + len(match)
+    if side - np.count_nonzero(reached) + np.count_nonzero(reached[:n]) != size:
         return None
     return size
 

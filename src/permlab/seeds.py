@@ -68,16 +68,14 @@ def _swap_targets(rng: random.Random, j: np.ndarray) -> None:
         # and b, so it is accepted for sure below b - t and rejected for sure
         # at b or above; the words in between are decided in order.
         accept = r < b - np.arange(w)
-        sure, undecided = accept.tobytes(), (~accept & (r < b)).tobytes()
-        t = undecided.find(1)
-        seen = before = 0   # words accepted before position seen
-        while t >= 0:
-            before += sure.count(1, seen, t)
-            if r[t] < b - before:
-                accept[t] = True
-                before += 1
-            seen = t + 1
-            t = undecided.find(1, seen)
+        und = np.flatnonzero(~accept & (r < b))
+        # word t is accepted when below b less every word accepted before it:
+        # the sure ones, counted at once, and the undecided ones taken so far
+        taken: list[int] = []
+        for t, word, limit in zip(und.tolist(), r[und].tolist(), (b - np.cumsum(accept)[und]).tolist()):
+            if word < limit - len(taken):
+                taken.append(t)
+        accept[taken] = True
         # Only the draws left at this bit length are taken; the words after
         # the last of them are read again with the next one.
         room = b - (1 << (k - 1)) + 1
@@ -184,7 +182,7 @@ def _apply_swaps(n: int, rng: random.Random) -> np.ndarray:
     np.not_equal(target[1:], target[:-1], out=opens[1:])
     prior = np.full(n, -1, dtype=np.int32)
     np.copyto(prior[:-1], step[1:], where=~opens[1:])
-    held = _first_writers(step, target, prior, np.flatnonzero(opens))
+    held = _first_writers(step, target, prior, opens)
     del opens
     held = path_roots(held)   # what each writer held; writers ran before, so no pointer is on a cycle
     vals = take_in_blocks(held, prior, np.empty(n, dtype=np.int32))   # prior -1 reads held[0]: replaced
@@ -196,15 +194,20 @@ def _apply_swaps(n: int, rng: random.Random) -> np.ndarray:
     return out
 
 
-def _first_writers(step: np.ndarray, target: np.ndarray, prior: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _first_writers(step: np.ndarray, target: np.ndarray, prior: np.ndarray, opens: np.ndarray) -> np.ndarray:
     """held[s], what position s held when step s ran, as pointer jumping
     starts it: s if no step wrote there before, else the last such writer,
     whose own held value is then read off the root. The first step of each
-    group (the sorted positions in start) is the last writer to its target
-    unless it is the target itself, which runs after the rest of its group
-    (prior gives the step after it)."""
+    group (the sorted positions where opens is set) is the last writer to
+    its target unless it is the target itself, which runs after the rest of
+    its group (prior gives the step after it). The group starts are found a
+    block at a time, so their positions are never held whole."""
     held = np.arange(len(step), dtype=np.int32)
-    for (at,) in in_blocks(start):
+    lo = 0
+    for (block,) in in_blocks(opens):
+        at = np.flatnonzero(block)
+        at += lo
+        lo += len(block)
         s, t, p = step[at], target[at], prior[at]
         writer = np.where(s == t, p, s)
         held[t] = np.where(writer < 0, t, writer)

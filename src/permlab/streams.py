@@ -21,12 +21,12 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codec import FormatError, expect, format_chunks, read_rows, tag_table, used_tags
-from .graphs import LayeredGraph, take_in_blocks
+from .codec import FormatError, Window, expect, format_chunks, read_rows, tag_table, used_tags
+from .graphs import LayeredGraph, in_blocks
 from .matching import BipartiteInstance, max_matching
 from .seeds import shuffled_range
 
@@ -66,17 +66,18 @@ class EdgeStream:
 
     def _adopt(self, n, directed, us, vs, tag_ids, tag_names) -> None:
         """Raise ValueError for a negative n, or naming the first edge, in
-        edge order, with an endpoint outside [1, n]; otherwise keep the columns."""
+        edge order, with an endpoint outside [1, n]; otherwise keep the columns
+        as int32, the given arrays themselves when they are int32."""
         if n < 0:
             raise ValueError(f"n={n} is negative")
-        bad = (us < 1) | (us > n) | (vs < 1) | (vs > n)
-        if bad.any():
-            first = int(bad.argmax())
+        if len(us) and (min(us.min(), vs.min()) < 1 or max(us.max(), vs.max()) > n):
+            # the per-edge mask only now, to name the first bad edge in edge order
+            first = int(((us < 1) | (us > n) | (vs < 1) | (vs > n)).argmax())
             raise ValueError(f"edge ({us[first]},{vs[first]}) outside [1,{n}]")
         if n > np.iinfo(np.int32).max:
             raise ValueError(f"n={n} does not fit in int32 vertex ids")
         self.n, self.directed = n, directed
-        self.us, self.vs = us.astype(np.int32), vs.astype(np.int32)
+        self.us, self.vs = us.astype(np.int32, copy=False), vs.astype(np.int32, copy=False)
         self.tag_ids, self.tag_names = tag_ids, tuple(tag_names)
 
     @cached_property
@@ -100,7 +101,8 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
     canonical order layer-major then provenance-major. A seed applies a
     uniform shuffle on top (stream order is an experiment parameter): the
     order random.Random(seed).shuffle leaves of the canonical one, computed
-    by seeds.shuffled_range."""
+    by seeds.shuffled_range. The columns are gathered as graph_text gathers
+    them, a block of the order at a time."""
     names = g.tag_names
     rank = np.empty(len(names), dtype=np.int64)  # position of each name in string order
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
@@ -113,13 +115,29 @@ def graph_to_stream(g: LayeredGraph, shuffle_seed: int | None = None) -> EdgeStr
     if shuffle_seed is not None:
         shuffled = shuffled_range(len(g.edges), shuffle_seed)
         order = shuffled if order is None else order[shuffled]
-    gu, gv = g.global_ids()
-    tag_ids = g.tag_ids
-    if order is not None:  # a column at a time, so that one at most is held twice
-        gu = take_in_blocks(gu, order, np.empty_like(gu))
-        gv = take_in_blocks(gv, order, np.empty_like(gv))
-        tag_ids = take_in_blocks(tag_ids, order, np.empty_like(tag_ids))
-    return EdgeStream.from_columns(g.vertex_count, True, gu, gv, tag_ids, names)
+    us, vs = (np.empty(len(g.edges), dtype=np.int32) for _ in range(2))
+    tag_ids = np.empty(len(g.edges), dtype=np.uint16)
+    for (ub, vb, tb), (u, v, t) in zip(g.id_blocks(order), in_blocks(us, vs, tag_ids)):
+        u[:], v[:], t[:] = ub, vb, tb
+    return EdgeStream.from_columns(g.vertex_count, True, us, vs, tag_ids, names)
+
+
+def graph_text(g: LayeredGraph, order: np.ndarray | None) -> Iterator[bytes]:
+    """stream_text(graph_to_stream(g, seed)) for a graph whose rows are in
+    the canonical order already, as gen writes them, given the order
+    shuffled_range(len(g.edges), seed), or None for no seed. Each block of
+    the order is gathered from the graph's columns and formatted when it is
+    reached, so no stream column is held whole. The tags are checked first."""
+    head, table = _head(g.vertex_count, len(g.edges), True, g.tag_names, g.tag_ids)
+    return chain([head], _lines(g, order, table))
+
+
+def _lines(g: LayeredGraph, order: np.ndarray | None, table: list[bytes]) -> Iterator[bytes]:
+    """graph_text's edge lines, a block of the order at a time."""
+    for ub, vb, tb in g.id_blocks(order):
+        text = format_chunks(_TAGGED_LINE, [ub, vb], tb, table)
+        del ub, vb, tb  # the formatter holds the block until it is written, and no longer
+        yield from text
 
 
 def _in_order(keys: tuple[np.ndarray, ...]) -> bool:
@@ -143,56 +161,69 @@ def stream_text(stream: EdgeStream) -> Iterator[bytes]:
     """dump_stream's text as bytes: the header, then the edge lines a
     codec.CHUNK at a time, each formatted when it is reached. The tags are
     checked first, as dump_stream checks them."""
-    head = f"{MAGIC}\n{stream.n} {len(stream)} {1 if stream.directed else 0}\n".encode()
-    if stream.tag_ids is None:
+    head, table = _head(stream.n, len(stream), stream.directed, stream.tag_names, stream.tag_ids)
+    if table is None:
         return chain([head], format_chunks(_LINE, [stream.us, stream.vs]))
-    used_tags(stream.tag_names, stream.tag_ids)
-    table = [name.encode() for name in stream.tag_names]
     return chain([head], format_chunks(_TAGGED_LINE, [stream.us, stream.vs], stream.tag_ids, table))
 
 
-def parse_stream(data: str | bytes) -> EdgeStream:
-    """Read dump_stream's text. The header's fields are read first; the
-    edge lines are then read as columns by codec.read_rows, which checks
-    them by formatting them again with dump_stream's formatter. Anything
-    dump_stream would not write raises ValueError, naming its byte offset."""
-    if isinstance(data, str):
-        data = data.encode()
-    if not data.startswith(MAGIC.encode()):
+def _head(n: int, count: int, directed: bool, names: Sequence[str],
+          ids: np.ndarray | None) -> tuple[bytes, list[bytes] | None]:
+    """The header lines of a stream, and the tag table its lines are
+    formatted with, None for untagged lines. The used tags are checked
+    first, as dump_stream checks them."""
+    head = f"{MAGIC}\n{n} {count} {1 if directed else 0}\n".encode()
+    if ids is None:
+        return head, None
+    used_tags(names, ids)
+    return head, [name.encode() for name in names]
+
+
+def parse_stream(data: str | bytes | BinaryIO) -> EdgeStream:
+    """Read dump_stream's text from a binary file, or from the text or its
+    bytes, which are read as an io.BytesIO. The header's fields are read
+    first; the edge lines are then read as columns by codec.read_rows,
+    which checks them by formatting them again with dump_stream's
+    formatter. The file is read through one codec.Window, which the header
+    and count checks share, so the read holds the columns and a window,
+    never the whole text. Anything dump_stream would not write raises
+    ValueError, naming its byte offset."""
+    src = Window.of(data)
+    if not src.startswith(MAGIC.encode(), 0, src.size):
         raise ValueError(f"missing header {MAGIC!r}")
-    lo = data.find(b"\n") + 1
-    hi = data.find(b"\n", lo) if lo else -1
-    head = data[lo:hi if hi >= 0 else len(data)].split() if lo else []
+    lo = src.find(b"\n", 0) + 1
+    hi = src.find(b"\n", lo) if lo else -1
+    head = src.read(lo, hi if hi >= 0 else src.size).split() if lo else []
     if len(head) != 3:
         raise ValueError("second line must be '<n> <edges> <directed>'")
     n, count, directed = map(int, head)
     if directed not in (0, 1):
         raise ValueError(f"directed flag must be 0 or 1, got {directed}")
     header = f"{MAGIC}\n{n} {count} {directed}\n".encode()
-    expect(data, 0, len(header), header)
-    if not 0 <= count <= (len(data) - len(header)) // 4:  # more lines than fit: "0 0\n" is the shortest
-        _check_count(data, len(header), count)  # before columns that large are allocated
-    eol = data.find(b"\n", len(header))
-    tagged = len(data[len(header):eol if eol >= 0 else len(data)].split()) == 3
+    expect(src, 0, len(header), header)
+    if not 0 <= count <= (src.size - len(header)) // 4:  # more lines than fit: "0 0\n" is the shortest
+        _check_count(src, len(header), count)  # before columns that large are allocated
+    eol = src.find(b"\n", len(header))
+    tagged = len(src.read(len(header), eol if eol >= 0 else src.size).split()) == 3
     us, vs = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
     tag_ids = np.empty(count, dtype=np.uint16) if tagged else None
     try:
-        names = read_rows(data, len(header), len(data), _TAGGED_LINE if tagged else _LINE,
+        names = read_rows(src, len(header), src.size, _TAGGED_LINE if tagged else _LINE,
                           [us, vs], tag_ids)
     except ValueError as err:  # the lines are counted only now, and a wrong count is named first
-        _check_count(data, len(header), count)
+        _check_count(src, len(header), count)
         if isinstance(err, FormatError):  # name a line of the other kind as such
-            lo, hi = data.rfind(b"\n", 0, err.offset) + 1, data.find(b"\n", err.offset)
-            if len(data[lo:hi if hi >= 0 else len(data)].split()) == (2 if tagged else 3):
+            lo, hi = src.rfind(b"\n", 0, err.offset) + 1, src.find(b"\n", err.offset)
+            if len(src.read(lo, hi if hi >= 0 else src.size).split()) == (2 if tagged else 3):
                 raise ValueError("mixed tagged and untagged edge lines") from None
         raise
     return EdgeStream.from_columns(n, directed == 1, us, vs, tag_ids, names)
 
 
-def _check_count(data: bytes, body: int, count: int) -> None:
-    """Raise ValueError unless data[body:] holds count lines, the last of
-    them maybe with no newline."""
-    lines = data.count(b"\n", body) + (len(data) > body and not data.endswith(b"\n"))
+def _check_count(src: Window, body: int, count: int) -> None:
+    """Raise ValueError unless the bytes from body on hold count lines, the
+    last of them maybe with no newline."""
+    lines = src.count(b"\n", body, src.size) + (src.size > body and src.read(src.size - 1, src.size) != b"\n")
     if lines != count:
         raise ValueError(f"expected {count} edges, found {lines}") from None
 

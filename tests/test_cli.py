@@ -736,3 +736,65 @@ def test_verify_checks_a_graph_too_small_for_its_params_after_extraction(tmp_pat
     problems = json.loads(out)["violations"][str(path)]
     assert problems[:2] == [f"2 layers, the layout has {len(want.layers())}",
                             f"4 edges, the layout has {want.edges}"]
+
+
+@pytest.mark.parametrize("m, b, k, p", [(8, 2, 2, 1), (9, 3, 1, 1), (16, 4, 3, 1), (8, 2, 2, 2), (12, 3, 1, 2)])
+@pytest.mark.parametrize("shuffle", [None, 0, 7])
+def test_gen_writes_the_stream_graph_to_stream_gives(tmp_path, capsys, monkeypatch, m, b, k, p, shuffle):
+    # gen draws the order before the graph and formats stream.txt from the
+    # graph's rows, a block of the order at a time (97 rows here, so the
+    # blocks cut the runs); graph_to_stream sorts and shuffles the graph
+    from permlab.graphs import LayeredGraph
+    from permlab.streams import dump_stream, graph_to_stream
+
+    monkeypatch.setattr("permlab.graphs.BLOCK", 97)
+    argv = ["gen", "random", "--m", str(m), "--b", str(b), "--k", str(k), "--p", str(p), "--seed", "5",
+            "--out", str(tmp_path)]
+    code, _ = run(argv + ([] if shuffle is None else ["--shuffle-seed", str(shuffle)]), capsys)
+    assert code == 0
+    g, _ = LayeredGraph.from_json((tmp_path / "graph.json").read_bytes())
+    assert (tmp_path / "stream.txt").read_text() == dump_stream(graph_to_stream(g, shuffle))
+
+
+def test_gen_draws_the_order_before_the_graph(tmp_path, capsys, monkeypatch):
+    # the shuffle's temporaries are gone before the graph is filled
+    from permlab import cli
+
+    calls = []
+    for name in ("shuffled_range", "gen_general"):
+        def spy(*args, real=getattr(cli, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, spy)
+    code, _ = run(["gen", "cross", "--m", "8", "--b", "2", "--shuffle-seed", "3", "--out", str(tmp_path)], capsys)
+    assert code == 0 and calls == ["shuffled_range", "gen_general"]
+
+
+def test_reading_an_artifact_pair_holds_no_whole_file(tmp_path, capsys):
+    # each reader holds its columns and a window of the file; the pair is
+    # cli_p2's size, 568,432 edges
+    import tracemalloc
+
+    from permlab.graphs import LayeredGraph
+    from permlab.streams import parse_stream
+
+    code, _ = run(["gen", "random", "--m", "16", "--b", "4", "--p", "2", "--seed", "1", "--shuffle-seed", "2",
+                   "--out", str(tmp_path)], capsys)
+    assert code == 0
+    graph, stream = tmp_path / "graph.json", tmp_path / "stream.txt"
+    sizes = [os.path.getsize(graph), os.path.getsize(stream)]
+    with open(graph, "rb") as fh:
+        rows = len(LayeredGraph.from_json(fh)[0].edges)  # and the params' layout is cached
+    assert rows == 568_432
+    for path, read, columns in ((graph, lambda fh: LayeredGraph.from_json(fh)[0], 14 * rows),
+                                (stream, parse_stream, 10 * rows)):  # int32 ints and uint16 tag ids
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                read(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 7.3 and 6.0 MB measured, about a dozen windows' worth, for files of 14.6 and 11.7 MB
+        assert peak - columns < min(sizes), (path.name, peak - columns, sizes)

@@ -538,7 +538,7 @@ def test_gen_writes_rows_in_stream_order(m, b, k, p):
     # gadget's and junction's rows by ascending u, so the sort is the identity
     g = gen_general(random_perm(m, random.Random(m)), default_params(m, b, k=k, p=p),
                     random.Random(2))
-    gu, gv = g.global_ids()
+    gu, gv, _ = map(np.concatenate, zip(*g.id_blocks()))
     rank = np.argsort(np.argsort(np.array(g.tag_names)))
     keys = (g.edges[:, 0], rank[g.tag_ids], gu, gv)
     assert np.array_equal(np.lexsort(keys[::-1]), np.arange(len(gu)))
@@ -1080,6 +1080,20 @@ def test_stream_bounds_error_names_first_bad_edge(n, edges):
             parse_stream(f"{MAGIC}\n{n} {len(edges)} 0\n{lines}")
 
 
+def test_stream_adopts_int32_columns_without_a_copy():
+    # int32 columns are kept as they are; others are converted; the bounds
+    # check still names the first bad edge in edge order
+    us, vs = np.array([1, 2, 3], dtype=np.int32), np.array([3, 1, 2], dtype=np.int32)
+    stream = EdgeStream.from_columns(3, True, us, vs)
+    assert np.shares_memory(stream.us, us) and np.shares_memory(stream.vs, vs)
+    wide = EdgeStream.from_columns(3, True, us.astype(np.int64), vs.astype(np.int64))
+    assert wide.us.dtype == wide.vs.dtype == np.int32 and wide.edges == stream.edges
+    cols = (np.array([1, 2, 0, 1], dtype=np.int32), np.array([1, 3, 1, 9], dtype=np.int32))
+    for n, first in ((2, "(2,3)"), (3, "(0,1)")):
+        with pytest.raises(ValueError, match=f"^edge {re.escape(first)} outside \\[1,{n}\\]$"):
+            EdgeStream.from_columns(n, True, *cols)
+
+
 def test_stream_constructor_errors():
     with pytest.raises(ValueError, match=r"^edge \(5,1\) outside \[1,4\]$"):
         EdgeStream(4, False, [(1, 2), (5, 1), (0, 3)], ["a", "b", "c"])
@@ -1289,7 +1303,7 @@ def test_read_rows_fills_the_columns_exactly():
     for size, offset, message in ((2, 8, "more than 2 rows"), (4, 12, "3 rows, not 4")):
         cols = [np.empty(size, dtype=np.int32) for _ in range(2)]
         with pytest.raises(FormatError, match=f"^byte {offset}: {message}$"):
-            codec.read_rows(text, 0, len(text), (b"", b" ", b"\n"), cols)
+            codec.read_rows(codec.Window.of(text), 0, len(text), (b"", b" ", b"\n"), cols)
 
 
 @settings(deadline=None, max_examples=60)
@@ -1379,6 +1393,46 @@ def test_readers_name_the_offset_of_each_mutation(artifacts, tmp_path, capsys):
         assert report["violations"] == {str(path): [f"unreadable: {err.value}"]}, name
 
 
+def verify_reports(cases, tmp_path, capsys):
+    """For each case, verify's report on the case's bytes as a file, and the
+    offset of the FormatError, if any, that its reader raises on that file."""
+    from permlab.cli import main
+
+    out = []
+    for art, name, data in cases:
+        path = tmp_path / f"{art}-{name}"
+        path.write_bytes(data)
+        main(["verify", str(path)])
+        read = LayeredGraph.from_json if art == "graph" else parse_stream
+        try:
+            with open(path, "rb") as fh:
+                read(fh)
+            offset = None
+        except FormatError as err:
+            offset = err.offset
+        except ValueError:
+            offset = "ValueError"
+        out.append((name, json.loads(capsys.readouterr().out), offset))
+    return out
+
+
+@pytest.mark.parametrize("codec_window, graphs_window", [(24, WINDOW), (40, 40), (32, 64)])
+def test_verify_reads_through_small_windows_as_through_the_default(artifacts, tmp_path, capsys, monkeypatch,
+                                                                   codec_window, graphs_window):
+    # verify reads each file through one window; at a few dozen bytes every
+    # search and every window of rows crosses many window ends, and the
+    # reports and offsets are those read at the default window
+    graph, stream = artifacts
+    cases = [(art, name, bad) for art, name, bad, _, _ in mutations(graph, stream)]
+    cases += [("graph", "clean", graph), ("stream", "clean", stream), ("graph", "padded", b" \n\t" * 30 + graph)]
+    want = verify_reports(cases, tmp_path, capsys)
+    assert sum(offset not in (None, "ValueError") for _, _, offset in want) >= 10
+    assert [report["clean"] for _, report, _ in want[-3:]] == [1, 1, 0]
+    monkeypatch.setattr(codec, "WINDOW", codec_window)
+    monkeypatch.setattr("permlab.graphs.WINDOW", graphs_window)
+    assert verify_reports(cases, tmp_path, capsys) == want
+
+
 @pytest.mark.parametrize("art", ["graph", "stream"])
 @pytest.mark.parametrize("field", ["int", "tag"])
 def test_readers_refuse_nul_bytes(artifacts, art, field):
@@ -1420,6 +1474,25 @@ def test_from_json_rejects_other_documents(text, message):
         LayeredGraph.from_json(text.encode())
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.binary(max_size=60), st.sampled_from([b"\n", b", ", b"ab", b"aab"]), st.integers(0, 70),
+       st.integers(0, 70), st.integers(1, 9))
+def test_window_searches_read_as_bytes_methods(data, sub, lo, hi, window):
+    # every search at absolute offsets, through a buffer of a few bytes that
+    # is refilled across its ends, finds what the bytes methods find
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codec, "WINDOW", window)
+        src = codec.Window.of(data)
+        assert src.size == len(data)
+        assert src.find(sub, lo, hi) == data.find(sub, lo, hi)
+        assert src.find(sub, lo) == data.find(sub, lo)
+        assert src.rfind(sub, lo, hi) == data.rfind(sub, lo, hi)
+        if sub != b"aab" or b"aab" not in data:  # count asks for a sub that cannot overlap itself
+            assert src.count(sub, lo, hi) == data.count(sub, lo, hi)
+        assert src.startswith(sub, lo, hi) == data.startswith(sub, lo, hi)
+        assert src.read(lo, hi) == data[lo:hi]
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.text(alphabet="[]1, ", max_size=40), st.integers(1, 9))
 def test_edge_array_end_is_the_first_double_bracket(text, window):
@@ -1432,6 +1505,6 @@ def test_edge_array_end_is_the_first_double_bracket(text, window):
         mp.setattr("permlab.graphs.WINDOW", window)
         if end == 0:
             with pytest.raises(ValueError, match=f"^byte {start}: edge array has no end$"):
-                _edge_array_end(data, start)
+                _edge_array_end(codec.Window.of(data), start)
         else:
-            assert _edge_array_end(data, start) == (end, data.count(b"]", start + 1, end))
+            assert _edge_array_end(codec.Window.of(data), start) == (end, data.count(b"]", start + 1, end))
