@@ -2,7 +2,7 @@
 
 All three are rows of fields between fixed separators: int32 fields as
 str(int) prints them, then at most one tag field. format_rows writes rows
-from columns (format_chunks the same bytes a chunk at a time).
+from columns (format_chunks the same bytes a BLOCK of rows at a time).
 
 Each chunk of rows is laid out as one byte matrix, a matrix row a text row.
 Each separator and field has its own block of columns: an int field is as
@@ -29,6 +29,9 @@ read, for a key, an array's end or a line count, run over the same Window
 at absolute offsets, so a reader holds its columns and one window of the
 file, never the whole file.
 
+BLOCK (rows of a column, walked by in_blocks) and WINDOW (bytes of a file)
+bound memory; other modules read them as codec.BLOCK and codec.WINDOW.
+
 A tag is a non-empty run of ASCII letters, digits and "_:.-". It needs no
 JSON escaping and holds no separator byte, so a tag field ends at the
 first separator.
@@ -43,7 +46,7 @@ from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
-CHUNK = 1 << 16  # rows formatted at once, which bounds the temporaries
+BLOCK = 1 << 16  # rows formatted, gathered or scattered at once, which bounds the temporaries
 WINDOW = 1 << 19  # input bytes read at once, which bounds the reader's temporaries
 TAG = re.compile(r"[A-Za-z0-9_:.-]+")
 
@@ -72,13 +75,29 @@ def used_tags(names: Sequence[str], ids: np.ndarray) -> list[str]:
     """The names that ids use, in table order. Raises ValueError for one
     that is no tag."""
     seen = np.zeros(len(names), dtype=bool)
-    for lo in range(0, len(ids), CHUNK):  # bincount would copy all the ids to intp at once
-        seen[ids[lo:lo + CHUNK]] = True
+    for (block,) in in_blocks(ids):  # bincount would copy all the ids to intp at once
+        seen[block] = True
     used = [names[i] for i in np.flatnonzero(seen).tolist()]
     for name in used:
         if not TAG.fullmatch(name):
             raise ValueError(f"tag {name!r} is not a non-empty run of ASCII letters, digits and _:.-")
     return used
+
+
+def in_blocks(*columns: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Aligned views of the columns, BLOCK rows at a time. numpy copies an
+    int32 index array to int64 before it gathers or scatters by it; a block
+    at a time, that copy stays small."""
+    for at in range(0, len(columns[0]), BLOCK):
+        yield tuple(c[at:at + BLOCK] for c in columns)
+
+
+def take_in_blocks(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = table[index[i]], a block of index at a time; index's entries
+    must index table."""
+    for at, to in in_blocks(index, out):
+        np.take(table, at, out=to, mode="clip")
+    return out
 
 
 def format_rows(seps: Sequence[bytes], cols: Sequence[np.ndarray],
@@ -91,7 +110,7 @@ def format_rows(seps: Sequence[bytes], cols: Sequence[np.ndarray],
 
 def format_chunks(seps: Sequence[bytes], cols: Sequence[np.ndarray],
                   ids: np.ndarray | None = None, table: Sequence[bytes] = ()) -> Iterator[bytes]:
-    """format_rows's bytes, CHUNK rows at a time, each chunk formatted when
+    """format_rows's bytes, BLOCK rows at a time, each chunk formatted when
     it is reached. Raises ValueError, before the first chunk, for a separator
     or table entry holding a NUL byte, which would be taken for an unprinted
     cell, and TypeError for an int column that is not int32."""
@@ -103,12 +122,11 @@ def format_chunks(seps: Sequence[bytes], cols: Sequence[np.ndarray],
     for row, name in zip(names, table):
         row[:len(name)] = np.frombuffer(name, dtype=np.uint8)
     names = names.view(f"V{names.shape[1]}")[:, 0]  # a name an item, copied as one
-    n = len(cols[0]) if cols else len(ids)
-    return (_chunk(seps, [col[lo:lo + CHUNK] for col in cols],
-                   None if ids is None else names[ids[lo:lo + CHUNK]]) for lo in range(0, n, CHUNK))
+    blocks = in_blocks(*cols, *([] if ids is None else [ids]))
+    return (_chunk(seps, block[:len(cols)], None if ids is None else names[block[-1]]) for block in blocks)
 
 
-def _chunk(seps: Sequence[bytes], parts: list[np.ndarray], tags: np.ndarray | None) -> bytearray:
+def _chunk(seps: Sequence[bytes], parts: Sequence[np.ndarray], tags: np.ndarray | None) -> bytearray:
     """The rows of the int32 columns parts and of the 0-padded tags, laid
     out as one byte matrix (a matrix row per text row, a column block per
     separator or field) that starts as copies of one template row holding

@@ -43,7 +43,6 @@ from .codec import json_int
 from .graphs import LayeredGraph, concat_all
 from .hph import core_bounds, cores_from_draws, force_gamma, recompute_gamma_star, sample_core
 from .perms import Partition, Perm, is_simple, lex_partition, swap_perm
-from .rs import RSGraph, trivial_rs
 from .seeds import randbelow_many
 from .sortnet import build_sort_network, decompose, decompose_many, depth_floor
 
@@ -76,11 +75,6 @@ class GenParams:
             raise ValueError("k and p must be at least 1")
         if self.k > MAX_K:
             raise ValueError(f"k must be at most {MAX_K} (one uint16 tag id per player), got k={self.k}")
-
-    @property
-    def family(self) -> RSGraph:
-        """The aligned-chunk RS family at r = n_rs = 2m/b (t = 1)."""
-        return trivial_rs(2 * self.m // self.b, 2 * self.m // self.b)
 
 
 def default_params(m: int, b: int, k: int = 2, p: int = 1) -> GenParams:

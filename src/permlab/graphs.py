@@ -12,8 +12,8 @@ experiments; the generator lays its samples out in one buffer without them.
 
 Edges are stored as columns: an (E, 3) int32 array of (layer, u, v) rows and
 a uint16 tag id per edge indexing a small table of tag names. Every builder
-and reader here works on whole columns, or on blocks of rows where numpy
-would otherwise copy a whole int32 index column to int64.
+and reader here works on whole columns, or on blocks of codec.BLOCK rows
+where numpy would otherwise copy a whole int32 index column to int64.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import gen  # a cycle: gen builds its graphs here, and permlab/__init__ imports gen first
-from .codec import (CHUNK, WINDOW, Window, first_difference, format_chunks, json_int, read_rows, tag_table,
-                    used_tags)
+from . import codec, gen  # gen is a cycle: it builds its graphs here, and permlab/__init__ imports it first
+from .codec import (Window, first_difference, format_chunks, in_blocks, json_int, read_rows, tag_table,
+                    take_in_blocks, used_tags)
 from .perms import Perm
 
 Edge = tuple[int, int, int]  # (layer index i, source pos in layer i, target pos in layer i+1)
@@ -83,21 +83,21 @@ class LayeredGraph:
 
     def id_blocks(self, order: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Each edge's endpoints as global ids, vertices numbered from 1 layer
-        by layer, in new int32 arrays, and its tag ids, a BLOCK of edges at a
-        time: of the edges in their own order, or of edges order[0],
-        order[1], ..., gathered a BLOCK of order at a time. Raise ValueError
+        by layer, in new int32 arrays, and its tag ids, a codec.BLOCK of edges
+        at a time: of the edges in their own order, or of edges order[0],
+        order[1], ..., gathered a codec.BLOCK of order at a time. Raise ValueError
         for 2**31 vertices or more."""
         if self.vertex_count >= 2**31:
             raise ValueError(f"{self.vertex_count} vertices do not fit in int32 ids")
         start = np.cumsum([0, *self.layers]).astype(np.int32)  # vertices before layer i+1
-        for lo in range(0, len(self.edges), BLOCK):
-            yield self._id_block(start, slice(lo, lo + BLOCK) if order is None else order[lo:lo + BLOCK])
+        for lo in range(0, len(self.edges), codec.BLOCK):
+            at = slice(lo, lo + codec.BLOCK)
+            yield self._id_block(start, at if order is None else order[at].astype(np.intp))
 
     def _id_block(self, start: np.ndarray, at: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """id_blocks's arrays for the rows at, a slice or positions; the
-        gathered rows are gone before the caller works on the block."""
-        if not isinstance(at, slice):
-            at = at.astype(np.intp)  # converted once for both gathers
+        """id_blocks's arrays for the rows at, a slice or intp positions (an
+        index both gathers read as it is); the gathered rows are gone before
+        the caller works on the block."""
         rows, tags = self.edges[at], self.tag_ids[at]
         li = rows[:, 0].astype(np.intp)
         li -= 1
@@ -136,7 +136,7 @@ class LayeredGraph:
         return b"".join(self.json_chunks())
 
     def json_chunks(self) -> Iterator[bytes]:
-        """to_json's bytes, a codec.CHUNK of edge rows or about a
+        """to_json's bytes, a codec.BLOCK of edge rows or about a
         codec.WINDOW of tag rows at a time. The tags are checked before the
         first chunk is made."""
         runs, tags = _tag_runs(self.tag_ids)
@@ -242,13 +242,13 @@ def _edge_array_end(src: Window, start: int) -> tuple[int, int]:
     if src.read(start, start + 2) == b"[]":
         return start + 1, 0
     rows = 0
-    for lo in range(start, src.size, WINDOW):
+    for lo in range(start, src.size, codec.WINDOW):
         # a byte past the window sees a "]]" across its end
-        close = np.frombuffer(src.view(lo, lo + WINDOW + 1), dtype=np.uint8) == ord("]")
+        close = np.frombuffer(src.view(lo, lo + codec.WINDOW + 1), dtype=np.uint8) == ord("]")
         pair = np.flatnonzero(close[:-1] & close[1:])
         if len(pair):
             return lo + int(pair[0]) + 1, rows + int(np.count_nonzero(close[:pair[0] + 1]))
-        rows += int(np.count_nonzero(close[:WINDOW]))
+        rows += int(np.count_nonzero(close[:codec.WINDOW]))
     raise ValueError(f"byte {start}: edge array has no end")
 
 
@@ -273,11 +273,10 @@ def _tag_runs(tag_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _tag_text(runs: np.ndarray, tags: np.ndarray, names: Sequence[str]) -> Iterator[bytes]:
     """The tag array's rows, less the last row's trailing separator, for
     runs[r] edges tagged names[tags[r]], run after run, in pieces of at most
-    about codec.WINDOW bytes, spelled a codec.CHUNK of runs at a time."""
+    about codec.WINDOW bytes, spelled a codec.BLOCK of runs at a time."""
     spelled = [_TAG_ROW[0] + name.encode() + _TAG_ROW[1] for name in names]
-    cap = np.maximum(WINDOW // np.array(list(map(len, spelled)), dtype=np.int64), 1)  # rows a part
-    yield from _trimmed(piece for lo in range(0, len(runs), CHUNK)
-                        for piece in _run_pieces(runs[lo:lo + CHUNK], tags[lo:lo + CHUNK], spelled, cap))
+    cap = np.maximum(codec.WINDOW // np.array(list(map(len, spelled)), dtype=np.int64), 1)  # rows a part
+    yield from _trimmed(piece for block in in_blocks(runs, tags) for piece in _run_pieces(*block, spelled, cap))
 
 
 def _run_pieces(runs: np.ndarray, tags: np.ndarray, spelled: list[bytes], cap: np.ndarray) -> Iterator[bytes]:
@@ -291,7 +290,7 @@ def _run_pieces(runs: np.ndarray, tags: np.ndarray, spelled: list[bytes], cap: n
     kinds, kind = np.unique(lengths * len(spelled) + part_tags, return_inverse=True)
     table = [spelled[key % len(spelled)] * (key // len(spelled)) for key in kinds.tolist()]
     ends = np.cumsum(np.array(list(map(len, table)), dtype=np.int64)[kind])
-    cuts = np.searchsorted(ends, np.arange(WINDOW, ends[-1] if len(ends) else 0, WINDOW))
+    cuts = np.searchsorted(ends, np.arange(codec.WINDOW, ends[-1] if len(ends) else 0, codec.WINDOW))
     return (b"".join(map(table.__getitem__, part.tolist())) for part in np.split(kind, cuts))
 
 
@@ -438,25 +437,6 @@ def read_permutation(g: LayeredGraph, m: int, roots: np.ndarray | None) -> Perm:
                     f"all reach sink {dup} (the map is not a bijection)",)
         raise err
     return tuple(out)
-
-
-BLOCK = 1 << 16  # rows per block of in_blocks
-
-
-def in_blocks(*columns: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """Aligned views of the columns, BLOCK rows at a time. numpy copies an
-    int32 index array to int64 before it gathers or scatters by it; a block
-    at a time, that copy stays small."""
-    for at in range(0, len(columns[0]), BLOCK):
-        yield tuple(c[at:at + BLOCK] for c in columns)
-
-
-def take_in_blocks(table: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i] = table[index[i]], a block of index at a time; index's entries
-    must index table."""
-    for at, to in in_blocks(index, out):
-        np.take(table, at, out=to, mode="clip")
-    return out
 
 
 def path_roots(up: np.ndarray) -> np.ndarray:

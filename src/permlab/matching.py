@@ -26,7 +26,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import BLOCK, LayeredGraph, in_blocks, take_in_blocks
+from . import codec
+from .graphs import LayeredGraph
 from .perms import Perm, identity
 
 
@@ -90,9 +91,9 @@ class BipartiteInstance:
         left, right = left.astype(np.int32, copy=False), right.astype(np.int32, copy=False)
         canonical = canonical.astype(np.int32, copy=False)
         copied = np.zeros(side, dtype=bool)
-        for lb, rb in in_blocks(left, right):
+        for lb, rb in codec.in_blocks(left, right):
             copied[lb[lb == rb]] = True
-        for (cb,) in in_blocks(canonical):
+        for (cb,) in codec.in_blocks(canonical):
             missing = ~copied.take(cb)
             if missing.any():
                 v = cb[missing.argmax()]
@@ -185,7 +186,7 @@ def certified_size(g: LayeredGraph, m: int, roots: np.ndarray) -> int | None:
     ends = roots[sinks + 1]
     state[ends[(ends >= 1) & (ends <= half)]] = 1
     labels = np.empty(side, dtype=np.int8)
-    take_in_blocks(state, roots[1:], labels[:n])
+    codec.take_in_blocks(state, roots[1:], labels[:n])
     labels[n:] = state[1:half + 1]     # terminal n + i - 1 starts source i's path
     on, reached = labels == 1, labels == 2
     del labels
@@ -333,8 +334,8 @@ def _int32_nonzero(mask: np.ndarray) -> np.ndarray:
     array as long as the result is made."""
     out = np.empty(np.count_nonzero(mask), dtype=np.int32)
     at = 0
-    for lo in range(0, len(mask), BLOCK):
-        hits = np.flatnonzero(mask[lo:lo + BLOCK])
+    for lo in range(0, len(mask), codec.BLOCK):
+        hits = np.flatnonzero(mask[lo:lo + codec.BLOCK])
         hits += lo
         out[at:at + len(hits)] = hits
         at += len(hits)

@@ -17,7 +17,8 @@ import random
 
 import numpy as np
 
-from .graphs import in_blocks, path_roots, take_in_blocks
+from .codec import in_blocks, take_in_blocks
+from .graphs import path_roots
 
 
 def derive(seed: int, label: str) -> int:

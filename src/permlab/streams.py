@@ -25,8 +25,8 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .codec import FormatError, Window, expect, format_chunks, read_rows, tag_table, used_tags
-from .graphs import LayeredGraph, in_blocks
+from .codec import FormatError, Window, expect, format_chunks, in_blocks, read_rows, tag_table, used_tags
+from .graphs import LayeredGraph
 from .matching import BipartiteInstance, max_matching
 from .seeds import shuffled_range
 
@@ -159,7 +159,7 @@ def dump_stream(stream: EdgeStream) -> str:
 
 def stream_text(stream: EdgeStream) -> Iterator[bytes]:
     """dump_stream's text as bytes: the header, then the edge lines a
-    codec.CHUNK at a time, each formatted when it is reached. The tags are
+    codec.BLOCK at a time, each formatted when it is reached. The tags are
     checked first, as dump_stream checks them."""
     head, table = _head(stream.n, len(stream), stream.directed, stream.tag_names, stream.tag_ids)
     if table is None:
@@ -357,25 +357,26 @@ def _pair_chars(u, v) -> int:
 
 
 class GreedyMatching(StreamAlgorithm):
-    """Maximal matching: take every edge whose endpoints are both free."""
+    """Maximal matching: take every edge whose endpoints are both free.
+    pairs maps each pair's first endpoint, as the pair was taken, to its second."""
 
     def init(self):
-        return {"matched": {}, "pairs": [], "pairs_chars": 0}
+        return {"matched": {}, "pairs": {}, "pairs_chars": 0}
 
     def update(self, state, edge, rand):
         u, v = edge
         if u not in state["matched"] and v not in state["matched"]:
             state["matched"][u] = v
             state["matched"][v] = u
-            state["pairs"].append((u, v))
+            state["pairs"][u] = v
             state["pairs_chars"] += _pair_chars(u, v)
         return state
 
     def finalize(self, state, rand):
-        return sorted(state["pairs"])
+        return sorted(state["pairs"].items())
 
     def serialize(self, state) -> bytes:
-        return json.dumps(sorted(state["pairs"])).encode()
+        return json.dumps(sorted(state["pairs"].items())).encode()
 
     def state_bits(self, state) -> int:
         return 8 * max(2, state["pairs_chars"])
@@ -406,10 +407,9 @@ class AugmentingMatching(GreedyMatching):
             other = state["half"].get(partner)
             if other is not None and other not in matched and other != a:
                 # augment: a - bnode | partner - other replaces bnode-partner
-                state["pairs"].remove(
-                    (bnode, partner) if (bnode, partner) in state["pairs"] else (partner, bnode)
-                )
-                state["pairs"].extend([(a, bnode), (partner, other)])
+                pairs = state["pairs"]
+                del pairs[bnode if bnode in pairs else partner]
+                pairs[a], pairs[partner] = bnode, other
                 state["pairs_chars"] += (
                     _pair_chars(a, bnode) + _pair_chars(partner, other)
                     - _pair_chars(bnode, partner)
@@ -432,7 +432,7 @@ class AugmentingMatching(GreedyMatching):
             state["half_chars"] -= _pair_chars(key, old)
 
     def serialize(self, state) -> bytes:
-        return json.dumps([sorted(state["pairs"]), sorted(state["half"].items())]).encode()
+        return json.dumps([sorted(state["pairs"].items()), sorted(state["half"].items())]).encode()
 
     def state_bits(self, state) -> int:
         # "[" + pairs + ", " + half + "]"

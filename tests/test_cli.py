@@ -747,7 +747,7 @@ def test_gen_writes_the_stream_graph_to_stream_gives(tmp_path, capsys, monkeypat
     from permlab.graphs import LayeredGraph
     from permlab.streams import dump_stream, graph_to_stream
 
-    monkeypatch.setattr("permlab.graphs.BLOCK", 97)
+    monkeypatch.setattr("permlab.codec.BLOCK", 97)
     argv = ["gen", "random", "--m", str(m), "--b", str(b), "--k", str(k), "--p", str(p), "--seed", "5",
             "--out", str(tmp_path)]
     code, _ = run(argv + ([] if shuffle is None else ["--shuffle-seed", str(shuffle)]), capsys)

@@ -30,7 +30,7 @@ from permlab.gen import (
     vertex_count,
 )
 from permlab import codec, gen
-from permlab.codec import CHUNK, WINDOW, FormatError, format_chunks, format_rows, tag_table
+from permlab.codec import BLOCK, WINDOW, FormatError, format_chunks, format_rows, tag_table
 from permlab.graphs import (
     ExtractionError,
     GroupLayeredGraph,
@@ -62,6 +62,7 @@ from permlab.perms import (
     swap_perm,
     vec,
 )
+from permlab.rs import trivial_rs
 from permlab.streams import (
     MAGIC,
     EdgeStream,
@@ -129,7 +130,7 @@ def ref_sample_simple(rho, P, params, rng):
         s = swap_perm(canon)
         inner = ref_sample_simple(compose(s, compose(rho, inverse(s))), lex, params, rng)
         return ref_concat_all([listed(basic(inverse(s))), inner, listed(basic(s))])
-    grs = params.family
+    grs = trivial_rs(2 * m // b, 2 * m // b)  # the aligned-chunk family, one matching (t = 1)
     sigmas, L, M = ref_sample_core(grs.r, grs.t, b, k, rng)
     gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(rho, b))
     if p == 1:
@@ -476,7 +477,7 @@ def test_gen_simple_matches_nested_reference(m, b, p):
         assert listed(gen_simple(rho, P, params, random.Random(9))) == ref
         sampled, core = sample_simple(rho, P, params, random.Random(9))
         assert listed(sampled) == ref
-        sigmas, L, M = ref_sample_core(params.family.r, params.family.t, b, 2, random.Random(9))
+        sigmas, L, M = ref_sample_core(2 * m // b, 1, b, 2, random.Random(9))
         s = swap_perm(P)
         on_lex = compose(s, compose(rho, inverse(s)))
         gamma = force_gamma(recompute_gamma_star(sigmas, L, M), vec(on_lex, b))
@@ -813,7 +814,7 @@ def chunk_rows(n):
     and the next: 1-digit ids and 5- or 7-letter tags, then 6-digit ids,
     negative in one column, and "player:10"."""
     i = np.arange(n)
-    late = i >= CHUNK
+    late = i >= BLOCK
     us = np.where(late, 10**5 + i, i % 10).astype(np.int32)
     vs = np.where(late, -us, i % 7).astype(np.int32)
     return [us, vs], np.where(late, 2, i % 2).astype(np.uint16)
@@ -823,7 +824,7 @@ TABLE = (b"fixed", b"referee", b"player:10")
 
 
 @pytest.mark.parametrize("seps, cols, ids, table", [
-    *(((b"", b" ", b" ", b"\n"), *chunk_rows(n), TABLE) for n in (CHUNK - 1, CHUNK, CHUNK + 1)),
+    *(((b"", b" ", b" ", b"\n"), *chunk_rows(n), TABLE) for n in (BLOCK - 1, BLOCK, BLOCK + 1)),
     ((b"(", b",", b")"), [np.array([-1, -10, -2**31, -999], dtype=np.int32),
                           np.array([5, -2**31, 0, 2**31 - 1], dtype=np.int32)], None, ()),
     ((b"", b"", b""), [np.array([12, -3, 0], dtype=np.int32), np.array([-45, 6, 7], dtype=np.int32)],
@@ -906,7 +907,7 @@ def test_to_json_matches_reference(g):
 
 def test_writers_match_reference_across_chunks():
     rng = np.random.default_rng(0)
-    rows = CHUNK + 7
+    rows = BLOCK + 7
     edges = rng.integers(-2**31, 2**31, size=(rows, 3), dtype=np.int64).astype(np.int32)
     edges[:, 0] = rng.integers(1, 10**rng.integers(1, 10, rows))  # varying widths per chunk
     g = LayeredGraph.from_columns([4, 4], edges, rng.integers(0, 3, rows).astype(np.uint16),
@@ -923,18 +924,18 @@ def test_writers_match_reference_across_chunks():
 @pytest.mark.parametrize("tagged", [False, True], ids=["no-tags", "tags"])
 @pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 8, 9])
 def test_graph_json_chunks_join_to_the_payload(rows, tagged, monkeypatch):
-    # four rows a chunk: the edge array loses its trailing separator from
-    # its last chunk, however the rows fall into chunks; the tag array, spelled
-    # from runs, is one piece at these sizes
-    monkeypatch.setattr("permlab.codec.CHUNK", 4)
+    # four rows a block: the edge array loses its trailing separator from
+    # its last chunk, however the rows fall into blocks; the tag array, spelled
+    # from runs, is one piece a block of four runs at these sizes
+    monkeypatch.setattr("permlab.codec.BLOCK", 4)
     rng = np.random.default_rng(rows)
     edges = rng.integers(1, 10**rng.integers(1, 10, rows), dtype=np.int64).repeat(3).reshape(rows, 3)
     ids = rng.integers(0, 3 if tagged else 1, rows).astype(np.uint16)
     g = LayeredGraph.from_columns([4, 4], edges.astype(np.int32), ids, ("fixed", "referee", "player:1"))
     chunks = list(g.json_chunks())
     assert b"".join(chunks) == g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True).encode()
-    per_array = -(-rows // 4)
-    assert len(chunks) == 3 + per_array + (3 if ids.any() else 0)
+    runs = 1 + np.count_nonzero(ids[1:] != ids[:-1])
+    assert len(chunks) == 3 + -(-rows // 4) + (2 + -(-runs // 4) if ids.any() else 0)
 
 
 TAG_RUNS = {
@@ -945,16 +946,16 @@ TAG_RUNS = {
 }
 
 
-@pytest.mark.parametrize("window, chunk", [(WINDOW, CHUNK), (64, CHUNK), (5, CHUNK), (64, 3)])
+@pytest.mark.parametrize("window, block", [(WINDOW, BLOCK), (64, BLOCK), (5, BLOCK), (64, 3)])
 @pytest.mark.parametrize("case", TAG_RUNS)
-def test_tag_array_is_spelled_from_runs(case, window, chunk, monkeypatch):
+def test_tag_array_is_spelled_from_runs(case, window, block, monkeypatch):
     # the tag array is written a run of equal tags at a time, in pieces of
-    # about a window, a chunk of runs at a time; a small window cuts pieces
-    # inside the long runs, and a small chunk cuts the runs into slices
+    # about a window, a block of runs at a time; a small window cuts pieces
+    # inside the long runs, and a small block cuts the runs into slices
     tags = TAG_RUNS[case]
     g = LayeredGraph([7, 7], [(1, i % 7 + 1, (5 * i) % 7 + 1) for i in range(len(tags))], tags)
-    monkeypatch.setattr("permlab.graphs.WINDOW", window)
-    monkeypatch.setattr("permlab.graphs.CHUNK", chunk)
+    monkeypatch.setattr("permlab.codec.WINDOW", window)
+    monkeypatch.setattr("permlab.codec.BLOCK", block)
     chunks = list(g.json_chunks())
     assert b"".join(chunks) == g.to_json() == json.dumps(ref_to_dict(g), sort_keys=True).encode()
     if case == "all_fixed":
@@ -976,7 +977,7 @@ def test_layout_spells_a_gen_tag_array_in_small_pieces(m, b, k, p, window, monke
     lo = text.index(b'"tags": [') + len(b'"tags": [')
     end = text.index(b"]", lo)
     layout = gen.layout(params)
-    monkeypatch.setattr("permlab.graphs.WINDOW", window)
+    monkeypatch.setattr("permlab.codec.WINDOW", window)
     assert _spells(text, lo, end, layout)
     at = text.index(b'"referee"', (lo + end) // 2)
     retagged = text[:at] + b'"player:1"' + text[at + len(b'"referee"'):]
@@ -985,14 +986,14 @@ def test_layout_spells_a_gen_tag_array_in_small_pieces(m, b, k, p, window, monke
 
 @pytest.mark.parametrize("m, b, k, p", [(6, 3, 1, 1), (8, 2, 2, 1), (4, 2, 1, 2)])
 def test_stream_gathers_across_small_blocks(m, b, k, p, monkeypatch):
-    # graph_to_stream gathers its three columns a graphs.BLOCK of the order
+    # graph_to_stream gathers its three columns a codec.BLOCK of the order
     # at a time; at 7 the gathers cross blocks, shuffled or not, in gen's row
     # order and in reverse (which the lexsort puts back)
     g = gen_general(random_perm(m, random.Random(m + p)), default_params(m, b, k=k, p=p),
                     random.Random(3))
     backwards = LayeredGraph.from_columns(g.layers, g.edges[::-1].copy(), g.tag_ids[::-1].copy(),
                                           g.tag_names)
-    monkeypatch.setattr("permlab.graphs.BLOCK", 7)
+    monkeypatch.setattr("permlab.codec.BLOCK", 7)
     for graph in (g, backwards):
         for shuffle_seed in (None, 0, 11):
             stream = graph_to_stream(graph, shuffle_seed=shuffle_seed)
@@ -1416,9 +1417,9 @@ def verify_reports(cases, tmp_path, capsys):
     return out
 
 
-@pytest.mark.parametrize("codec_window, graphs_window", [(24, WINDOW), (40, 40), (32, 64)])
+@pytest.mark.parametrize("window", [24, 32, 40])
 def test_verify_reads_through_small_windows_as_through_the_default(artifacts, tmp_path, capsys, monkeypatch,
-                                                                   codec_window, graphs_window):
+                                                                   window):
     # verify reads each file through one window; at a few dozen bytes every
     # search and every window of rows crosses many window ends, and the
     # reports and offsets are those read at the default window
@@ -1428,8 +1429,7 @@ def test_verify_reads_through_small_windows_as_through_the_default(artifacts, tm
     want = verify_reports(cases, tmp_path, capsys)
     assert sum(offset not in (None, "ValueError") for _, _, offset in want) >= 10
     assert [report["clean"] for _, report, _ in want[-3:]] == [1, 1, 0]
-    monkeypatch.setattr(codec, "WINDOW", codec_window)
-    monkeypatch.setattr("permlab.graphs.WINDOW", graphs_window)
+    monkeypatch.setattr(codec, "WINDOW", window)
     assert verify_reports(cases, tmp_path, capsys) == want
 
 
@@ -1502,7 +1502,7 @@ def test_edge_array_end_is_the_first_double_bracket(text, window):
     start = len(b'{"edges": ')
     end = start + 1 if data[start:start + 2] == b"[]" else data.find(b"]]", start) + 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("permlab.graphs.WINDOW", window)
+        mp.setattr(codec, "WINDOW", window)
         if end == 0:
             with pytest.raises(ValueError, match=f"^byte {start}: edge array has no end$"):
                 _edge_array_end(codec.Window.of(data), start)

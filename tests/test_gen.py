@@ -38,6 +38,7 @@ from permlab.perms import (
     swap_perm,
     vec,
 )
+from permlab.rs import trivial_rs
 from permlab.sortnet import build_sort_network, depth_floor
 
 
@@ -47,7 +48,7 @@ def fake_simple_from_core(sigmas, params):
     identity shift)."""
     if params.p != 1:
         raise ValueError("fake replay is built for one-pass instances")
-    grs = params.family
+    grs = trivial_rs(2 * params.m // params.b, 2 * params.m // params.b)  # gen's family
     L = tuple(1 for _ in range(params.k))
     M = tuple(tuple(range(1, grs.r // 2 + 1)) for _ in range(params.k))
     return concat_all([*multi_block(grs, sigmas, L, M, params.b), basic(identity(params.m), "referee")])

@@ -231,7 +231,7 @@ def test_path_certificate_equals_hopcroft_karp_on_generated_graphs(m, b, p):
 @pytest.mark.parametrize("p", [1, 2])
 def test_covers_are_int32_on_both_paths(p, monkeypatch):
     # blocks of 7 vertices, so a cover is gathered across many blocks
-    monkeypatch.setattr(matching, "BLOCK", 7)
+    monkeypatch.setattr("permlab.codec.BLOCK", 7)
     m = 8
     for sigma in (sigma_eq(m), sigma_cross(m), random_perm(m, random.Random(p))):
         g = gen_general(sigma, default_params(m, 2, k=2, p=p), random.Random(5))
@@ -374,20 +374,23 @@ def test_certificate_equals_the_oracle_on_any_union_of_paths(mg):
 def test_certificate_checks_every_edge_of_the_reduction(monkeypatch):
     # the blocks the certificate is checked against, with the copy edges of
     # the graph's vertices, are bipartite_of's edges (one multiset), and the
-    # reference's
+    # reference's; the graph's edges come in blocks of 7, then the terminals'
+    # two blocks
     real = matching._certificate
-    checked = []
+    checked, blocks = [], []
 
     def spy(n, on, reached, edges):
         edges = list(edges)
+        blocks.extend(len(lb) for lb, _ in edges)
         checked.extend(zip(*map(np.concatenate, zip(*edges))))
         checked.extend((v, v) for v in range(n))
         return real(n, on, reached, edges)
 
-    monkeypatch.setattr(matching, "BLOCK", 7)
+    monkeypatch.setattr("permlab.codec.BLOCK", 7)
     monkeypatch.setattr(matching, "_certificate", spy)
     g = gen_general(sigma_cross(4), default_params(4, 2, k=1, p=2), random.Random(1))
     assert certified_size(g, 4, path_labels(g)) == g.vertex_count
+    assert sum(blocks[:-2]) == len(g.edges) > 7 and max(blocks[:-2]) == 7 and blocks[-2:] == [2, 2]
     inst = bipartite_of(g, 4)
     want = sorted(zip(inst.left.tolist(), inst.right.tolist()))
     assert sorted(map(tuple, np.array(checked).tolist())) == want

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from permlab.gen import default_params, gen_simple, sample_simple
+from permlab.gen import default_params, gen_general, gen_simple, sample_simple
 from permlab.graphs import basic, concat_all
-from permlab.matching import instance_to_stream, max_matching
-from permlab.perms import lex_partition, random_simple
+from permlab.matching import bipartite_of, instance_to_stream, max_matching
+from permlab.perms import lex_partition, random_perm, random_simple
+from permlab.seeds import shuffled_range
 from permlab.streams import (
     AdvantageReport,
     AugmentingMatching,
@@ -25,6 +26,7 @@ from permlab.streams import (
     partitioned_replay,
     run_passes,
 )
+from reference_streams import ListAugmentingMatching, ListGreedyMatching
 from test_columnar import instance_of
 from test_gen import fake_simple_from_core
 
@@ -82,6 +84,25 @@ def test_augmenting_improves_a_trap():
     trap = EdgeStream(6, False, [(2, 5), (1, 5), (2, 6)])
     assert len(run_passes(GreedyMatching(), trap, 1).output) == 1
     assert len(run_passes(AugmentingMatching(), trap, 2).output) == 2
+
+
+@pytest.mark.parametrize("m, b, k, p, passes", [(8, 2, 2, 1, 4), (4, 2, 1, 2, 2)])
+@pytest.mark.parametrize("shuffle_seed", [0, 3])
+def test_matchings_keep_what_the_list_reference_keeps(m, b, k, p, passes, shuffle_seed):
+    # pairs held as a dict from each pair's first endpoint give the outputs,
+    # snapshots, state bits and replay charges of the reference, which holds
+    # them as a list and searches it on each augmentation
+    g = gen_general(random_perm(m, random.Random(p)), default_params(m, b, k=k, p=p), random.Random(5))
+    bipartite = instance_to_stream(bipartite_of(g, m))
+    order = shuffled_range(len(bipartite), shuffle_seed)
+    stream = EdgeStream.from_columns(bipartite.n, False, bipartite.us[order], bipartite.vs[order])
+    tagged = graph_to_stream(g, shuffle_seed)
+    for alg, ref, rounds in ((GreedyMatching, ListGreedyMatching, 1),
+                             (AugmentingMatching, ListAugmentingMatching, passes)):
+        assert run_passes(alg(), stream, rounds) == run_passes(ref(), stream, rounds)
+        assert partitioned_replay(tagged, alg(), rounds) == partitioned_replay(tagged, ref(), rounds)
+    greedy = run_passes(GreedyMatching(), stream, 1).output
+    assert len(run_passes(AugmentingMatching(), stream, passes).output) > len(greedy)  # augmentations ran
 
 
 def test_budget_violation_names_element():

@@ -6,14 +6,34 @@ from pathlib import Path
 import permlab
 
 
-def test_no_module_imports_another_modules_underscore_names():
-    found = []
+def modules():
+    """Each module of the package: its file name and its parsed source."""
     for path in sorted(Path(permlab.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        yield path.name, ast.parse(path.read_text())
+
+
+def imported_names():
+    """Where and what each "from ... import" of the package imports, a name at a time."""
+    for name, tree in modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
-                          if alias.name.startswith("_") and alias.name != "__version__"]
-    assert found == []
+                yield from ((f"{name}:{node.lineno}", alias.name) for alias in node.names)
+
+
+def test_no_module_imports_another_modules_underscore_names():
+    assert [f"{where} {name}" for where, name in imported_names()
+            if name.startswith("_") and name != "__version__"] == []
+
+
+def test_the_memory_bounds_are_set_in_codec_alone():
+    # rows are walked codec.BLOCK at a time and files read codec.WINDOW bytes
+    # at a time; a module that bound either by value would not see it set
+    bounds = {"BLOCK", "WINDOW", "CHUNK"}
+    assert [f"{where} {name}" for where, name in imported_names() if name in bounds] == []
+    assigned = sorted(f"{name} {target.id}" for name, tree in modules() for node in ast.walk(tree)
+                      if isinstance(node, ast.Assign) for target in node.targets
+                      if isinstance(target, ast.Name) and target.id in bounds)
+    assert assigned == ["codec.py BLOCK", "codec.py WINDOW"]
 
 
 def test_functions_import_only_to_break_a_cycle():
@@ -21,10 +41,10 @@ def test_functions_import_only_to_break_a_cycle():
     # streams' EdgeStream inside instance_to_stream
     allowed = {"matching.py instance_to_stream"}
     found = set()
-    for path in sorted(Path(permlab.__file__).parent.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+    for name, tree in modules():
+        for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found |= {f"{path.name} {fn.name}" for node in ast.walk(fn)
+                found |= {f"{name} {fn.name}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(found - allowed) == []
 
@@ -59,6 +79,6 @@ def test_every_private_function_has_a_caller():
         for child in ast.iter_child_nodes(node):
             visit(child, inside, module)
 
-    for path in sorted(Path(permlab.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), frozenset(), path.name)
+    for name, tree in modules():
+        visit(tree, frozenset(), name)
     assert sorted(where for name, where in defined.items() if name not in named) == []
